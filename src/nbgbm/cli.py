@@ -131,6 +131,7 @@ def cmd_fit(args) -> int:
                        standardize=not args.no_standardize, seed=args.seed)
     cov = estimation.prepare_covariates(X, Z, standardize=config.standardize)
     result = estimation.fit(Y, cov, args.latent, prior, config)
+    report = result.constraints
     os.makedirs(args.out, exist_ok=True)
     io.write_params(args.out, result.params)
     io.write_matrix(os.path.join(args.out, "X.csv"), cov.X)
@@ -147,7 +148,12 @@ def cmd_fit(args) -> int:
         wall_time=time.time() - t0,
         convergence={"converged": result.converged, "iterations": result.iterations,
                      "final_log_posterior": result.trace[-1],
-                     "clamp_events": result.clamp_events},
+                     "clamp_events": result.clamp_events,
+                     "constraints_passed": report.passed,
+                     "constraint_violations": {
+                         name: getattr(report, name)
+                         for name in ("max_zta", "max_xtb", "max_xtu", "max_ztv",
+                                      "max_utu", "max_vtv")}},
         version=__version__,
     )
     io.write_json(os.path.join(args.out, "manifest.json"), manifest)

@@ -33,6 +33,7 @@ from .exceptions import (
     ShapeError,
 )
 from .model import (
+    ConstraintReport,
     CovariateSet,
     DataMatrix,
     FitConfig,
@@ -492,7 +493,11 @@ def initial_params(Y: DataMatrix, cov: CovariateSet, M: int,
 
 @dataclass
 class FitResult:
-    """Final constrained parameters plus the optimization trail."""
+    """Final constrained parameters plus the optimization trail.
+
+    `constraints` is the identifiability check of the final parameters; a
+    fit whose `constraints.passed` is false is returned with a warning.
+    """
 
     params: GbmParams
     trace: list
@@ -500,6 +505,7 @@ class FitResult:
     iterations: int
     clamp_events: int
     cov: CovariateSet = field(repr=False, default=None)
+    constraints: ConstraintReport = field(repr=False, default=None)
 
 
 _UPDATE_CYCLE = ("A", "B", "C", "D", "G", "H", "S", "T")
@@ -553,4 +559,5 @@ def fit(Y, cov, M, prior: PriorConfig = None, config: FitConfig = None,
     if not report.passed:
         warnings.warn("final state exceeds the constraint tolerance")
     return FitResult(params=state.params, trace=trace, converged=converged,
-                     iterations=iterations, clamp_events=state.clamp_events, cov=cov)
+                     iterations=iterations, clamp_events=state.clamp_events, cov=cov,
+                     constraints=report)

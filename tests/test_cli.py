@@ -6,7 +6,7 @@ import pytest
 
 from nbgbm import io as nbio
 from nbgbm.cli import main
-from nbgbm.model import GbmParams
+from nbgbm.model import CONSTRAINT_TOL, GbmParams
 
 
 def run(args):
@@ -91,6 +91,12 @@ class TestFit:
         assert manifest["config"]["tol"] == 1e-6
         assert manifest["config"]["rho"] == 5.0
         assert set(manifest["input_digests"]) == {"counts", "row_covariates", "col_covariates"}
+        assert manifest["convergence"]["constraints_passed"] is True
+        violations = manifest["convergence"]["constraint_violations"]
+        assert set(violations) == {"max_zta", "max_xtb", "max_xtu", "max_ztv",
+                                   "max_utu", "max_vtv"}
+        assert all(0.0 <= v <= CONSTRAINT_TOL for v in
+                   (violations["max_utu"], violations["max_vtv"]))
 
     def test_round_trip_exact(self, fit_dir):
         params = nbio.read_params(fit_dir)

@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
-from scipy.special import digamma
+from hypothesis import given, settings, strategies as st
+from scipy.special import digamma, polygamma
 
 from nbgbm import nb
 from nbgbm.exceptions import DomainError
@@ -60,6 +63,32 @@ class TestSpecialFunctions:
         # and the exact digamma difference just below the threshold
         r = 1e7
         np.testing.assert_allclose(nb.psi_delta(y, r), digamma(y + r) - digamma(r))
+
+    def test_trigamma_matches_scipy(self):
+        grid = np.logspace(-12, 12, 4001)
+        shifts = np.arange(1.0, nb.TRIGAMMA_SHIFT + 3)
+        near_shifts = np.concatenate([shifts, np.nextafter(shifts, 0.0),
+                                      np.nextafter(shifts, np.inf), shifts - 1e-9, shifts + 1e-9])
+        x = np.concatenate([grid, near_shifts])
+        np.testing.assert_allclose(nb.trigamma(x), polygamma(1, x), rtol=1e-13, atol=0)
+        assert isinstance(nb.trigamma(2.5), float)
+
+    def test_psi_prime_delta_matches_exact_sum(self):
+        r = np.logspace(-12, 7, 77)
+        for y in range(1, 51):
+            exact = [-math.fsum(1.0 / (ri + k) ** 2 for k in range(y)) for ri in r]
+            np.testing.assert_allclose(nb.psi_prime_delta(float(y), r), exact, rtol=1e-8, atol=0)
+
+    def test_psi_prime_delta_zero_count_exact(self):
+        r = np.logspace(-12, 12, 97)
+        assert np.all(nb.psi_prime_delta(np.zeros_like(r), r) == 0.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(y=st.floats(1.0, 1e15), r=st.floats(1e-12, 1e12))
+    def test_psi_prime_delta_nonpositive_and_finite(self, y, r):
+        out = nb.psi_prime_delta(y, r)
+        assert np.isfinite(out)
+        assert out <= 0.0
 
     def test_log1p_stable_near_zero(self):
         x = 1e-15
