@@ -29,6 +29,24 @@ def _set_threads(n):
         os.environ[var] = str(n)
 
 
+PRIOR_BLOCKS = "abcduvst"
+
+
+def _add_prior_args(parser):
+    """The --lambda-* prior precisions and --m-s/--m-t prior means."""
+    for name in PRIOR_BLOCKS:
+        parser.add_argument(f"--lambda-{name}", type=float, default=1.0)
+    parser.add_argument("--m-s", type=float, default=0.0)
+    parser.add_argument("--m-t", type=float, default=0.0)
+
+
+def _prior_config(args):
+    from .model import PriorConfig
+
+    return PriorConfig(**{f"lambda_{n}": getattr(args, f"lambda_{n}") for n in PRIOR_BLOCKS},
+                       m_s=args.m_s, m_t=args.m_t)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nbgbm",
@@ -55,10 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--seed", type=int, default=0)
     p_fit.add_argument("--no-standardize", action="store_true",
                        help="keep covariates on their original scale")
-    for name in ("a", "b", "c", "d", "u", "v", "s", "t"):
-        p_fit.add_argument(f"--lambda-{name}", type=float, default=1.0)
-    p_fit.add_argument("--m-s", type=float, default=0.0)
-    p_fit.add_argument("--m-t", type=float, default=0.0)
+    _add_prior_args(p_fit)
     p_fit.add_argument("--s-floor", type=float, default=-4.0)
     p_fit.add_argument("--t-floor", type=float, default=-4.0)
 
@@ -71,10 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_inf.add_argument("--level", type=float, default=0.95)
     p_inf.add_argument("--oracle-full-fisher", action="store_true",
                        help="also run the dense bordered-Fisher oracle (small problems only)")
-    for name in ("a", "b", "c", "d", "u", "v", "s", "t"):
-        p_inf.add_argument(f"--lambda-{name}", type=float, default=1.0)
-    p_inf.add_argument("--m-s", type=float, default=0.0)
-    p_inf.add_argument("--m-t", type=float, default=0.0)
+    _add_prior_args(p_inf)
 
     p_sim = sub.add_parser("simulate", help="draw a synthetic dataset with known truth")
     p_sim.add_argument("--scheme", default="NB/Normal/Normal",
@@ -108,7 +120,7 @@ def cmd_fit(args) -> int:
     import numpy as np
 
     from . import estimation, io
-    from .model import DataMatrix, FitConfig, PriorConfig
+    from .model import DataMatrix, FitConfig
 
     t0 = time.time()
     counts = io.read_matrix(args.counts)
@@ -121,11 +133,7 @@ def cmd_fit(args) -> int:
     if Z.shape[0] != Y.J:
         raise _input_err(f"column covariates {args.col_covariates} have {Z.shape[0]} rows, "
                          f"counts {args.counts} have {Y.J} columns")
-    prior = PriorConfig(
-        lambda_a=args.lambda_a, lambda_b=args.lambda_b, lambda_c=args.lambda_c,
-        lambda_d=args.lambda_d, lambda_u=args.lambda_u, lambda_v=args.lambda_v,
-        lambda_s=args.lambda_s, lambda_t=args.lambda_t, m_s=args.m_s, m_t=args.m_t,
-    )
+    prior = _prior_config(args)
     config = FitConfig(rho=args.rho, tol=args.tol, max_iter=args.max_iter,
                        epsilon=args.epsilon, s_floor=args.s_floor, t_floor=args.t_floor,
                        standardize=not args.no_standardize, seed=args.seed)
@@ -139,9 +147,7 @@ def cmd_fit(args) -> int:
     io.write_vector(os.path.join(args.out, "trace.csv"), np.asarray(result.trace))
     manifest = io.build_manifest(
         command="fit",
-        config={**vars(config), **{f"lambda_{n}": getattr(prior, f"lambda_{n}")
-                                   for n in "abcduvst"},
-                "m_s": prior.m_s, "m_t": prior.m_t, "latent": args.latent},
+        config={**vars(config), **vars(prior), "latent": args.latent},
         seed=args.seed,
         inputs={"counts": args.counts, "row_covariates": args.row_covariates,
                 "col_covariates": args.col_covariates},
@@ -164,7 +170,7 @@ def cmd_infer(args) -> int:
     import numpy as np
 
     from . import inference, io
-    from .model import CovariateSet, DataMatrix, PriorConfig
+    from .model import CovariateSet, DataMatrix
 
     t0 = time.time()
     counts = io.read_matrix(args.counts)
@@ -173,11 +179,7 @@ def cmd_infer(args) -> int:
     X = io.read_matrix(os.path.join(args.fit_dir, "X.csv"))
     Z = io.read_matrix(os.path.join(args.fit_dir, "Z.csv"))
     cov = CovariateSet(X, Z)
-    prior = PriorConfig(
-        lambda_a=args.lambda_a, lambda_b=args.lambda_b, lambda_c=args.lambda_c,
-        lambda_d=args.lambda_d, lambda_u=args.lambda_u, lambda_v=args.lambda_v,
-        lambda_s=args.lambda_s, lambda_t=args.lambda_t, m_s=args.m_s, m_t=args.m_t,
-    )
+    prior = _prior_config(args)
     result = inference.standard_errors(Y, params, cov, prior)
     os.makedirs(args.out, exist_ok=True)
     for name, block in result.blocks().items():
@@ -205,7 +207,7 @@ def cmd_infer(args) -> int:
     manifest = io.build_manifest(
         command="infer",
         config={"level": args.level, "tests": args.test,
-                **{f"lambda_{n}": getattr(prior, f"lambda_{n}") for n in "abcduvst"}},
+                **{f"lambda_{n}": getattr(prior, f"lambda_{n}") for n in PRIOR_BLOCKS}},
         seed=None,
         inputs={"counts": args.counts,
                 "params": os.path.join(args.fit_dir, "params.json")},

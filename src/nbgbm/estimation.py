@@ -14,6 +14,10 @@ keeps ||U||^2 and ||V||^2 constant and puts ||G||^2 into ||D||^2); S and T
 their priors at the recentred offsets (the common shift goes into omega,
 which has no prior).  The cycle is then an ascent method on the quantity
 FitState.log_posterior reports.
+
+Rows and columns are symmetric (Y' swaps X and Z, A and B, U and V, S and
+T, and turns C into C'), so every B, H and T update and projection is its
+A, G or S twin run on FitState.transposed(), which shares the arrays.
 """
 
 from __future__ import annotations
@@ -160,6 +164,14 @@ class FitState:
     work: nb.NbWorkspace = None
     clamp_events: int = 0
 
+    def transposed(self) -> "FitState":
+        """The same state for Y', sharing the arrays; every step refreshes work first."""
+        return FitState(Y=self.Y.transposed(), cov=self.cov.transposed(),
+                        params=self.params.transposed(), prior=self.prior.transposed(),
+                        config=self.config,
+                        adapt=AdaptiveStepState(rho_s=self.adapt.rho_t, rho_t=self.adapt.rho_s),
+                        clamp_events=self.clamp_events)
+
     def refresh(self):
         """Recompute linpred, mu, r, W, E from the current parameters."""
         linpred = linear_predictor(self.params, self.cov)
@@ -206,14 +218,6 @@ def project_a(state: FitState):
     p.C += Q.T
 
 
-def project_b(state: FitState):
-    """Enforce X'B = 0, compensating through C."""
-    p, cov = state.params, state.cov
-    Q = cov.Xplus @ p.B
-    p.B -= cov.X @ Q
-    p.C += Q
-
-
 def project_g(state: FitState, G: np.ndarray):
     """Absorb an unconstrained left-factor step G (I x M).
 
@@ -233,18 +237,6 @@ def project_g(state: FitState, G: np.ndarray):
     p.U, p.D, p.V = svd_of_product(G, p.V)
 
 
-def project_h(state: FitState, H: np.ndarray):
-    """Mirror of project_g for a right-factor step H (J x M)."""
-    p, cov = state.params, state.cov
-    Q = cov.Zplus @ H
-    H = H - cov.Z @ Q
-    p.B += p.U @ Q.T
-    Q2 = cov.Xplus @ p.B
-    p.B -= cov.X @ Q2
-    p.C += Q2
-    p.U, p.D, p.V = svd_of_product(p.U, H)
-
-
 def project_s(state: FitState):
     """Recenter S to mean-exp one, compensating through omega."""
     p = state.params
@@ -253,23 +245,34 @@ def project_s(state: FitState):
     p.omega += c
 
 
-def project_t(state: FitState):
-    """Recenter T to mean-exp one, compensating through omega."""
-    p = state.params
-    c = float(logsumexp(p.T) - np.log(p.T.size))
-    p.T -= c
-    p.omega += c
+def _mirrored(step):
+    """The B, H or T twin of an A, G or S step: `step` on the transposed state.
+
+    `step` is bound here, so a wrapper later installed on its module attribute
+    is not entered twice.  The caller's params and adapt keep their identity."""
+    def mirrored(state: FitState, *args):
+        flipped = state.transposed()
+        step(flipped, *args)
+        back = flipped.transposed()
+        vars(state.params).update(vars(back.params))
+        vars(state.adapt).update(vars(back.adapt))
+        state.clamp_events = back.clamp_events
+    return mirrored
+
+
+project_b = _mirrored(project_a)   # X'B = 0, compensating through C
+project_h = _mirrored(project_g)   # right-factor step H (J x M)
+project_t = _mirrored(project_s)   # mean-exp-one T
 
 
 # ---------------------------------------------------------------------------
 # block updates
 # ---------------------------------------------------------------------------
 
-def _row_fisher_blocks(W, design, axis):
-    """Per-row (axis=0) or per-column (axis=1) blocks design' W_slice design."""
-    if axis == 1:
-        return np.einsum("ij,ik,il->jkl", W, design, design, optimize=True)
-    return np.einsum("ij,jk,jl->ikl", W, design, design, optimize=True)
+def _row_fisher_blocks(W, design):
+    """design' diag(W[:, j]) design for every column j of W: the Fisher blocks
+    of the rows of A (pass W' and Z for those of B)."""
+    return np.einsum("ij,ik,il->jkl", W, design, design, optimize=True)
 
 
 def _batched_capped_solve(F, rhs, lam, rho):
@@ -286,25 +289,18 @@ def update_a(state: FitState):
     """Fisher-scoring step on each row of A, then the A projection."""
     state.refresh()
     p, cov, w = state.params, state.cov, state.work
-    F = _row_fisher_blocks(w.W, cov.X, axis=1)            # (J, K, K)
+    F = _row_fisher_blocks(w.W, cov.X)                    # (J, K, K)
     rhs = w.E.T @ cov.X - state.prior.lambda_a * p.A      # (J, K)
     p.A += _batched_capped_solve(F, rhs, state.prior.lambda_a, state.config.rho)
     project_a(state)
 
 
-def update_b(state: FitState):
-    """Fisher-scoring step on each row of B, then the B projection."""
-    state.refresh()
-    p, cov, w = state.params, state.cov, state.work
-    F = _row_fisher_blocks(w.W, cov.Z, axis=0)            # (I, L, L)
-    rhs = w.E @ cov.Z - state.prior.lambda_b * p.B        # (I, L)
-    p.B += _batched_capped_solve(F, rhs, state.prior.lambda_b, state.config.rho)
-    project_b(state)
+update_b = _mirrored(update_a)   # rows of B, then the B projection
 
 
 def fisher_c(W, cov) -> np.ndarray:
     """KL x KL Fisher information for vec(C) (no regularization)."""
-    T = _row_fisher_blocks(W, cov.X, axis=1)              # (J, K, K)
+    T = _row_fisher_blocks(W, cov.X)                      # (J, K, K)
     F4 = np.einsum("jab,jl,jm->lamb", T, cov.Z, cov.Z, optimize=True)
     KL = cov.K * cov.L
     return F4.reshape(KL, KL)
@@ -323,8 +319,7 @@ def update_c(state: FitState):
 
 def fisher_d(W, U, V) -> np.ndarray:
     """M x M Fisher information for the diagonal of D."""
-    P = np.einsum("ij,im,in->jmn", W, U, U, optimize=True)
-    return np.einsum("jmn,jm,jn->mn", P, V, V, optimize=True)
+    return np.einsum("jmn,jm,jn->mn", _row_fisher_blocks(W, U), V, V, optimize=True)
 
 
 def update_d(state: FitState):
@@ -353,24 +348,13 @@ def update_g(state: FitState):
         return
     G = p.U * p.D
     lam = state.prior.lambda_d
-    F = np.einsum("ij,jm,jn->imn", w.W, p.V, p.V, optimize=True)   # (I, M, M)
+    F = _row_fisher_blocks(w.W.T, p.V)                    # (I, M, M)
     rhs = w.E @ p.V - lam * G
     G = G + _batched_capped_solve(F, rhs, lam, state.config.rho)
     project_g(state, G)
 
 
-def update_h(state: FitState):
-    """Mirror of update_g for the right factors H = V * D (prior lambda_d)."""
-    state.refresh()
-    p, w = state.params, state.work
-    if p.M == 0:
-        return
-    H = p.V * p.D
-    lam = state.prior.lambda_d
-    F = np.einsum("ij,im,in->jmn", w.W, p.U, p.U, optimize=True)   # (J, M, M)
-    rhs = w.E.T @ p.U - lam * H
-    H = H + _batched_capped_solve(F, rhs, lam, state.config.rho)
-    project_h(state, H)
+update_h = _mirrored(update_g)   # right factors H = V * D, prior lambda_d
 
 
 def _newton_dispersion_step(offsets, grad, hess, rho_vec):
@@ -414,16 +398,7 @@ def update_s(state: FitState):
     project_s(state)
 
 
-def update_t(state: FitState):
-    """Mirror of update_s for the column offsets (prior lambda_t, m_t)."""
-    state.refresh()
-    p, pr = state.params, state.prior
-    derivs = nb.dispersion_derivatives(state.Y, state.work.mu, state.work.r)
-    grad = _recentred_prior_gradient(p.T, pr.lambda_t, pr.m_t) + derivs.delta.sum(axis=0)
-    hess = -pr.lambda_t + derivs.delta_prime.sum(axis=0)
-    p.T, exceeded = _newton_dispersion_step(p.T, grad, hess, state.adapt.rho_t)
-    state.adapt.rho_t = np.where(exceeded, state.adapt.rho_t / 2.0, state.config.rho)
-    project_t(state)
+update_t = _mirrored(update_s)   # column offsets, prior lambda_t and m_t
 
 
 def bias_correct_dispersions(state: FitState, s_floor=None, t_floor=None):

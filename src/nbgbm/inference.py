@@ -15,6 +15,10 @@ Three ingredients:
    contracting the Jacobian with the source variances (diagonal, except
    that the C edges contract with the per-row conditional inverse blocks).
 
+Every B, V and T quantity of steps 1 and 3 is its A, U or S twin computed
+on InferencePieces.transposed(), the pieces of the problem for Y' (X and Z,
+A and B, U and V, S and T swapped, C turned into C').
+
 No standard errors are produced for D or the global log-dispersion.
 """
 
@@ -27,6 +31,7 @@ import numpy as np
 from scipy.stats import norm
 
 from . import nb
+from .estimation import _row_fisher_blocks, fisher_c
 from .exceptions import DomainError, RankError, ShapeError, SizeGuardError
 from .model import CovariateSet, GbmParams, PriorConfig, linear_predictor
 
@@ -58,6 +63,18 @@ class InferencePieces:
     invFs: np.ndarray        # length I
     invFt: np.ndarray        # length J
 
+    def transposed(self) -> "InferencePieces":
+        """The pieces for Y', sharing the arrays; invFc goes to vec(C') order."""
+        K, L = self.gradC.shape
+        return InferencePieces(
+            W=self.W.T, E=self.E.T, mu=self.mu.T, r=self.r.T, dWM=self.dWM.T, dEM=self.dEM.T,
+            gradA=self.gradB, gradB=self.gradA, gradC=self.gradC.T,
+            gradS=self.gradT, gradT=self.gradS, Fu=self.Fv, Fv=self.Fu,
+            invFa=self.invFb, invFb=self.invFa,
+            invFc=self.invFc.reshape(L, K, L, K).transpose(1, 0, 3, 2).reshape(K * L, K * L),
+            invFu=self.invFv, invFv=self.invFu, invFs=self.invFt, invFt=self.invFs,
+        )
+
 
 def preprocess(Y, params: GbmParams, cov: CovariateSet, prior: PriorConfig) -> InferencePieces:
     """One pass computing every reusable quantity of the inference algorithm."""
@@ -72,27 +89,11 @@ def preprocess(Y, params: GbmParams, cov: CovariateSet, prior: PriorConfig) -> I
     gradT = -prior.lambda_t * (params.T - prior.m_t) + derivs.delta.sum(axis=0)
 
     X, Z = cov.X, cov.Z
-    Fa = np.einsum("ij,ik,il->jkl", W, X, X, optimize=True)
-    Fb = np.einsum("ij,jk,jl->ikl", W, Z, Z, optimize=True)
-    invFa = np.linalg.inv(Fa + prior.lambda_a * np.eye(cov.K))
-    invFb = np.linalg.inv(Fb + prior.lambda_b * np.eye(cov.L))
-    F4 = np.einsum("jab,jl,jm->lamb", Fa, Z, Z, optimize=True)
-    KL = cov.K * cov.L
-    invFc = np.linalg.inv(F4.reshape(KL, KL) + prior.lambda_c * np.eye(KL))
-
-    M = params.M
-    if M > 0:
-        VD = params.V * params.D
-        UD = params.U * params.D
-        Fu = np.einsum("ij,jm,jn->imn", W, VD, VD, optimize=True) + prior.lambda_u * np.eye(M)
-        Fv = np.einsum("ij,im,in->jmn", W, UD, UD, optimize=True) + prior.lambda_v * np.eye(M)
-        invFu = np.linalg.inv(Fu)
-        invFv = np.linalg.inv(Fv)
-    else:
-        Fu = np.zeros((cov.I, 0, 0))
-        Fv = np.zeros((cov.J, 0, 0))
-        invFu = Fu.copy()
-        invFv = Fv.copy()
+    invFa = np.linalg.inv(_row_fisher_blocks(W, X) + prior.lambda_a * np.eye(cov.K))
+    invFb = np.linalg.inv(_row_fisher_blocks(W.T, Z) + prior.lambda_b * np.eye(cov.L))
+    invFc = np.linalg.inv(fisher_c(W, cov) + prior.lambda_c * np.eye(cov.K * cov.L))
+    Fu = _row_fisher_blocks(W.T, params.V * params.D) + prior.lambda_u * np.eye(params.M)
+    Fv = _row_fisher_blocks(W, params.U * params.D) + prior.lambda_v * np.eye(params.M)
 
     def observed_inv(lam, second_deriv_sums, label):
         denom = lam - second_deriv_sums
@@ -112,17 +113,8 @@ def preprocess(Y, params: GbmParams, cov: CovariateSet, prior: PriorConfig) -> I
         gradA=E.T @ X, gradB=E @ Z, gradC=X.T @ E @ Z,
         gradS=gradS, gradT=gradT,
         Fu=Fu, Fv=Fv, invFa=invFa, invFb=invFb, invFc=invFc,
-        invFu=invFu, invFv=invFv, invFs=invFs, invFt=invFt,
+        invFu=np.linalg.inv(Fu), invFv=np.linalg.inv(Fv), invFs=invFs, invFt=invFt,
     )
-
-
-def conditional_inverses(Y, params, cov, prior=None):
-    """Per-block inverse Fisher information treating other blocks as known.
-
-    Thin wrapper over :func:`preprocess`; the returned pieces carry invFa,
-    invFb, invFc, invFu, invFv and the observed-information invFs/invFt.
-    """
-    return preprocess(Y, params, cov, prior or PriorConfig())
 
 
 # ---------------------------------------------------------------------------
@@ -241,68 +233,36 @@ def joint_uv_uncertainty(pieces: InferencePieces, params: GbmParams, cov: Covari
 # delta propagation: latent factors -> coefficients
 # ---------------------------------------------------------------------------
 
-def coef_jacobian_same_index(design, invF_j, grad_j, dWM_col, dEM_col, scaled_other):
-    """Jacobian of the one-step coefficient-row estimator with respect to the
-    whole factor on the data's long axis.
+def coef_eta_jacobian(pieces: InferencePieces, cov: CovariateSet) -> np.ndarray:
+    """J x K x I derivatives d a_j / d eta_ij of the one-step A-row estimators,
+    invFa_j x_i (dEM_ij - dWM_ij x_i' invFa_j gradA_j).
 
-    design is n x K, scaled_other the length-M row d * fac_{j,:} of the
-    factor sharing the coefficient row's index.  Returns K x (n M), columns
-    ordered like vec(factor') of the long-axis factor.
+    eta_ij moves with u_im by (V D)_jm and with v_jm by (U D)_im.  Pass the
+    transposed pieces and covariates for B.
     """
-    Qj = -invF_j @ (design * dWM_col[:, None]).T
-    Qj = Qj * (design @ (invF_j @ grad_j))[None, :]
-    Qj = Qj + invF_j @ (design * dEM_col[:, None]).T
-    return np.kron(Qj, scaled_other[None, :])
+    base = np.einsum("jkl,jl->jk", pieces.invFa, pieces.gradA)
+    weight = pieces.dEM - pieces.dWM * (cov.X @ base.T)          # (I, J)
+    return np.einsum("jkl,il,ij->jki", pieces.invFa, cov.X, weight, optimize=True)
 
 
-def coef_jacobian_other_index(design, invF_j, grad_j, dWM_col, dEM_col, other, D):
-    """Jacobian of the one-step coefficient-row estimator with respect to the
-    same-index row of the factor on the short axis.  Returns K x M."""
-    M = D.shape[0]
-    out = np.empty((design.shape[1], M))
-    base = invF_j @ grad_j
-    for m in range(M):
-        col = D[m] * other[:, m]
-        XdE = design.T @ (dEM_col * col)
-        XdWX = design.T @ ((dWM_col * col)[:, None] * design)
-        out[:, m] = (-invF_j @ XdWX) @ base + invF_j @ XdE
-    return out
+def _coef_variances_from_factors(pieces, params, cov, varU, varV):
+    """Extra variances of vec(A') from U and from V (diagonal contractions)."""
+    Q = coef_eta_jacobian(pieces, cov)
+    UD, VD = params.U * params.D, params.V * params.D
+    varU = varU.reshape(cov.I, params.M)
+    varV = varV.reshape(cov.J, params.M)
+    fromU = np.einsum("jki,ji->jk", Q ** 2, VD ** 2 @ varU.T, optimize=True)
+    fromV = np.einsum("jkm,jm->jk", (Q @ UD) ** 2, varV, optimize=True)
+    return fromU.ravel(), fromV.ravel()
 
 
 def propagate_uv_to_ab(pieces: InferencePieces, params: GbmParams, cov: CovariateSet,
                        varU: np.ndarray, varV: np.ndarray):
     """Extra variances of A and B due to uncertainty in the latent factors,
     as flat vectors in vec(A') / vec(B') order."""
-    M = params.M
-    JK, IL = cov.J * cov.K, cov.I * cov.L
-    if M == 0:
-        return np.zeros(JK), np.zeros(JK), np.zeros(IL), np.zeros(IL)
-    varAfromU = np.empty(JK)
-    varAfromV = np.empty(JK)
-    for j in range(cov.J):
-        dA = coef_jacobian_same_index(
-            cov.X, pieces.invFa[j], pieces.gradA[j],
-            pieces.dWM[:, j], pieces.dEM[:, j], params.D * params.V[j])
-        varAfromU[j * cov.K:(j + 1) * cov.K] = (dA ** 2 * varU[None, :]).sum(axis=1)
-        dAv = coef_jacobian_other_index(
-            cov.X, pieces.invFa[j], pieces.gradA[j],
-            pieces.dWM[:, j], pieces.dEM[:, j], params.U, params.D)
-        varAfromV[j * cov.K:(j + 1) * cov.K] = \
-            (dAv ** 2 * varV[j * M:(j + 1) * M][None, :]).sum(axis=1)
-
-    varBfromU = np.empty(IL)
-    varBfromV = np.empty(IL)
-    dWMt, dEMt = pieces.dWM.T, pieces.dEM.T
-    for i in range(cov.I):
-        dBv = coef_jacobian_same_index(
-            cov.Z, pieces.invFb[i], pieces.gradB[i],
-            dWMt[:, i], dEMt[:, i], params.D * params.U[i])
-        varBfromV[i * cov.L:(i + 1) * cov.L] = (dBv ** 2 * varV[None, :]).sum(axis=1)
-        dBu = coef_jacobian_other_index(
-            cov.Z, pieces.invFb[i], pieces.gradB[i],
-            dWMt[:, i], dEMt[:, i], params.V, params.D)
-        varBfromU[i * cov.L:(i + 1) * cov.L] = \
-            (dBu ** 2 * varU[i * M:(i + 1) * M][None, :]).sum(axis=1)
+    varAfromU, varAfromV = _coef_variances_from_factors(pieces, params, cov, varU, varV)
+    varBfromV, varBfromU = _coef_variances_from_factors(
+        pieces.transposed(), params.transposed(), cov.transposed(), varV, varU)
     return varAfromU, varAfromV, varBfromU, varBfromV
 
 
@@ -310,24 +270,28 @@ def propagate_uv_to_ab(pieces: InferencePieces, params: GbmParams, cov: Covariat
 # delta propagation: coefficients -> interactions
 # ---------------------------------------------------------------------------
 
-def interaction_jacobian_from_a(pieces, cov, j, k):
-    """Jacobian column of the one-step C estimator with respect to a_{j k}."""
+def interaction_jacobian_from_a(pieces: InferencePieces, cov: CovariateSet) -> np.ndarray:
+    """J x KL x K derivatives of the one-step vec(C) estimator in the rows of A.
+
+    Block j is invFc (z_j kron (H_j - G_j)): H_j = X' diag(dEM_j) X from the
+    score, G_j = X' diag(dWM_j * (X C1 Z')_j) X from the Fisher information,
+    C1 = invFc vec(gradC).  For B pass the transposed problem (vec(C') order).
+    """
     X, Z = cov.X, cov.Z
-    dWX = pieces.dWM[:, j] * X[:, k]
-    dF = np.kron(np.outer(Z[j], Z[j]), X.T @ (dWX[:, None] * X))
-    dgradC = np.outer(X.T @ (pieces.dEM[:, j] * X[:, k]), Z[j])
-    vec_gradC = pieces.gradC.ravel(order="F")
-    return pieces.invFc @ (-dF @ (pieces.invFc @ vec_gradC) + dgradC.ravel(order="F"))
+    C1 = (pieces.invFc @ pieces.gradC.ravel(order="F")).reshape(cov.K, cov.L, order="F")
+    HG = _row_fisher_blocks(pieces.dEM, X) - _row_fisher_blocks(pieces.dWM * (X @ C1 @ Z.T), X)
+    kron = np.einsum("jl,jak->jlak", Z, HG).reshape(cov.J, cov.K * cov.L, cov.K)
+    return pieces.invFc @ kron
 
 
-def interaction_jacobian_from_b(pieces, cov, i, ell):
-    """Jacobian column of the one-step C estimator with respect to b_{i ell}."""
-    X, Z = cov.X, cov.Z
-    dWZ = pieces.dWM[i, :] * Z[:, ell]
-    dF = np.kron(Z.T @ (dWZ[:, None] * Z), np.outer(X[i], X[i]))
-    dgradC = np.outer(X[i], (pieces.dEM[i, :] * Z[:, ell]) @ Z)
-    vec_gradC = pieces.gradC.ravel(order="F")
-    return pieces.invFc @ (-dF @ (pieces.invFc @ vec_gradC) + dgradC.ravel(order="F"))
+def _interaction_variance_from_a(pieces, cov, varA):
+    """Extra variance of vec(C) from A (see propagate_ab_to_c)."""
+    jac = interaction_jacobian_from_a(pieces, cov)
+    var = np.einsum("jck,jkl,jcl->c", jac, pieces.invFa, jac, optimize=True)
+    if varA is not None:
+        extra = np.maximum(varA.reshape(cov.J, cov.K) - np.einsum("jkk->jk", pieces.invFa), 0.0)
+        var += np.einsum("jck,jk->c", jac ** 2, extra, optimize=True)
+    return var
 
 
 def propagate_ab_to_c(pieces: InferencePieces, params: GbmParams, cov: CovariateSet,
@@ -340,23 +304,9 @@ def propagate_ab_to_c(pieces: InferencePieces, params: GbmParams, cov: Covariate
     carries the latent-to-coefficient chain, contracts diagonally.  Omitting
     varA/varB keeps the conditional part only.
     """
-    K, L, I, J = cov.K, cov.L, cov.I, cov.J
-    KL = K * L
-    varCfromA = np.zeros(KL)
-    cond_A = np.einsum("jkk->jk", pieces.invFa).ravel()
-    extraA = np.zeros(J * K) if varA is None else np.maximum(varA - cond_A, 0.0)
-    for j in range(J):
-        block = np.column_stack([interaction_jacobian_from_a(pieces, cov, j, k) for k in range(K)])
-        varCfromA += np.einsum("ck,kl,cl->c", block, pieces.invFa[j], block, optimize=True)
-        varCfromA += block ** 2 @ extraA[j * K:(j + 1) * K]
-    varCfromB = np.zeros(KL)
-    cond_B = np.einsum("ill->il", pieces.invFb).ravel()
-    extraB = np.zeros(I * L) if varB is None else np.maximum(varB - cond_B, 0.0)
-    for i in range(I):
-        block = np.column_stack([interaction_jacobian_from_b(pieces, cov, i, ell) for ell in range(L)])
-        varCfromB += np.einsum("ck,kl,cl->c", block, pieces.invFb[i], block, optimize=True)
-        varCfromB += block ** 2 @ extraB[i * L:(i + 1) * L]
-    return varCfromA, varCfromB
+    varCfromA = _interaction_variance_from_a(pieces, cov, varA)
+    varCfromB = _interaction_variance_from_a(pieces.transposed(), cov.transposed(), varB)
+    return varCfromA, varCfromB.reshape(cov.K, cov.L).ravel(order="F")
 
 
 # ---------------------------------------------------------------------------
@@ -392,62 +342,35 @@ def dispersion_jacobian_other_axis(Q, P, scaled_same, invF, gradv):
     return (-invF ** 2 * gradv)[:, None, None] * dF + invF[:, None, None] * dgrad
 
 
+def _dispersion_variances(pieces, params, cov, varA, varB, varU, varV):
+    """Extra variances of S from A, B, U and V, keyed by source block."""
+    Q, P = _score_sensitivities(pieces.W, pieces.E, pieces.mu, pieces.r)
+    UD, VD = params.U * params.D, params.V * params.D
+    invF, grad = pieces.invFs, pieces.gradS
+    return {
+        "A": np.einsum("ijk,jk->i", dispersion_jacobian_other_axis(Q, P, cov.X, invF, grad) ** 2,
+                       varA.reshape(cov.J, cov.K), optimize=True),
+        "B": np.einsum("il,il->i", dispersion_jacobian_same_axis(Q, P, cov.Z, invF, grad) ** 2,
+                       varB.reshape(cov.I, cov.L), optimize=True),
+        "U": np.einsum("im,im->i", dispersion_jacobian_same_axis(Q, P, VD, invF, grad) ** 2,
+                       varU.reshape(cov.I, params.M), optimize=True),
+        "V": np.einsum("ijm,jm->i", dispersion_jacobian_other_axis(Q, P, UD, invF, grad) ** 2,
+                       varV.reshape(cov.J, params.M), optimize=True),
+    }
+
+
 def propagate_to_dispersions(pieces: InferencePieces, params: GbmParams, cov: CovariateSet,
                              varA, varB, varU, varV):
     """Extra variances of S and T from uncertainty in A, B, U, V.
 
     varA/varB must be the full (conditional + propagated) variances in
-    vec(A') / vec(B') order.  Returns two dicts keyed by source block.
+    vec(A') / vec(B') order.  Returns two dicts keyed by source block; T's
+    is S's computed on the transposed problem.
     """
-    M = params.M
-    Q, P = _score_sensitivities(pieces.W, pieces.E, pieces.mu, pieces.r)
-    Qt, Pt = Q.T, P.T
-    X, Z = cov.X, cov.Z
-    varA_mat = varA.reshape(cov.J, cov.K)
-    varB_mat = varB.reshape(cov.I, cov.L)
-
-    var_s = {
-        "A": np.einsum("ijk,jk->i",
-                       dispersion_jacobian_other_axis(Q, P, X, pieces.invFs, pieces.gradS) ** 2,
-                       varA_mat, optimize=True),
-        "B": np.einsum("im,im->i",
-                       dispersion_jacobian_same_axis(Q, P, Z, pieces.invFs, pieces.gradS) ** 2,
-                       varB_mat, optimize=True),
-    }
-    var_t = {
-        "A": np.einsum("jm,jm->j",
-                       dispersion_jacobian_same_axis(Qt, Pt, X, pieces.invFt, pieces.gradT) ** 2,
-                       varA_mat, optimize=True),
-        "B": np.einsum("jik,ik->j",
-                       dispersion_jacobian_other_axis(Qt, Pt, Z, pieces.invFt, pieces.gradT) ** 2,
-                       varB_mat, optimize=True),
-    }
-    if M > 0:
-        UD = params.U * params.D
-        VD = params.V * params.D
-        varU_mat = varU.reshape(cov.I, M)
-        varV_mat = varV.reshape(cov.J, M)
-        var_s["U"] = np.einsum(
-            "im,im->i",
-            dispersion_jacobian_same_axis(Q, P, VD, pieces.invFs, pieces.gradS) ** 2,
-            varU_mat, optimize=True)
-        var_s["V"] = np.einsum(
-            "ijm,jm->i",
-            dispersion_jacobian_other_axis(Q, P, UD, pieces.invFs, pieces.gradS) ** 2,
-            varV_mat, optimize=True)
-        var_t["V"] = np.einsum(
-            "jm,jm->j",
-            dispersion_jacobian_same_axis(Qt, Pt, UD, pieces.invFt, pieces.gradT) ** 2,
-            varV_mat, optimize=True)
-        var_t["U"] = np.einsum(
-            "jim,im->j",
-            dispersion_jacobian_other_axis(Qt, Pt, VD, pieces.invFt, pieces.gradT) ** 2,
-            varU_mat, optimize=True)
-    else:
-        var_s["U"] = np.zeros(cov.I)
-        var_s["V"] = np.zeros(cov.I)
-        var_t["U"] = np.zeros(cov.J)
-        var_t["V"] = np.zeros(cov.J)
+    var_s = _dispersion_variances(pieces, params, cov, varA, varB, varU, varV)
+    flipped = _dispersion_variances(pieces.transposed(), params.transposed(),
+                                    cov.transposed(), varB, varA, varV, varU)
+    var_t = {"A": flipped["B"], "B": flipped["A"], "U": flipped["V"], "V": flipped["U"]}
     return var_s, var_t
 
 
@@ -492,10 +415,8 @@ def standard_errors(Y, params: GbmParams, cov: CovariateSet,
         "varAfromU": varAfromU, "varAfromV": varAfromV,
         "varBfromU": varBfromU, "varBfromV": varBfromV,
         "varCfromA": varCfromA, "varCfromB": varCfromB,
-        "varSfromA": var_s["A"], "varSfromB": var_s["B"],
-        "varSfromU": var_s["U"], "varSfromV": var_s["V"],
-        "varTfromA": var_t["A"], "varTfromB": var_t["B"],
-        "varTfromU": var_t["U"], "varTfromV": var_t["V"],
+        **{f"varSfrom{src}": v for src, v in var_s.items()},
+        **{f"varTfrom{src}": v for src, v in var_t.items()},
         "varU": varU, "varV": varV,
     }
     return InferenceResult(

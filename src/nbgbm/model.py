@@ -29,6 +29,14 @@ from .exceptions import DomainError, PreconditionError, ShapeError
 CONSTRAINT_TOL = 1e-8
 
 
+def _unchecked(cls, **fields):
+    """An instance of cls holding `fields` as they are, without validation."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 @dataclass(frozen=True)
 class DataMatrix:
     """Nonnegative integer count matrix."""
@@ -52,6 +60,10 @@ class DataMatrix:
     @property
     def J(self) -> int:
         return self.values.shape[1]
+
+    def transposed(self) -> "DataMatrix":
+        """Y' as a view of the same counts."""
+        return _unchecked(DataMatrix, values=self.values.T)
 
 
 class CovariateSet:
@@ -105,6 +117,10 @@ class CovariateSet:
     def L(self) -> int:
         return self.Z.shape[1]
 
+    def transposed(self) -> "CovariateSet":
+        """The designs of the transposed problem: Z for the rows, X for the columns."""
+        return _unchecked(CovariateSet, X=self.Z, Z=self.X, Xplus=self.Zplus, Zplus=self.Xplus)
+
 
 @dataclass
 class GbmParams:
@@ -145,6 +161,12 @@ class GbmParams:
             self.U.copy(), self.V.copy(), self.S.copy(), self.T.copy(), self.omega,
         )
 
+    def transposed(self) -> "GbmParams":
+        """Parameters for Y' (linear predictor Z B' + A X' + Z C' X' + V D U'),
+        sharing the arrays."""
+        return GbmParams(A=self.B, B=self.A, C=self.C.T, D=self.D,
+                         U=self.V, V=self.U, S=self.T, T=self.S, omega=self.omega)
+
     def blocks(self) -> dict:
         """Named views of every block, for serialization and evaluation."""
         return {
@@ -182,6 +204,14 @@ class PriorConfig:
                      "lambda_u", "lambda_v", "lambda_s", "lambda_t"):
             if getattr(self, name) <= 0:
                 raise DomainError(f"{name} must be positive")
+
+    def transposed(self) -> "PriorConfig":
+        """The same priors with the row and column blocks swapped."""
+        return _unchecked(
+            PriorConfig, lambda_a=self.lambda_b, lambda_b=self.lambda_a,
+            lambda_c=self.lambda_c, lambda_d=self.lambda_d,
+            lambda_u=self.lambda_v, lambda_v=self.lambda_u,
+            lambda_s=self.lambda_t, lambda_t=self.lambda_s, m_s=self.m_t, m_t=self.m_s)
 
 
 @dataclass(frozen=True)

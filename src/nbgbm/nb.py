@@ -34,11 +34,6 @@ TRIGAMMA_SHIFT = 6
 TRIGAMMA_BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6)
 
 
-def log1p_stable(x):
-    """log(1 + x) with full precision near zero (x >= -1)."""
-    return np.log1p(x)
-
-
 def trigamma(x):
     """Trigamma function psi'(x) for x > 0, elementwise.
 

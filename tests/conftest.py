@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 from nbgbm import estimation
+from nbgbm.model import PriorConfig
 from nbgbm.simulate import SimScheme, simulate_dataset
+
+# distinct row and column priors: a row/column swap that the transposed
+# problem misses changes the answer instead of hiding behind equal defaults
+ASYMMETRIC_PRIOR = PriorConfig(lambda_a=2.0, lambda_b=0.5, lambda_u=3.0, lambda_v=0.7,
+                               lambda_s=1.5, lambda_t=0.8, m_s=0.3, m_t=-0.2)
 
 
 @pytest.fixture(scope="session")

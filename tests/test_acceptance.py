@@ -341,35 +341,28 @@ def test_criterion_05_delta_propagation_jacobians():
     # A rows share the transposed data's row index, B rows its column index
     dT_A = inf.dispersion_jacobian_same_axis(Qt, Pt, cov.X, pieces.invFt, pieces.gradT)
     dT_B = inf.dispersion_jacobian_other_axis(Qt, Pt, cov.Z, pieces.invFt, pieces.gradT)
+    # B edges are A edges of the transposed problem; its C is C'
+    flipped, cov_t = pieces.transposed(), cov.transposed()
+    dA_eta = inf.coef_eta_jacobian(pieces, cov)
+    dB_eta = inf.coef_eta_jacobian(flipped, cov_t)
+    dC_A = inf.interaction_jacobian_from_a(pieces, cov)
+    dC_B = inf.interaction_jacobian_from_a(flipped, cov_t)
 
     for _ in range(20):
         i, j = int(rng.integers(I)), int(rng.integers(J))
         m, k, ell = int(rng.integers(M)), int(rng.integers(K)), int(rng.integers(L))
 
         # (U, V) -> A
-        dA = inf.coef_jacobian_same_index(cov.X, pieces.invFa[j], pieces.gradA[j],
-                                          pieces.dWM[:, j], pieces.dEM[:, j],
-                                          params.D * params.V[j])
-        record("uv->a", dA[:, i * M + m], fd(h_a, "U", (i, m), j))
-        dAv = inf.coef_jacobian_other_index(cov.X, pieces.invFa[j], pieces.gradA[j],
-                                            pieces.dWM[:, j], pieces.dEM[:, j],
-                                            params.U, params.D)
-        record("uv->a", dAv[:, m], fd(h_a, "V", (j, m), j))
+        record("uv->a", dA_eta[j, :, i] * VD[j, m], fd(h_a, "U", (i, m), j))
+        record("uv->a", dA_eta[j] @ UD[:, m], fd(h_a, "V", (j, m), j))
 
         # (U, V) -> B
-        dBv = inf.coef_jacobian_same_index(cov.Z, pieces.invFb[i], pieces.gradB[i],
-                                           pieces.dWM.T[:, i], pieces.dEM.T[:, i],
-                                           params.D * params.U[i])
-        record("uv->b", dBv[:, j * M + m], fd(h_b, "V", (j, m), i))
-        dBu = inf.coef_jacobian_other_index(cov.Z, pieces.invFb[i], pieces.gradB[i],
-                                            pieces.dWM.T[:, i], pieces.dEM.T[:, i],
-                                            params.V, params.D)
-        record("uv->b", dBu[:, m], fd(h_b, "U", (i, m), i))
+        record("uv->b", dB_eta[i, :, j] * UD[i, m], fd(h_b, "V", (j, m), i))
+        record("uv->b", dB_eta[i] @ VD[:, m], fd(h_b, "U", (i, m), i))
 
         # A -> C and B -> C
-        record("a->c", inf.interaction_jacobian_from_a(pieces, cov, j, k),
-               fd(h_c, "A", (j, k)))
-        record("b->c", inf.interaction_jacobian_from_b(pieces, cov, i, ell),
+        record("a->c", dC_A[j, :, k], fd(h_c, "A", (j, k)))
+        record("b->c", dC_B[i, :, ell].reshape(K, L).ravel(order="F"),
                fd(h_c, "B", (i, ell)))
 
         # everything -> S

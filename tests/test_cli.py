@@ -155,6 +155,17 @@ class TestInfer:
         assert code == 0
         assert (out / "oracle_var_C.csv").exists()
 
+    def test_prior_flag_changes_standard_errors(self, sim_dir, fit_dir, infer_dir, tmp_path):
+        out = tmp_path / "se_lambda_b"
+        code = run(["infer", "--counts", sim_dir / "Y.csv", "--fit-dir", fit_dir,
+                    "--out", out, "--lambda-b", "4"])
+        assert code == 0
+        assert nbio.read_json(out / "manifest.json")["config"]["lambda_b"] == 4.0
+        se_b = nbio.read_matrix(out / "se_B.csv")
+        default = nbio.read_matrix(infer_dir / "se_B.csv")
+        # a larger prior precision on B shrinks its conditional variances
+        assert se_b.mean() < default.mean()
+
     def test_bad_test_spec(self, sim_dir, fit_dir, tmp_path):
         code = run(["infer", "--counts", sim_dir / "Y.csv", "--fit-dir", fit_dir,
                     "--out", tmp_path / "o", "--test", "D:1"])

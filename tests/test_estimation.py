@@ -111,15 +111,18 @@ def converged_state(Y, truth, M=1, iters=6):
 
 
 class TestBlockUpdates:
-    def test_infinite_shrinkage_freezes_a(self, small_instance):
-        # with lambda_a huge the regularized step pins A at its prior mode
+    @pytest.mark.parametrize("block", ["A", "B"])
+    def test_infinite_shrinkage_freezes_a(self, small_instance, block):
+        # with its lambda huge the regularized step pins the block at its
+        # prior mode; B's step is A's on the transposed problem, so a
+        # swapped prior would leave B free
         Y, truth = small_instance
         params = random_constrained_params(truth.cov, 1, seed=0)
-        params.A[:] = 0.0
-        prior = PriorConfig(lambda_a=1e12)
+        getattr(params, block)[:] = 0.0
+        prior = PriorConfig(**{f"lambda_{block.lower()}": 1e12})
         state = est.make_state(Y, truth.cov, params, prior=prior)
-        est.update_a(state)
-        assert np.abs(state.params.A).max() < 1e-8
+        getattr(est, f"update_{block.lower()}")(state)
+        assert np.abs(getattr(state.params, block)).max() < 1e-8
 
     def test_a_step_matches_dense_blockdiagonal_solve(self, small_instance):
         Y, truth = small_instance

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from nbgbm.exceptions import DomainError, ShapeError, SizeGuardError
 from nbgbm.model import CovariateSet, DataMatrix, GbmParams, PriorConfig, linear_predictor
 from nbgbm.simulate import SimScheme, simulate_dataset
 
-from conftest import random_constrained_params
+from conftest import ASYMMETRIC_PRIOR, random_constrained_params
 
 
 @pytest.fixture(scope="module")
@@ -206,6 +208,28 @@ class TestPropagation:
         np.testing.assert_allclose(var_s["V"], var_t["U"], rtol=1e-10)
         np.testing.assert_allclose(var_s["A"], var_t["B"], rtol=1e-10)
         np.testing.assert_allclose(var_s["B"], var_t["A"], rtol=1e-10)
+
+
+class TestTransposition:
+    def test_preprocess_of_transposed_problem(self, small_fit):
+        # built by hand, without any transposed() method
+        Y, truth, result = small_fit
+        p, cov, pr = result.params, truth.cov, ASYMMETRIC_PRIOR
+        explicit = inf.preprocess(
+            DataMatrix(Y.values.T),
+            GbmParams(A=p.B, B=p.A, C=p.C.T, D=p.D, U=p.V, V=p.U, S=p.T, T=p.S, omega=p.omega),
+            CovariateSet(cov.Z, cov.X),
+            PriorConfig(lambda_a=pr.lambda_b, lambda_b=pr.lambda_a, lambda_c=pr.lambda_c,
+                        lambda_d=pr.lambda_d, lambda_u=pr.lambda_v, lambda_v=pr.lambda_u,
+                        lambda_s=pr.lambda_t, lambda_t=pr.lambda_s, m_s=pr.m_t, m_t=pr.m_s))
+        flipped = inf.preprocess(Y, p, cov, pr).transposed()
+        for f in dataclasses.fields(inf.InferencePieces):
+            want = getattr(explicit, f.name)
+            # scores near the mode are sums that cancel: rounding is relative
+            # to the field's scale there, not to the entry
+            np.testing.assert_allclose(getattr(flipped, f.name), want, rtol=1e-12,
+                                       atol=1e-12 * np.abs(want).max(initial=0.0),
+                                       err_msg=f.name)
 
 
 class TestStandardErrors:

@@ -90,10 +90,6 @@ class TestSpecialFunctions:
         assert np.isfinite(out)
         assert out <= 0.0
 
-    def test_log1p_stable_near_zero(self):
-        x = 1e-15
-        np.testing.assert_allclose(nb.log1p_stable(x), x, rtol=1e-12)
-
 
 class TestWorkspace:
     def test_unit_case(self):
