@@ -206,8 +206,7 @@ def cmd_infer(args) -> int:
             io.write_matrix(os.path.join(args.out, f"oracle_var_{name}.csv"), np.sqrt(block))
     manifest = io.build_manifest(
         command="infer",
-        config={"level": args.level, "tests": args.test,
-                **{f"lambda_{n}": getattr(prior, f"lambda_{n}") for n in PRIOR_BLOCKS}},
+        config={"level": args.level, "tests": args.test, **vars(prior)},
         seed=None,
         inputs={"counts": args.counts,
                 "params": os.path.join(args.fit_dir, "params.json")},

@@ -109,26 +109,13 @@ def bounded_fisher_step(beta, grad, fisher, lam, rho):
     """One regularized Fisher-scoring step with RMS-capped length.
 
     Solves (fisher + lam*I) xi = grad - lam*beta and returns
-    beta + xi * min(1, rho * sqrt(dim) / ||xi||).  `lam` may be a scalar,
-    a vector of per-coordinate precisions, or a full precision matrix.
+    beta + xi * min(1, rho * sqrt(dim) / ||xi||).  `lam` may be a scalar or
+    a vector of per-coordinate precisions.
     """
     beta = np.asarray(beta, dtype=np.float64)
-    grad = np.asarray(grad, dtype=np.float64)
+    rhs = np.asarray(grad, dtype=np.float64) - np.asarray(lam, dtype=np.float64) * beta
     fisher = np.asarray(fisher, dtype=np.float64)
-    if not (np.all(np.isfinite(grad)) and np.all(np.isfinite(fisher))):
-        raise NumericError("non-finite gradient or Fisher information")
-    lam = np.asarray(lam, dtype=np.float64)
-    if lam.ndim == 2:
-        A = fisher + lam
-        rhs = grad - lam @ beta
-    else:
-        A = fisher + np.diag(np.broadcast_to(lam, beta.shape))
-        rhs = grad - lam * beta
-    xi = np.linalg.solve(A, rhs)
-    norm = np.linalg.norm(xi)
-    if norm > 0:
-        xi = xi * min(1.0, rho * np.sqrt(xi.size) / norm)
-    return beta + xi
+    return beta + _batched_capped_solve(fisher[None], rhs[None], lam, rho)[0]
 
 
 def _capped(xi_rows: np.ndarray, rho: float) -> np.ndarray:

@@ -7,8 +7,11 @@ Three ingredients:
    A, B, C, S, T whenever latent factors are present.
 2. Joint latent uncertainty: variances for U and V come from the diagonal
    of the inverse constraint-augmented (bordered) Fisher information for
-   (U, V) jointly, structured blockwise so the cost is O(I J^2 M^3) instead
-   of a dense inversion over both factors.
+   (U, V) jointly, on the independent constraint rows.  Two Cholesky
+   eliminations of the constraints solve it: one for U on its block-diagonal
+   Fisher information, one for V on the Schur complement that remains, so
+   the cost is O(I J^2 M^3 + J^3 M^3) instead of a dense inversion over both
+   factors.
 3. Delta propagation: the extra variance of A, B (from U, V), of C (from
    A, B), and of S, T (from A, B, U, V), obtained by differentiating each
    block's one-step Fisher-scoring map through the source block and
@@ -28,6 +31,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import cho_factor, cho_solve
 from scipy.stats import norm
 
 from . import nb
@@ -160,70 +164,62 @@ def latent_cross_information(pieces: InferencePieces, params: GbmParams) -> np.n
     return np.einsum("ij,jm,in->imjn", pieces.W, DV, DU, optimize=True).reshape(I * M, J * M)
 
 
-def _constrained_rank(M, K):
-    """Independent constraint count: M K orthogonality rows plus the upper
-    triangle of the symmetric orthonormality block (the assembled Jacobian
-    carries all M^2 rows, of which M(M-1)/2 are duplicates)."""
-    return M * K + M * (M + 1) // 2
+def _cholesky(mat, label):
+    """Lower Cholesky factor of a symmetric positive-definite matrix; RankError
+    when it fails or its smallest squared pivot is at most 1e-12 of the largest."""
+    try:
+        factor = cho_factor(mat, lower=True)
+    except np.linalg.LinAlgError:
+        raise RankError(f"{label} is not positive definite") from None
+    pivots = np.diag(factor[0]) ** 2
+    if pivots.min() <= 1e-12 * pivots.max():
+        raise RankError(f"{label} is numerically singular")
+    return factor
 
 
-def _pinv_checked(mat, expected_rank, label):
-    """Pseudo-inverse tolerating the structural constraint redundancy but
-    flagging any further rank loss."""
-    u, s, vt = np.linalg.svd(mat, hermitian=False)
-    tol = 1e-12 * max(s[0], 1.0)
-    rank = int(np.count_nonzero(s > tol))
-    if rank < expected_rank:
-        raise RankError(
-            f"{label}: rank {rank} below the {expected_rank} independent constraints")
-    inv_s = np.where(s > tol, 1.0 / np.where(s > tol, s, 1.0), 0.0)
-    return vt.T @ (inv_s[:, None] * u.T)
+def _constrained_inverse(solve, jac, label):
+    """Cov = A^-1 - A^-1 J' (J A^-1 J')^-1 J A^-1, the leading block of the
+    inverse of [[A, J'], [J, 0]], for symmetric positive-definite A applied as
+    solve(B) = A^-1 B and full-row-rank J (Nocedal & Wright, Numerical
+    Optimization, 16.2).  Returns B -> Cov B and the diagonal of the
+    subtracted term."""
+    AJ = solve(jac.T)
+    KAJ = cho_solve(_cholesky(jac @ AJ, label), AJ.T)
+    return (lambda B: solve(B) - AJ @ (KAJ @ B)), np.einsum("ik,ki->i", AJ, KAJ)
 
 
 def joint_uv_uncertainty(pieces: InferencePieces, params: GbmParams, cov: CovariateSet,
                          prior: PriorConfig):
     """Variances of vec(U') and vec(V') from the bordered joint system.
 
-    Eliminates the U block and its constraints analytically (the U Fisher is
-    block diagonal per row), leaving one dense bordered solve in V.  The
-    constraint Jacobians carry redundant rows for M > 1, so the constraint
-    and bordered solves use rank-checked pseudo-inverses; the leading blocks
-    are identical to those from deduplicated full-rank constraints.
+    Keeps the independent constraint rows (orthonormality rows (a, m) and
+    (m, a) are identical, so only a <= m) and solves by two Cholesky
+    eliminations: U with its constraints gives Cu (Fu is block diagonal,
+    applied through invFu), then V with its constraints is solved on the
+    Schur complement Fv - Fuv' Cu Fuv.
     """
     M = params.M
     if M == 0:
         return np.zeros(0), np.zeros(0)
     I, J = cov.I, cov.J
     jac = constraint_jacobians(params, cov)
-    Ju, Jv = jac.Ju, jac.Jv
-    nJu = Ju.shape[0]
-
+    upper = np.ravel_multi_index(np.triu_indices(M), (M, M))   # rows (a, m), a <= m
     Fuv = latent_cross_information(pieces, params)
-    invFu = pieces.invFu
-    FJ = np.einsum("imn,ink->imk", invFu, Ju.T.reshape(I, M, nJu), optimize=True).reshape(I * M, nJu)
-    FuvFJ = Fuv.T @ FJ
-    invJFJ = _pinv_checked(Ju @ FJ, _constrained_rank(M, cov.K),
-                           "left-factor constraint system")
-    FFuv = np.einsum("imn,inq->imq", invFu, Fuv.reshape(I, M, J * M), optimize=True).reshape(I * M, J * M)
-    FuvFFuv = Fuv.T @ FFuv
-    Fv_full = np.zeros((J * M, J * M))
-    for j in range(J):
-        Fv_full[j * M:(j + 1) * M, j * M:(j + 1) * M] = pieces.Fv[j]
-    Amat = Fv_full - FuvFFuv + FuvFJ @ invJFJ @ FuvFJ.T
-    nJv = Jv.shape[0]
-    bordered = np.zeros((J * M + nJv, J * M + nJv))
-    bordered[:J * M, :J * M] = Amat
-    bordered[:J * M, J * M:] = Jv.T
-    bordered[J * M:, :J * M] = Jv
-    Bmat = _pinv_checked(bordered, J * M + _constrained_rank(M, cov.L),
-                         "right-factor bordered system")
-    Cmat = Bmat[:J * M, :J * M]
-    FuvD = FFuv.T - FuvFJ @ invJFJ @ FJ.T
-    d = np.einsum("imm->im", invFu).ravel()
-    f = np.einsum("ki,ki->i", FJ.T, invJFJ @ FJ.T)
-    g = np.einsum("ji,ji->i", FuvD, Cmat @ FuvD)
-    varU = d - f + g
-    varV = np.diag(Cmat).copy()
+    cov_u, drop_u = _constrained_inverse(
+        lambda B: np.einsum("imn,inq->imq", pieces.invFu, B.reshape(I, M, -1),
+                            optimize=True).reshape(I * M, -1),
+        jac.Ju[np.r_[:cov.K * M, cov.K * M + upper]], "left-factor constraint system")
+    CuFuv = cov_u(Fuv)
+    schur = -(Fuv.T @ CuFuv)
+    schur.reshape(J, M, J, M)[np.arange(J), :, np.arange(J), :] += pieces.Fv
+    factor = _cholesky(schur, "right-factor Schur complement")
+    cov_v, _ = _constrained_inverse(lambda B: cho_solve(factor, B),
+                                    jac.Jv[np.r_[:cov.L * M, cov.L * M + upper]],
+                                    "right-factor constraint system")
+    Cv = cov_v(np.eye(J * M))
+    varU = (np.einsum("imm->im", pieces.invFu).ravel() - drop_u
+            + np.einsum("ij,ij->i", CuFuv @ Cv, CuFuv))
+    varV = np.diag(Cv).copy()
     if np.any(varU <= 0) or np.any(varV <= 0):
         warnings.warn("non-positive joint factor variance; inference may be unreliable")
     return varU, varV

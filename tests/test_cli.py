@@ -166,6 +166,13 @@ class TestInfer:
         # a larger prior precision on B shrinks its conditional variances
         assert se_b.mean() < default.mean()
 
+    def test_manifest_records_every_prior_field(self, sim_dir, fit_dir, tmp_path):
+        out = tmp_path / "se_m_s"
+        code = run(["infer", "--counts", sim_dir / "Y.csv", "--fit-dir", fit_dir,
+                    "--out", out, "--m-s", "0.5"])
+        assert code == 0
+        assert nbio.read_json(out / "manifest.json")["config"]["m_s"] == 0.5
+
     def test_bad_test_spec(self, sim_dir, fit_dir, tmp_path):
         code = run(["infer", "--counts", sim_dir / "Y.csv", "--fit-dir", fit_dir,
                     "--out", tmp_path / "o", "--test", "D:1"])

@@ -4,7 +4,8 @@ from scipy.optimize import minimize
 
 from nbgbm import estimation as est
 from nbgbm import nb
-from nbgbm.exceptions import DegenerateCovariateError, DomainError, RankError, ShapeError
+from nbgbm.exceptions import (DegenerateCovariateError, DomainError, NumericError, RankError,
+                               ShapeError)
 from nbgbm.model import (
     CovariateSet,
     DataMatrix,
@@ -90,6 +91,16 @@ class TestBoundedFisherStep:
         grad = np.array([0.5, -0.25, 0.1])
         out = est.bounded_fisher_step(beta, grad, fisher, 1.0, rho=5.0)
         np.testing.assert_allclose(out, grad / 2.0)
+
+    @pytest.mark.parametrize("bad", ["grad", "fisher"])
+    def test_non_finite_input_raises(self, bad):
+        grad, fisher = np.ones(3), np.eye(3)
+        if bad == "grad":
+            grad[1] = np.nan
+        else:
+            fisher[2, 2] = np.inf
+        with pytest.raises(NumericError):
+            est.bounded_fisher_step(np.zeros(3), grad, fisher, np.array([1.0, 2.0, 3.0]), rho=5.0)
 
     def test_cap_arithmetic(self):
         rho = 5.0

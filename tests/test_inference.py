@@ -6,7 +6,7 @@ import pytest
 from nbgbm import estimation as est
 from nbgbm import inference as inf
 from nbgbm import nb
-from nbgbm.exceptions import DomainError, ShapeError, SizeGuardError
+from nbgbm.exceptions import DomainError, RankError, ShapeError, SizeGuardError
 from nbgbm.model import CovariateSet, DataMatrix, GbmParams, PriorConfig, linear_predictor
 from nbgbm.simulate import SimScheme, simulate_dataset
 
@@ -93,7 +93,7 @@ class TestConstraintJacobians:
 
 
 class TestJointUv:
-    @pytest.mark.parametrize("M", [1, 2])
+    @pytest.mark.parametrize("M", [1, 2, 3])
     def test_matches_dense_bordered_inverse(self, M):
         scheme = SimScheme(dims=(12, 8, 2, 2, M), seed=40 + M)
         Y, truth = simulate_dataset(scheme)
@@ -105,6 +105,22 @@ class TestJointUv:
         np.testing.assert_allclose(varU, oU, rtol=1e-8)
         np.testing.assert_allclose(varV, oV, rtol=1e-8)
         assert np.all(varU > 0) and np.all(varV > 0)
+
+    @pytest.mark.parametrize("side", ["U", "V"])
+    @pytest.mark.parametrize("column", [0, 1])
+    def test_factor_in_covariate_span_raises_rank_error(self, side, column):
+        # a factor column equal to a covariate column makes an orthogonality
+        # row and an orthonormality row of the constraint Jacobian parallel
+        Y, truth = simulate_dataset(SimScheme(dims=(12, 8, 2, 2, 2), seed=41))
+        cov = truth.cov
+        design = cov.X if side == "U" else cov.Z
+        factor = getattr(truth.params0, side).copy()
+        factor[:, column] = design[:, 1] / np.linalg.norm(design[:, 1])
+        params = dataclasses.replace(truth.params0, **{side: factor})
+        prior = PriorConfig()
+        pieces = inf.preprocess(Y, params, cov, prior)
+        with pytest.raises(RankError):
+            inf.joint_uv_uncertainty(pieces, params, cov, prior)
 
     def test_proposition_leading_submatrix_equality(self):
         # bordering with F versus F + J'J leaves the leading block unchanged
