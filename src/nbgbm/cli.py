@@ -12,9 +12,11 @@ thread count before numpy loads; --threads 1 gives bit-exact determinism.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 import time
+import warnings
 
 __version__ = "0.1.0"
 
@@ -45,6 +47,22 @@ def _prior_config(args):
 
     return PriorConfig(**{f"lambda_{n}": getattr(args, f"lambda_{n}") for n in PRIOR_BLOCKS},
                        m_s=args.m_s, m_t=args.m_t)
+
+
+@contextlib.contextmanager
+def _recorded_warnings():
+    """Yield a list that receives the messages of the warnings raised inside.
+
+    The warnings are re-emitted on exit, so stderr shows what it would have
+    shown without the recording."""
+    messages = []
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            yield messages
+    finally:
+        for w in caught:
+            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno, source=w.source)
+            messages.append(str(w.message))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -123,22 +141,23 @@ def cmd_fit(args) -> int:
     from .model import DataMatrix, FitConfig
 
     t0 = time.time()
-    counts = io.read_matrix(args.counts)
-    Y = DataMatrix(counts)
-    X = io.read_matrix(args.row_covariates) if args.row_covariates else _intercept_only(Y.I)
-    Z = io.read_matrix(args.col_covariates) if args.col_covariates else _intercept_only(Y.J)
-    if X.shape[0] != Y.I:
-        raise _input_err(f"row covariates {args.row_covariates} have {X.shape[0]} rows, "
-                         f"counts {args.counts} have {Y.I}")
-    if Z.shape[0] != Y.J:
-        raise _input_err(f"column covariates {args.col_covariates} have {Z.shape[0]} rows, "
-                         f"counts {args.counts} have {Y.J} columns")
-    prior = _prior_config(args)
-    config = FitConfig(rho=args.rho, tol=args.tol, max_iter=args.max_iter,
-                       epsilon=args.epsilon, s_floor=args.s_floor, t_floor=args.t_floor,
-                       standardize=not args.no_standardize, seed=args.seed)
-    cov = estimation.prepare_covariates(X, Z, standardize=config.standardize)
-    result = estimation.fit(Y, cov, args.latent, prior, config)
+    with _recorded_warnings() as raised:
+        counts = io.read_matrix(args.counts)
+        Y = DataMatrix(counts)
+        X = io.read_matrix(args.row_covariates) if args.row_covariates else _intercept_only(Y.I)
+        Z = io.read_matrix(args.col_covariates) if args.col_covariates else _intercept_only(Y.J)
+        if X.shape[0] != Y.I:
+            raise _input_err(f"row covariates {args.row_covariates} have {X.shape[0]} rows, "
+                             f"counts {args.counts} have {Y.I}")
+        if Z.shape[0] != Y.J:
+            raise _input_err(f"column covariates {args.col_covariates} have {Z.shape[0]} rows, "
+                             f"counts {args.counts} have {Y.J} columns")
+        prior = _prior_config(args)
+        config = FitConfig(rho=args.rho, tol=args.tol, max_iter=args.max_iter,
+                           epsilon=args.epsilon, s_floor=args.s_floor, t_floor=args.t_floor,
+                           standardize=not args.no_standardize, seed=args.seed)
+        cov = estimation.prepare_covariates(X, Z, standardize=config.standardize)
+        result = estimation.fit(Y, cov, args.latent, prior, config)
     report = result.constraints
     os.makedirs(args.out, exist_ok=True)
     io.write_params(args.out, result.params)
@@ -162,6 +181,7 @@ def cmd_fit(args) -> int:
                                       "max_utu", "max_vtv")}},
         version=__version__,
     )
+    manifest["warnings"] = raised
     io.write_json(os.path.join(args.out, "manifest.json"), manifest)
     return 0
 
@@ -173,37 +193,40 @@ def cmd_infer(args) -> int:
     from .model import CovariateSet, DataMatrix
 
     t0 = time.time()
-    counts = io.read_matrix(args.counts)
-    Y = DataMatrix(counts)
-    params = io.read_params(args.fit_dir)
-    X = io.read_matrix(os.path.join(args.fit_dir, "X.csv"))
-    Z = io.read_matrix(os.path.join(args.fit_dir, "Z.csv"))
-    cov = CovariateSet(X, Z)
-    prior = _prior_config(args)
-    result = inference.standard_errors(Y, params, cov, prior)
-    os.makedirs(args.out, exist_ok=True)
-    for name, block in result.blocks().items():
-        io.write_matrix(os.path.join(args.out, f"se_{name}.csv"), block)
-    estimates = params.blocks()
-    for spec_str in args.test:
-        block_name, _, column = spec_str.partition(":")
-        if block_name not in ("A", "B", "U", "V") or not column.isdigit():
-            raise _input_err(f"--test expects BLOCK:COLUMN with BLOCK in A,B,U,V; got {spec_str!r}")
-        col = int(column) - 1
-        est_block = estimates[block_name]
-        se_block = result.blocks()[block_name]
-        if not 0 <= col < est_block.shape[1]:
-            raise _input_err(f"--test {spec_str!r}: column out of range 1..{est_block.shape[1]}")
-        tests = inference.wald_tests(est_block[:, col], se_block[:, col], level=args.level)
-        rows = [est_block[:, col], se_block[:, col], tests["p_values"],
-                tests["ci_lower"], tests["ci_upper"]]
-        io.write_matrix(os.path.join(args.out, f"wald_{block_name}_{col + 1}.csv"),
-                        np.column_stack(rows),
-                        header=["estimate", "se", "p_value", "ci_lower", "ci_upper"])
-    if args.oracle_full_fisher:
-        oracle = inference.full_fisher_variances(Y, params, cov, prior)
-        for name, block in oracle.items():
-            io.write_matrix(os.path.join(args.out, f"oracle_var_{name}.csv"), np.sqrt(block))
+    with _recorded_warnings() as raised:
+        counts = io.read_matrix(args.counts)
+        Y = DataMatrix(counts)
+        params = io.read_params(args.fit_dir)
+        X = io.read_matrix(os.path.join(args.fit_dir, "X.csv"))
+        Z = io.read_matrix(os.path.join(args.fit_dir, "Z.csv"))
+        cov = CovariateSet(X, Z)
+        prior = _prior_config(args)
+        result = inference.standard_errors(Y, params, cov, prior)
+        os.makedirs(args.out, exist_ok=True)
+        for name, block in result.blocks().items():
+            io.write_matrix(os.path.join(args.out, f"se_{name}.csv"), block)
+        estimates = params.blocks()
+        for spec_str in args.test:
+            block_name, _, column = spec_str.partition(":")
+            if block_name not in ("A", "B", "U", "V") or not column.isdigit():
+                raise _input_err("--test expects BLOCK:COLUMN with BLOCK in A,B,U,V; "
+                                 f"got {spec_str!r}")
+            col = int(column) - 1
+            est_block = estimates[block_name]
+            se_block = result.blocks()[block_name]
+            if not 0 <= col < est_block.shape[1]:
+                raise _input_err(f"--test {spec_str!r}: column out of range "
+                                 f"1..{est_block.shape[1]}")
+            tests = inference.wald_tests(est_block[:, col], se_block[:, col], level=args.level)
+            rows = [est_block[:, col], se_block[:, col], tests["p_values"],
+                    tests["ci_lower"], tests["ci_upper"]]
+            io.write_matrix(os.path.join(args.out, f"wald_{block_name}_{col + 1}.csv"),
+                            np.column_stack(rows),
+                            header=["estimate", "se", "p_value", "ci_lower", "ci_upper"])
+        if args.oracle_full_fisher:
+            oracle = inference.full_fisher_variances(Y, params, cov, prior)
+            for name, block in oracle.items():
+                io.write_matrix(os.path.join(args.out, f"oracle_var_{name}.csv"), np.sqrt(block))
     manifest = io.build_manifest(
         command="infer",
         config={"level": args.level, "tests": args.test, **vars(prior)},
@@ -213,6 +236,7 @@ def cmd_infer(args) -> int:
         wall_time=time.time() - t0,
         version=__version__,
     )
+    manifest.update(warnings=raised, stage_seconds=result.stage_seconds)
     io.write_json(os.path.join(args.out, "manifest.json"), manifest)
     return 0
 

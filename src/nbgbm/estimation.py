@@ -26,7 +26,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp, softmax
 
 from . import nb
 from .exceptions import (
@@ -224,10 +223,17 @@ def project_g(state: FitState, G: np.ndarray):
     p.U, p.D, p.V = svd_of_product(G, p.V)
 
 
+def _log_mean_exp(x):
+    """log mean exp(x) and the softmax weights exp(x) / sum exp(x)."""
+    e = np.exp(x - x.max())
+    total = e.sum()
+    return float(x.max() + np.log(total / x.size)), e / total
+
+
 def project_s(state: FitState):
     """Recenter S to mean-exp one, compensating through omega."""
     p = state.params
-    c = float(logsumexp(p.S) - np.log(p.S.size))
+    c, _ = _log_mean_exp(p.S)
     p.S -= c
     p.omega += c
 
@@ -259,7 +265,9 @@ project_t = _mirrored(project_s)   # mean-exp-one T
 def _row_fisher_blocks(W, design):
     """design' diag(W[:, j]) design for every column j of W: the Fisher blocks
     of the rows of A (pass W' and Z for those of B)."""
-    return np.einsum("ij,ik,il->jkl", W, design, design, optimize=True)
+    n, K = design.shape
+    outer = (design[:, :, None] * design[:, None, :]).reshape(n, K * K)
+    return (W.T @ outer).reshape(W.shape[1], K, K)
 
 
 def _batched_capped_solve(F, rhs, lam, rho):
@@ -285,12 +293,18 @@ def update_a(state: FitState):
 update_b = _mirrored(update_a)   # rows of B, then the B projection
 
 
+def _fisher_c_from_blocks(blocks, Z) -> np.ndarray:
+    """KL x KL Fisher information for vec(C) from the J x K x K Fisher blocks
+    of the rows of A: sum_j (z_j z_j') kron blocks_j."""
+    J, K, _ = blocks.shape
+    L = Z.shape[1]
+    F4 = _row_fisher_blocks(blocks.reshape(J, K * K), Z).reshape(K, K, L, L)
+    return F4.transpose(2, 0, 3, 1).reshape(K * L, K * L)
+
+
 def fisher_c(W, cov) -> np.ndarray:
     """KL x KL Fisher information for vec(C) (no regularization)."""
-    T = _row_fisher_blocks(W, cov.X)                      # (J, K, K)
-    F4 = np.einsum("jab,jl,jm->lamb", T, cov.Z, cov.Z, optimize=True)
-    KL = cov.K * cov.L
-    return F4.reshape(KL, KL)
+    return _fisher_c_from_blocks(_row_fisher_blocks(W, cov.X), cov.Z)
 
 
 def update_c(state: FitState):
@@ -306,7 +320,9 @@ def update_c(state: FitState):
 
 def fisher_d(W, U, V) -> np.ndarray:
     """M x M Fisher information for the diagonal of D."""
-    return np.einsum("jmn,jm,jn->mn", _row_fisher_blocks(W, U), V, V, optimize=True)
+    M = U.shape[1]
+    return np.einsum("jp,jp->p", _row_fisher_blocks(W, U).reshape(-1, M * M),
+                     (V[:, :, None] * V[:, None, :]).reshape(-1, M * M)).reshape(M, M)
 
 
 def update_d(state: FitState):
@@ -316,7 +332,7 @@ def update_d(state: FitState):
     if p.M == 0:
         return
     F = fisher_d(w.W, p.U, p.V)
-    grad = np.einsum("im,ij,jm->m", p.U, w.E, p.V, optimize=True)
+    grad = np.einsum("im,im->m", p.U, w.E @ p.V)
     p.D = bounded_fisher_step(p.D, grad, F, state.prior.lambda_d, state.config.rho)
 
 
@@ -364,8 +380,9 @@ def _recentred_prior_gradient(offsets, lam, mean):
     -lam dev_k + lam w_k sum_i dev_i with dev = offsets - c - mean and
     w = softmax(offsets).
     """
-    dev = offsets - (logsumexp(offsets) - np.log(offsets.size)) - mean
-    return -lam * dev + lam * softmax(offsets) * dev.sum()
+    c, weights = _log_mean_exp(offsets)
+    dev = offsets - c - mean
+    return -lam * dev + lam * weights * dev.sum()
 
 
 def update_s(state: FitState):

@@ -8,38 +8,47 @@ Three ingredients:
 2. Joint latent uncertainty: variances for U and V come from the diagonal
    of the inverse constraint-augmented (bordered) Fisher information for
    (U, V) jointly, on the independent constraint rows.  Two Cholesky
-   eliminations of the constraints solve it: one for U on its block-diagonal
-   Fisher information, one for V on the Schur complement that remains, so
-   the cost is O(I J^2 M^3 + J^3 M^3) instead of a dense inversion over both
-   factors.
+   eliminations of the constraints solve it: one for the factor with more
+   rows on its block-diagonal Fisher information, one for the other on the
+   Schur complement that remains.  The Schur complement is streamed into
+   one min(I, J) M square buffer in row blocks of the cross information,
+   factored and inverted there in place, so the cost is
+   O(I J^2 M^3 + J^3 M^3) and the memory one such buffer plus row blocks.
 3. Delta propagation: the extra variance of A, B (from U, V), of C (from
    A, B), and of S, T (from A, B, U, V), obtained by differentiating each
    block's one-step Fisher-scoring map through the source block and
    contracting the Jacobian with the source variances (diagonal, except
    that the C edges contract with the per-row conditional inverse blocks).
+   The U, V -> A, B and -> S, T Jacobians factor into data-sized (I x J)
+   weights and small designs, so the contractions are taken in factored
+   form; coef_eta_jacobian and dispersion_jacobian_* build the dense
+   Jacobians only as analytic references.
 
 Every B, V and T quantity of steps 1 and 3 is its A, U or S twin computed
 on InferencePieces.transposed(), the pieces of the problem for Y' (X and Z,
-A and B, U and V, S and T swapped, C turned into C').
+A and B, U and V, S and T swapped, C turned into C'); the T edges use the
+transposed score sensitivities of the S edges.
 
 No standard errors are produced for D or the global log-dispersion.
 """
 
 from __future__ import annotations
 
+import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import blas, lapack
 from scipy.stats import norm
 
 from . import nb
-from .estimation import _row_fisher_blocks, fisher_c
+from .estimation import _fisher_c_from_blocks, _row_fisher_blocks
 from .exceptions import DomainError, RankError, ShapeError, SizeGuardError
 from .model import CovariateSet, GbmParams, PriorConfig, linear_predictor
 
 FULL_FISHER_GUARD = 2000
+ROW_BLOCK_BYTES = 1 << 20   # bytes of one row block of Fuv in the joint (U, V) solve
 
 
 @dataclass
@@ -93,9 +102,10 @@ def preprocess(Y, params: GbmParams, cov: CovariateSet, prior: PriorConfig) -> I
     gradT = -prior.lambda_t * (params.T - prior.m_t) + derivs.delta.sum(axis=0)
 
     X, Z = cov.X, cov.Z
-    invFa = np.linalg.inv(_row_fisher_blocks(W, X) + prior.lambda_a * np.eye(cov.K))
+    Fa = _row_fisher_blocks(W, X)
+    invFa = np.linalg.inv(Fa + prior.lambda_a * np.eye(cov.K))
     invFb = np.linalg.inv(_row_fisher_blocks(W.T, Z) + prior.lambda_b * np.eye(cov.L))
-    invFc = np.linalg.inv(fisher_c(W, cov) + prior.lambda_c * np.eye(cov.K * cov.L))
+    invFc = np.linalg.inv(_fisher_c_from_blocks(Fa, Z) + prior.lambda_c * np.eye(cov.K * cov.L))
     Fu = _row_fisher_blocks(W.T, params.V * params.D) + prior.lambda_u * np.eye(params.M)
     Fv = _row_fisher_blocks(W, params.U * params.D) + prior.lambda_v * np.eye(params.M)
 
@@ -155,37 +165,39 @@ def constraint_jacobians(params: GbmParams, cov: CovariateSet) -> ConstraintJaco
     )
 
 
-def latent_cross_information(pieces: InferencePieces, params: GbmParams) -> np.ndarray:
-    """IM x JM cross information; block (i, j) is w_ij (D V_j)(D U_i)'."""
-    DU = params.U * params.D
-    DV = params.V * params.D
-    I, J = pieces.W.shape
-    M = params.M
-    return np.einsum("ij,jm,in->imjn", pieces.W, DV, DU, optimize=True).reshape(I * M, J * M)
+def latent_cross_information(pieces: InferencePieces, params: GbmParams,
+                             rows: slice = slice(None)) -> np.ndarray:
+    """IM x JM cross information; block (i, j) is w_ij (D V_j)(D U_i)'.
+
+    `rows` selects a slice of i and returns only those block rows.
+    """
+    W = pieces.W[rows]
+    DU = (params.U * params.D)[rows]
+    weighted = W[:, None, :] * (params.V * params.D).T[None]      # (n, M, J)
+    n, M, J = weighted.shape
+    out = np.empty((n, M, J, M))
+    for q in range(M):
+        np.multiply(weighted, DU[:, q, None, None], out=out[..., q])
+    return out.reshape(n * M, J * M)
 
 
-def _cholesky(mat, label):
-    """Lower Cholesky factor of a symmetric positive-definite matrix; RankError
-    when it fails or its smallest squared pivot is at most 1e-12 of the largest."""
-    try:
-        factor = cho_factor(mat, lower=True)
-    except np.linalg.LinAlgError:
-        raise RankError(f"{label} is not positive definite") from None
-    pivots = np.diag(factor[0]) ** 2
+def _inverse_cholesky(mat, label, overwrite=False):
+    """L^-1 (lower triangular, other triangle zero) for mat = L L' symmetric
+    positive definite, in mat's own buffer when overwrite is set and mat is a
+    Fortran-ordered float array.  RankError when the factorization fails or
+    its smallest squared pivot is at most 1e-12 of the largest."""
+    factor, info = lapack.dpotrf(mat, lower=1, clean=1, overwrite_a=overwrite)
+    pivots = np.diag(factor) ** 2
+    if info != 0 or not np.all(np.isfinite(pivots)):
+        raise RankError(f"{label} is not positive definite")
     if pivots.min() <= 1e-12 * pivots.max():
         raise RankError(f"{label} is numerically singular")
-    return factor
+    inverse, _ = lapack.dtrtri(factor, lower=1, overwrite_c=1)
+    return inverse
 
 
-def _constrained_inverse(solve, jac, label):
-    """Cov = A^-1 - A^-1 J' (J A^-1 J')^-1 J A^-1, the leading block of the
-    inverse of [[A, J'], [J, 0]], for symmetric positive-definite A applied as
-    solve(B) = A^-1 B and full-row-rank J (Nocedal & Wright, Numerical
-    Optimization, 16.2).  Returns B -> Cov B and the diagonal of the
-    subtracted term."""
-    AJ = solve(jac.T)
-    KAJ = cho_solve(_cholesky(jac @ AJ, label), AJ.T)
-    return (lambda B: solve(B) - AJ @ (KAJ @ B)), np.einsum("ik,ki->i", AJ, KAJ)
+def _squares(a, axis):
+    return np.einsum("ij,ij->j" if axis == 0 else "ij,ij->i", a, a)
 
 
 def joint_uv_uncertainty(pieces: InferencePieces, params: GbmParams, cov: CovariateSet,
@@ -193,33 +205,63 @@ def joint_uv_uncertainty(pieces: InferencePieces, params: GbmParams, cov: Covari
     """Variances of vec(U') and vec(V') from the bordered joint system.
 
     Keeps the independent constraint rows (orthonormality rows (a, m) and
-    (m, a) are identical, so only a <= m) and solves by two Cholesky
-    eliminations: U with its constraints gives Cu (Fu is block diagonal,
-    applied through invFu), then V with its constraints is solved on the
-    Schur complement Fv - Fuv' Cu Fuv.
+    (m, a) are identical, so only a <= m) and eliminates the constraints
+    twice (Nocedal & Wright, Numerical Optimization, 16.2): the leading
+    block of the inverse of [[A, J'], [J, 0]] is A^-1 - Z Z' with
+    Z = A^-1 J' L^-T and J A^-1 J' = L L'.  First U on its block-diagonal
+    Fisher information, Cu = invFu - Zu Zu'; then V on the Schur complement
+    S = Fv - Fuv' Cu Fuv.  The factor with more rows is the one eliminated
+    (the problem is transposed when I < J), so S is min(I, J) M square.
+
+    Fuv is never formed whole.  S is accumulated in row blocks of i into one
+    buffer as Fv - sum_b (R_b Fuv_b)'(R_b Fuv_b) + H'H, with R_i' R_i =
+    invFu_i and H = Zu' Fuv; S = L L' is factored and L inverted in place.
+    varV = diag(S^-1) - rowsum(Zv^2), and varU adds, for every row x of
+    Cu Fuv (rebuilt in a second pass over the row blocks),
+    x Cv x' = |L^-1 x'|^2 - |x Zv|^2.
     """
     M = params.M
     if M == 0:
         return np.zeros(0), np.zeros(0)
-    I, J = cov.I, cov.J
+    if cov.I < cov.J:
+        varV, varU = joint_uv_uncertainty(pieces.transposed(), params.transposed(),
+                                          cov.transposed(), prior.transposed())
+        return varU, varV
+    I, JM = cov.I, cov.J * M
     jac = constraint_jacobians(params, cov)
     upper = np.ravel_multi_index(np.triu_indices(M), (M, M))   # rows (a, m), a <= m
-    Fuv = latent_cross_information(pieces, params)
-    cov_u, drop_u = _constrained_inverse(
-        lambda B: np.einsum("imn,inq->imq", pieces.invFu, B.reshape(I, M, -1),
-                            optimize=True).reshape(I * M, -1),
-        jac.Ju[np.r_[:cov.K * M, cov.K * M + upper]], "left-factor constraint system")
-    CuFuv = cov_u(Fuv)
-    schur = -(Fuv.T @ CuFuv)
-    schur.reshape(J, M, J, M)[np.arange(J), :, np.arange(J), :] += pieces.Fv
-    factor = _cholesky(schur, "right-factor Schur complement")
-    cov_v, _ = _constrained_inverse(lambda B: cho_solve(factor, B),
-                                    jac.Jv[np.r_[:cov.L * M, cov.L * M + upper]],
-                                    "right-factor constraint system")
-    Cv = cov_v(np.eye(J * M))
-    varU = (np.einsum("imm->im", pieces.invFu).ravel() - drop_u
-            + np.einsum("ij,ij->i", CuFuv @ Cv, CuFuv))
-    varV = np.diag(Cv).copy()
+    Ju = jac.Ju[np.concatenate([np.arange(cov.K * M), cov.K * M + upper])]
+    Jv = jac.Jv[np.concatenate([np.arange(cov.L * M), cov.L * M + upper])]
+    Zu = np.matmul(pieces.invFu, Ju.T.reshape(I, M, -1)).reshape(I * M, -1)
+    Zu = Zu @ _inverse_cholesky(Ju @ Zu, "left-factor constraint system").T
+    whiten = np.linalg.inv(np.linalg.cholesky(pieces.Fu))      # R_i' R_i = invFu_i
+    step = max(1, ROW_BLOCK_BYTES // (8 * M * JM))             # rows i per block
+    blocks = [(slice(i, min(i + step, I)), slice(i * M, min(i + step, I) * M))
+              for i in range(0, I, step)]
+
+    schur = np.zeros((JM, JM), order="F")                      # lower triangle used
+    H = np.zeros((Zu.shape[1], JM))
+    for rows, rows_m in blocks:
+        Fuv = latent_cross_information(pieces, params, rows)
+        white = np.matmul(whiten[rows], Fuv.reshape(-1, M, JM)).reshape(-1, JM)
+        schur = blas.dsyrk(-1.0, white.T, beta=1.0, c=schur, lower=1, overwrite_c=1)
+        H += Zu[rows_m].T @ Fuv
+    schur = blas.dsyrk(1.0, H.T, beta=1.0, c=schur, lower=1, overwrite_c=1)
+    schur.T.reshape(cov.J, M, cov.J, M)[np.arange(cov.J), :, np.arange(cov.J), :] += pieces.Fv
+
+    Linv = _inverse_cholesky(schur, "right-factor Schur complement", overwrite=True)
+    LJv = Linv @ Jv.T
+    Zv = Linv.T @ (LJv @ _inverse_cholesky(LJv.T @ LJv, "right-factor constraint system").T)
+    varV = _squares(Linv, 0) - _squares(Zv, 1)
+
+    varU = np.einsum("imm->im", pieces.invFu).ravel() - _squares(Zu, 1)
+    for rows, rows_m in blocks:
+        Fuv = latent_cross_information(pieces, params, rows)
+        x = np.matmul(pieces.invFu[rows], Fuv.reshape(-1, M, JM)).reshape(-1, JM)
+        x -= Zu[rows_m] @ H                                    # rows of Cu Fuv
+        xz = x @ Zv
+        lx = blas.dtrmm(1.0, Linv, x.T, lower=1, overwrite_b=1)   # L^-1 x'
+        varU[rows_m] += _squares(lx, 0) - _squares(xz, 1)
     if np.any(varU <= 0) or np.any(varV <= 0):
         warnings.warn("non-positive joint factor variance; inference may be unreliable")
     return varU, varV
@@ -229,26 +271,38 @@ def joint_uv_uncertainty(pieces: InferencePieces, params: GbmParams, cov: Covari
 # delta propagation: latent factors -> coefficients
 # ---------------------------------------------------------------------------
 
+def _coef_eta_weight(pieces: InferencePieces, cov: CovariateSet) -> np.ndarray:
+    """I x J weights dEM_ij - dWM_ij x_i' invFa_j gradA_j of coef_eta_jacobian."""
+    base = np.einsum("jkl,jl->jk", pieces.invFa, pieces.gradA)
+    return pieces.dEM - pieces.dWM * (cov.X @ base.T)
+
+
 def coef_eta_jacobian(pieces: InferencePieces, cov: CovariateSet) -> np.ndarray:
     """J x K x I derivatives d a_j / d eta_ij of the one-step A-row estimators,
     invFa_j x_i (dEM_ij - dWM_ij x_i' invFa_j gradA_j).
 
     eta_ij moves with u_im by (V D)_jm and with v_jm by (U D)_im.  Pass the
-    transposed pieces and covariates for B.
+    transposed pieces and covariates for B.  Analytic reference only: the
+    standard errors contract it without forming it.
     """
-    base = np.einsum("jkl,jl->jk", pieces.invFa, pieces.gradA)
-    weight = pieces.dEM - pieces.dWM * (cov.X @ base.T)          # (I, J)
+    weight = _coef_eta_weight(pieces, cov)
     return np.einsum("jkl,il,ij->jki", pieces.invFa, cov.X, weight, optimize=True)
 
 
 def _coef_variances_from_factors(pieces, params, cov, varU, varV):
-    """Extra variances of vec(A') from U and from V (diagonal contractions)."""
-    Q = coef_eta_jacobian(pieces, cov)
+    """Extra variances of vec(A') from U and from V (diagonal contractions of
+    coef_eta_jacobian Q).  sum_i Q_jki^2 t_ji is the diagonal of
+    invFa_j X' diag(weight_.j^2 t_j.) X invFa_j, and Q_j (U D) is
+    invFa_j X' diag(weight_.j) U D."""
+    weight = _coef_eta_weight(pieces, cov)
     UD, VD = params.U * params.D, params.V * params.D
-    varU = varU.reshape(cov.I, params.M)
-    varV = varV.reshape(cov.J, params.M)
-    fromU = np.einsum("jki,ji->jk", Q ** 2, VD ** 2 @ varU.T, optimize=True)
-    fromV = np.einsum("jkm,jm->jk", (Q @ UD) ** 2, varV, optimize=True)
+    I, J, K, M = cov.I, cov.J, cov.K, params.M
+    t = varU.reshape(I, M) @ (VD ** 2).T                       # (I, J)
+    spread = pieces.invFa @ _row_fisher_blocks(weight ** 2 * t, cov.X)
+    fromU = np.einsum("jkl,jkl->jk", spread, pieces.invFa)
+    XUD = (cov.X[:, :, None] * UD[:, None, :]).reshape(I, K * M)
+    QUD = pieces.invFa @ (weight.T @ XUD).reshape(J, K, M)
+    fromV = np.einsum("jkm,jm->jk", QUD ** 2, varV.reshape(J, M))
     return fromU.ravel(), fromV.ravel()
 
 
@@ -332,27 +386,29 @@ def dispersion_jacobian_other_axis(Q, P, scaled_same, invF, gradv):
     """d (one-step offset estimate) / d (every other-axis factor entry).
 
     scaled_same is the n x M same-axis factor times D.  Returns n x J x M.
+    Analytic reference only: the standard errors contract it without forming it.
     """
     dgrad = Q[:, :, None] * scaled_same[:, None, :]
     dF = dgrad - P[:, :, None] * scaled_same[:, None, :]
     return (-invF ** 2 * gradv)[:, None, None] * dF + invF[:, None, None] * dgrad
 
 
-def _dispersion_variances(pieces, params, cov, varA, varB, varU, varV):
-    """Extra variances of S from A, B, U and V, keyed by source block."""
-    Q, P = _score_sensitivities(pieces.W, pieces.E, pieces.mu, pieces.r)
-    UD, VD = params.U * params.D, params.V * params.D
-    invF, grad = pieces.invFs, pieces.gradS
-    return {
-        "A": np.einsum("ijk,jk->i", dispersion_jacobian_other_axis(Q, P, cov.X, invF, grad) ** 2,
-                       varA.reshape(cov.J, cov.K), optimize=True),
-        "B": np.einsum("il,il->i", dispersion_jacobian_same_axis(Q, P, cov.Z, invF, grad) ** 2,
-                       varB.reshape(cov.I, cov.L), optimize=True),
-        "U": np.einsum("im,im->i", dispersion_jacobian_same_axis(Q, P, VD, invF, grad) ** 2,
-                       varU.reshape(cov.I, params.M), optimize=True),
-        "V": np.einsum("ijm,jm->i", dispersion_jacobian_other_axis(Q, P, UD, invF, grad) ** 2,
-                       varV.reshape(cov.J, params.M), optimize=True),
-    }
+def _offset_variances(Q, P, invF, grad, same, other):
+    """Extra variances of the n one-step offsets, keyed by source block.
+
+    Both dispersion Jacobians factor through R = (-invF^2 grad)(Q - P) +
+    invF Q (n x J): the same-axis one is R @ scaled_other and the other-axis
+    one has entries scaled_same[n, m] R[n, j].  `same` maps a source to
+    (scaled_other J x m, its variances n x m), `other` to (scaled_same n x m,
+    its variances J x m).
+    """
+    R = (-invF ** 2 * grad)[:, None] * (Q - P) + invF[:, None] * Q
+    R2 = R ** 2
+    out = {name: np.einsum("nm,nm->n", (R @ scaled) ** 2, var)
+           for name, (scaled, var) in same.items()}
+    out.update({name: np.einsum("nm,nm->n", scaled ** 2, R2 @ var)
+                for name, (scaled, var) in other.items()})
+    return out
 
 
 def propagate_to_dispersions(pieces: InferencePieces, params: GbmParams, cov: CovariateSet,
@@ -361,22 +417,34 @@ def propagate_to_dispersions(pieces: InferencePieces, params: GbmParams, cov: Co
 
     varA/varB must be the full (conditional + propagated) variances in
     vec(A') / vec(B') order.  Returns two dicts keyed by source block; T's
-    is S's computed on the transposed problem.
+    uses the transposed score sensitivities.
     """
-    var_s = _dispersion_variances(pieces, params, cov, varA, varB, varU, varV)
-    flipped = _dispersion_variances(pieces.transposed(), params.transposed(),
-                                    cov.transposed(), varB, varA, varV, varU)
-    var_t = {"A": flipped["B"], "B": flipped["A"], "U": flipped["V"], "V": flipped["U"]}
-    return var_s, var_t
+    Q, P = _score_sensitivities(pieces.W, pieces.E, pieces.mu, pieces.r)
+    UD, VD = params.U * params.D, params.V * params.D
+    varA, varB = varA.reshape(cov.J, cov.K), varB.reshape(cov.I, cov.L)
+    varU, varV = varU.reshape(cov.I, params.M), varV.reshape(cov.J, params.M)
+    var_s = _offset_variances(Q, P, pieces.invFs, pieces.gradS,
+                              same={"B": (cov.Z, varB), "U": (VD, varU)},
+                              other={"A": (cov.X, varA), "V": (UD, varV)})
+    var_t = _offset_variances(Q.T, P.T, pieces.invFt, pieces.gradT,
+                              same={"A": (cov.X, varA), "V": (UD, varV)},
+                              other={"B": (cov.Z, varB), "U": (VD, varU)})
+    return ({name: var_s[name] for name in "ABUV"}, {name: var_t[name] for name in "ABUV"})
 
 
 # ---------------------------------------------------------------------------
 # assembly
 # ---------------------------------------------------------------------------
 
+INFERENCE_STAGES = ("preprocess", "joint_uv", "uv_to_ab", "ab_to_c", "to_dispersions")
+
+
 @dataclass
 class InferenceResult:
-    """Per-entry approximate standard errors plus the variance ledgers."""
+    """Per-entry approximate standard errors plus the variance ledgers.
+
+    `stage_seconds` holds the wall seconds of each of INFERENCE_STAGES.
+    """
 
     se_A: np.ndarray
     se_B: np.ndarray
@@ -386,6 +454,7 @@ class InferenceResult:
     se_S: np.ndarray
     se_T: np.ndarray
     ledger: dict
+    stage_seconds: dict = field(default_factory=dict)
 
     def blocks(self) -> dict:
         return {"A": self.se_A, "B": self.se_B, "C": self.se_C, "U": self.se_U,
@@ -396,17 +465,23 @@ def standard_errors(Y, params: GbmParams, cov: CovariateSet,
                     prior: PriorConfig = None) -> InferenceResult:
     """Full inference pass: conditional + joint latent + delta propagation."""
     prior = prior or PriorConfig()
+    clock = [time.perf_counter()]
     pieces = preprocess(Y, params, cov, prior)
+    clock.append(time.perf_counter())
     M = params.M
     varU, varV = joint_uv_uncertainty(pieces, params, cov, prior)
+    clock.append(time.perf_counter())
     varAfromU, varAfromV, varBfromU, varBfromV = propagate_uv_to_ab(pieces, params, cov, varU, varV)
     varA = np.einsum("jkk->jk", pieces.invFa).ravel() + varAfromU + varAfromV
     varB = np.einsum("ill->il", pieces.invFb).ravel() + varBfromU + varBfromV
+    clock.append(time.perf_counter())
     varCfromA, varCfromB = propagate_ab_to_c(pieces, params, cov, varA, varB)
     varC = np.diag(pieces.invFc) + varCfromA + varCfromB
+    clock.append(time.perf_counter())
     var_s, var_t = propagate_to_dispersions(pieces, params, cov, varA, varB, varU, varV)
     varS = pieces.invFs + var_s["A"] + var_s["B"] + var_s["U"] + var_s["V"]
     varT = pieces.invFt + var_t["A"] + var_t["B"] + var_t["U"] + var_t["V"]
+    clock.append(time.perf_counter())
     ledger = {
         "varAfromU": varAfromU, "varAfromV": varAfromV,
         "varBfromU": varBfromU, "varBfromV": varBfromV,
@@ -424,6 +499,8 @@ def standard_errors(Y, params: GbmParams, cov: CovariateSet,
         se_S=np.sqrt(varS),
         se_T=np.sqrt(varT),
         ledger=ledger,
+        stage_seconds={stage: end - start for stage, start, end
+                       in zip(INFERENCE_STAGES, clock, clock[1:])},
     )
 
 

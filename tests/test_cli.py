@@ -98,6 +98,20 @@ class TestFit:
         assert all(0.0 <= v <= CONSTRAINT_TOL for v in
                    (violations["max_utu"], violations["max_vtv"]))
 
+    def test_manifest_records_warnings(self, tmp_path, recwarn):
+        # all-zero counts leave the final factors off the constraint set
+        counts = tmp_path / "zeros.csv"
+        nbio.write_matrix(counts, np.zeros((20, 10)))
+        out = tmp_path / "fit_zero"
+        assert run(["fit", "--counts", counts, "--latent", 1, "--out", out]) == 0
+        recorded = nbio.read_json(out / "manifest.json")["warnings"]
+        assert "final state exceeds the constraint tolerance" in recorded
+        # still emitted, not only recorded
+        assert "final state exceeds the constraint tolerance" in [str(w.message) for w in recwarn]
+
+    def test_clean_fit_records_no_warnings(self, fit_dir):
+        assert nbio.read_json(fit_dir / "manifest.json")["warnings"] == []
+
     def test_round_trip_exact(self, fit_dir):
         params = nbio.read_params(fit_dir)
         reread_dir = str(fit_dir) + "_rt"
@@ -172,6 +186,13 @@ class TestInfer:
                     "--out", out, "--m-s", "0.5"])
         assert code == 0
         assert nbio.read_json(out / "manifest.json")["config"]["m_s"] == 0.5
+
+    def test_manifest_records_stage_seconds_and_warnings(self, infer_dir):
+        manifest = nbio.read_json(infer_dir / "manifest.json")
+        stages = manifest["stage_seconds"]
+        assert set(stages) == {"preprocess", "joint_uv", "uv_to_ab", "ab_to_c", "to_dispersions"}
+        assert all(isinstance(v, float) and v >= 0.0 for v in stages.values())
+        assert isinstance(manifest["warnings"], list)
 
     def test_bad_test_spec(self, sim_dir, fit_dir, tmp_path):
         code = run(["infer", "--counts", sim_dir / "Y.csv", "--fit-dir", fit_dir,

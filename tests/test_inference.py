@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -105,6 +106,33 @@ class TestJointUv:
         np.testing.assert_allclose(varU, oU, rtol=1e-8)
         np.testing.assert_allclose(varV, oV, rtol=1e-8)
         assert np.all(varU > 0) and np.all(varV > 0)
+
+    @pytest.mark.parametrize("M", [1, 2])
+    def test_more_columns_than_rows_matches_dense_bordered_inverse(self, M):
+        # J > I: V is eliminated first, on the transposed problem
+        scheme = SimScheme(dims=(8, 12, 2, 2, M), seed=40 + M)
+        Y, truth = simulate_dataset(scheme)
+        result = est.fit(Y, truth.cov, M)
+        prior = PriorConfig()
+        pieces = inf.preprocess(Y, result.params, truth.cov, prior)
+        varU, varV = inf.joint_uv_uncertainty(pieces, result.params, truth.cov, prior)
+        oU, oV = inf.joint_uv_dense_oracle(pieces, result.params, truth.cov)
+        np.testing.assert_allclose(varU, oU, rtol=1e-8)
+        np.testing.assert_allclose(varV, oV, rtol=1e-8)
+
+    def test_memory_holds_one_schur_buffer(self):
+        # the dense route held about seven JM x JM / IM x JM arrays at once
+        Y, truth = simulate_dataset(SimScheme(dims=(300, 300, 2, 2, 3), seed=2))
+        params, cov, prior = truth.params0, truth.cov, PriorConfig()
+        pieces = inf.preprocess(Y, params, cov, prior)
+        JM = cov.J * params.M
+        tracemalloc.start()
+        try:
+            inf.joint_uv_uncertainty(pieces, params, cov, prior)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * JM ** 2 * 8, peak / (JM ** 2 * 8)
 
     @pytest.mark.parametrize("side", ["U", "V"])
     @pytest.mark.parametrize("column", [0, 1])
@@ -224,6 +252,62 @@ class TestPropagation:
         np.testing.assert_allclose(var_s["V"], var_t["U"], rtol=1e-10)
         np.testing.assert_allclose(var_s["A"], var_t["B"], rtol=1e-10)
         np.testing.assert_allclose(var_s["B"], var_t["A"], rtol=1e-10)
+
+
+class TestStreamedContractions:
+    """The standard errors contract the delta-propagation Jacobians without
+    forming them; the contractions of the formed Jacobians must agree."""
+
+    @pytest.fixture(scope="class")
+    def case(self):
+        Y, truth = simulate_dataset(SimScheme(dims=(40, 25, 3, 2, 2), seed=5))
+        params, cov, prior = truth.params0, truth.cov, ASYMMETRIC_PRIOR
+        pieces = inf.preprocess(Y, params, cov, prior)
+        rng = np.random.default_rng(9)
+        I, J, K, L, M = cov.I, cov.J, cov.K, cov.L, params.M
+        var = {"A": rng.uniform(0.1, 2.0, J * K), "B": rng.uniform(0.1, 2.0, I * L),
+               "U": rng.uniform(0.1, 2.0, I * M), "V": rng.uniform(0.1, 2.0, J * M)}
+        return pieces, params, cov, var
+
+    def test_uv_to_ab(self, case):
+        pieces, params, cov, var = case
+        UD, VD = params.U * params.D, params.V * params.D
+        varU, varV = var["U"].reshape(cov.I, -1), var["V"].reshape(cov.J, -1)
+        QA = inf.coef_eta_jacobian(pieces, cov)                          # J x K x I
+        QB = inf.coef_eta_jacobian(pieces.transposed(), cov.transposed())  # I x L x J
+        want = [
+            np.einsum("jki,ji->jk", QA ** 2, VD ** 2 @ varU.T).ravel(),
+            np.einsum("jkm,jm->jk", (QA @ UD) ** 2, varV).ravel(),
+            np.einsum("ilm,im->il", (QB @ VD) ** 2, varU).ravel(),
+            np.einsum("ilj,ij->il", QB ** 2, UD ** 2 @ varV.T).ravel(),
+        ]
+        got = inf.propagate_uv_to_ab(pieces, params, cov, var["U"], var["V"])
+        for name, g, w in zip(("AfromU", "AfromV", "BfromU", "BfromV"), got, want):
+            np.testing.assert_allclose(g, w, rtol=1e-12, err_msg=name)
+
+    def test_to_dispersions(self, case):
+        pieces, params, cov, var = case
+        UD, VD = params.U * params.D, params.V * params.D
+        Q, P = inf._score_sensitivities(pieces.W, pieces.E, pieces.mu, pieces.r)
+        vA, vB = var["A"].reshape(cov.J, -1), var["B"].reshape(cov.I, -1)
+        vU, vV = var["U"].reshape(cov.I, -1), var["V"].reshape(cov.J, -1)
+
+        def contract(Q, P, invF, grad, same, other):
+            out = {n: np.einsum("im,im->i", inf.dispersion_jacobian_same_axis(
+                Q, P, s, invF, grad) ** 2, v) for n, (s, v) in same.items()}
+            out.update({n: np.einsum("ijm,jm->i", inf.dispersion_jacobian_other_axis(
+                Q, P, s, invF, grad) ** 2, v) for n, (s, v) in other.items()})
+            return out
+
+        want_s = contract(Q, P, pieces.invFs, pieces.gradS,
+                          {"B": (cov.Z, vB), "U": (VD, vU)}, {"A": (cov.X, vA), "V": (UD, vV)})
+        want_t = contract(Q.T, P.T, pieces.invFt, pieces.gradT,
+                          {"A": (cov.X, vA), "V": (UD, vV)}, {"B": (cov.Z, vB), "U": (VD, vU)})
+        var_s, var_t = inf.propagate_to_dispersions(pieces, params, cov, var["A"], var["B"],
+                                                    var["U"], var["V"])
+        for name in "ABUV":
+            np.testing.assert_allclose(var_s[name], want_s[name], rtol=1e-12, err_msg=f"S{name}")
+            np.testing.assert_allclose(var_t[name], want_t[name], rtol=1e-12, err_msg=f"T{name}")
 
 
 class TestTransposition:
