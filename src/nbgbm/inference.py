@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import blas, lapack
-from scipy.stats import norm
+from scipy.special import ndtr, ndtri
 
 from . import nb
 from .estimation import _fisher_c_from_blocks, _row_fisher_blocks
@@ -513,8 +513,8 @@ def wald_tests(estimates, ses, level=0.95):
     if not 0.0 < level < 1.0:
         raise DomainError("level must be in (0, 1)")
     zstat = estimates / ses
-    p_values = 2.0 * norm.sf(np.abs(zstat))
-    z = norm.ppf(0.5 + level / 2.0)
+    p_values = 2.0 * ndtr(-np.abs(zstat))
+    z = ndtri(0.5 + level / 2.0)
     return {
         "p_values": p_values,
         "ci_lower": estimates - z * ses,

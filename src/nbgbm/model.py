@@ -47,10 +47,15 @@ class DataMatrix:
         values = np.asarray(self.values)
         if values.ndim != 2 or values.shape[0] < 1 or values.shape[1] < 1:
             raise ShapeError("count matrix must be 2-d with at least one row and column")
+        # checked before the int64 cast, which wraps NaN, inf and >= 2**63 silently
+        if values.dtype.kind == "f" and not np.all(np.isfinite(values)):
+            raise DomainError("count matrix has non-finite entries (NaN or infinity)")
         if not np.all(values >= 0):
             raise DomainError("count matrix has negative entries")
         if not np.all(values == np.floor(values)):
             raise DomainError("count matrix has non-integral entries")
+        if values.dtype.kind in "uf" and not np.all(values < 2**63):
+            raise DomainError("count matrix has entries of 2**63 or more, beyond the int64 range")
         object.__setattr__(self, "values", np.asarray(values, dtype=np.int64))
 
     @property

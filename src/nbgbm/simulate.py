@@ -13,8 +13,7 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import gamma as gamma_dist
-from scipy.stats import norm
+from scipy.special import gammaincinv, ndtr, ndtri
 
 from . import nb
 from .exceptions import DomainError, InputError, ShapeError
@@ -79,10 +78,11 @@ class SimTruth:
 
 def _marginal_icdf(u, scheme):
     if scheme == "Normal":
-        return norm.ppf(u)
+        return ndtri(u)
     if scheme == "Gamma":
-        # shape 2, rate sqrt(2): unit variance
-        return gamma_dist.ppf(u, a=2.0, scale=1.0 / np.sqrt(2.0))
+        # shape 2, rate sqrt(2): unit variance; gammaincinv(2, u) is the
+        # unit-rate quantile, scaled as scipy.stats.gamma.ppf scales it
+        return gammaincinv(2.0, u) * (1.0 / np.sqrt(2.0))
     if scheme == "Binary":
         return (u > 0.5).astype(np.float64)
     raise InputError(f"unknown covariate scheme {scheme!r}")
@@ -111,7 +111,7 @@ def generate_covariates_counted(n, p, scheme, rng):
     scale = np.sqrt(np.diag(Sigma))
     corr = Sigma / np.outer(scale, scale)
     draws = rng.multivariate_normal(np.zeros(p), corr, size=n, method="cholesky")
-    raw = _marginal_icdf(norm.cdf(draws), scheme)
+    raw = _marginal_icdf(ndtr(draws), scheme)
     clamps = int(np.count_nonzero(np.abs(raw) > H_CLAMP))
     vals = np.sign(raw) * np.minimum(H_CLAMP, np.abs(raw))
     vals[:, 0] = 1.0
@@ -295,7 +295,7 @@ def coverage_curve(estimates, ses, truths, n_grid: int = 101):
     truths = np.asarray(truths, dtype=np.float64).ravel()
     if np.any(ses <= 0):
         raise DomainError("standard errors must be positive")
-    stat = 1.0 - 2.0 * norm.sf(np.abs(estimates - truths) / ses)
+    stat = 1.0 - 2.0 * ndtr(-np.abs(estimates - truths) / ses)
     stat.sort()
     targets = np.linspace(0.0, 1.0, n_grid)
     actual = np.searchsorted(stat, targets, side="left") / stat.size
@@ -307,5 +307,5 @@ def empirical_coverage(estimates, ses, truths, level: float = 0.95) -> float:
     estimates = np.asarray(estimates, dtype=np.float64).ravel()
     ses = np.asarray(ses, dtype=np.float64).ravel()
     truths = np.asarray(truths, dtype=np.float64).ravel()
-    z = norm.ppf(0.5 + level / 2.0)
+    z = ndtri(0.5 + level / 2.0)
     return float(np.mean(np.abs(estimates - truths) <= z * ses))

@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.stats import norm
 
 from nbgbm import estimation as est
 from nbgbm import inference as inf
@@ -380,6 +381,17 @@ class TestWaldTests:
         assert abs(out["ci_lower"][0]) < 1e-3
         out = inf.wald_tests(np.array([0.5]), np.array([1.0]))
         assert abs(out["p_values"][0] - 0.6171) < 1e-4
+
+    @pytest.mark.parametrize("level", [0.5, 0.9, 0.95, 0.99])
+    def test_matches_scipy_stats(self, level):
+        rng = np.random.default_rng(5)
+        estimates = np.concatenate([[0.0, -0.0, 40.0, -40.0, 1e-300], rng.normal(size=2000) * 3])
+        ses = np.concatenate([[1.0, 1.0, 1.0, 1.0, 1.0], np.exp(rng.normal(size=2000))])
+        out = inf.wald_tests(estimates, ses, level=level)
+        z = norm.ppf(0.5 + level / 2.0)
+        assert np.array_equal(out["p_values"], 2.0 * norm.sf(np.abs(estimates / ses)))
+        assert np.array_equal(out["ci_lower"], estimates - z * ses)
+        assert np.array_equal(out["ci_upper"], estimates + z * ses)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(DomainError):

@@ -44,6 +44,24 @@ class TestDataMatrix:
         with pytest.raises(DomainError):
             DataMatrix(np.array([[0.5, 1.0]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(DomainError, match="non-finite"):
+            DataMatrix(np.array([[0.0, bad]]))
+
+    @pytest.mark.parametrize("big", [np.array([[1.0, 2.0 ** 63]]), np.array([[1.0, 1e300]]),
+                                     np.array([[1, 2 ** 63]], dtype=np.uint64)])
+    def test_rejects_counts_beyond_int64(self, big):
+        with pytest.raises(DomainError, match="int64 range"):
+            DataMatrix(big)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.uint64, np.int64])
+    def test_accepts_largest_int64_counts(self, dtype):
+        # the largest float below 2**63 and int64's maximum both cast exactly
+        top = 2.0 ** 63 - 1024 if dtype is np.float64 else np.iinfo(np.int64).max
+        dm = DataMatrix(np.array([[0, top]], dtype=dtype))
+        assert dm.values[0, 1] == int(top)
+
 
 class TestCovariateSet:
     def test_pseudoinverse_identity(self):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from scipy.stats import gamma as gamma_dist
+from scipy.stats import norm
 
 from nbgbm.exceptions import DomainError, InputError, ShapeError
 from nbgbm.model import check_constraints
@@ -50,6 +52,15 @@ class TestCovariates:
         X = generate_covariates(100, 3, "Binary", rng)
         for k in (1, 2):
             assert np.unique(np.round(X[:, k], 12)).size == 2
+
+    @pytest.mark.parametrize("scheme, reference", [
+        ("Normal", norm.ppf),
+        ("Gamma", lambda u: gamma_dist.ppf(u, a=2.0, scale=1.0 / np.sqrt(2.0))),
+    ])
+    def test_marginal_icdf_matches_scipy_stats(self, scheme, reference):
+        u = np.concatenate([[0.0, 1e-300, 0.3, 0.5, 1 - 1e-16, 1.0, np.nan],
+                            np.random.default_rng(3).random(10_000)])
+        assert np.array_equal(_marginal_icdf(u, scheme), reference(u), equal_nan=True)
 
     def test_intercept_only(self):
         rng = np.random.default_rng(2)
@@ -230,3 +241,28 @@ class TestCoverageCurve:
         est = rng.normal(size=n)
         cov95 = empirical_coverage(est, np.ones(n), truth, 0.95)
         assert abs(cov95 - 0.95) < 0.01
+
+    def test_curve_matches_scipy_stats(self):
+        rng = np.random.default_rng(13)
+        n = 50_000
+        truth = rng.normal(size=n)
+        se = np.exp(rng.normal(size=n))
+        est = truth + se * rng.standard_t(3, size=n)
+        stat = np.sort(1.0 - 2.0 * norm.sf(np.abs(est - truth) / se))
+        targets = np.linspace(0.0, 1.0, 10_001)
+        expected = np.searchsorted(stat, targets, side="left") / n
+        got_targets, actual = coverage_curve(est, se, truth, n_grid=10_001)
+        assert np.array_equal(got_targets, targets)
+        assert np.array_equal(actual, expected)
+
+    @pytest.mark.parametrize("level", [0.5, 0.9, 0.95, 0.99])
+    def test_empirical_coverage_matches_scipy_stats(self, level):
+        # half the estimates sit on the interval's edge up to rounding, so
+        # the count depends on the last bits of the critical value
+        z = norm.ppf(0.5 + level / 2.0)
+        rng = np.random.default_rng(14)
+        se = np.exp(rng.normal(size=1000))
+        truth = rng.normal(size=1000)
+        est = truth + np.where(rng.random(1000) < 0.5, z * se, rng.normal(size=1000) * se)
+        expected = float(np.mean(np.abs(est - truth) <= z * se))
+        assert empirical_coverage(est, se, truth, level) == expected
