@@ -18,6 +18,14 @@ FitState.log_posterior reports.
 Rows and columns are symmetric (Y' swaps X and Z, A and B, U and V, S and
 T, and turns C into C'), so every B, H and T update and projection is its
 A, G or S twin run on FitState.transposed(), which shares the arrays.
+
+Workspace invariant: after make_state and after every block update,
+state.work is the NB workspace (mu, r, W, E) of state.params.  Each update
+reads it as it stands and brings it up to date with what it changed: the
+mean blocks A, B, C, D, G and H recompute the linear predictor, mu, W and E
+and keep r; the S and T steps recompute r, W and E and keep mu.  The bare
+projections (project_a, project_g, project_s and their twins) leave the
+likelihood unchanged and do not touch it.
 """
 
 from __future__ import annotations
@@ -26,6 +34,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import gammaln
 
 from . import nb
 from .exceptions import (
@@ -139,7 +148,11 @@ class AdaptiveStepState:
 
 @dataclass
 class FitState:
-    """Mutable bundle passed between block updates."""
+    """Mutable bundle passed between block updates.
+
+    `y` holds the counts as float64 and `log_y_factorial` the sum of log y!
+    over them; both are computed once and shared with transposed twins.
+    """
 
     Y: DataMatrix
     cov: CovariateSet
@@ -149,26 +162,52 @@ class FitState:
     adapt: AdaptiveStepState
     work: nb.NbWorkspace = None
     clamp_events: int = 0
+    y: np.ndarray = field(default=None, repr=False)
+    log_y_factorial: float = None
+
+    def __post_init__(self):
+        if self.y is None:
+            self.y = self.Y.values.astype(np.float64)
+            self.log_y_factorial = float(np.sum(gammaln(self.y + 1.0)))
 
     def transposed(self) -> "FitState":
-        """The same state for Y', sharing the arrays; every step refreshes work first."""
+        """The same state for Y', sharing the arrays, the workspace included."""
         return FitState(Y=self.Y.transposed(), cov=self.cov.transposed(),
                         params=self.params.transposed(), prior=self.prior.transposed(),
                         config=self.config,
                         adapt=AdaptiveStepState(rho_s=self.adapt.rho_t, rho_t=self.adapt.rho_s),
-                        clamp_events=self.clamp_events)
+                        work=self.work.transposed() if self.work is not None else None,
+                        clamp_events=self.clamp_events, y=self.y.T,
+                        log_y_factorial=self.log_y_factorial)
 
-    def refresh(self):
-        """Recompute linpred, mu, r, W, E from the current parameters."""
-        linpred = linear_predictor(self.params, self.cov)
-        self.work = nb.nb_workspace(self.Y, linpred, self.params.S, self.params.T, self.params.omega)
+    def refresh(self, mean=True, dispersion=True):
+        """Bring the workspace up to date with the parameters.
+
+        `mean` recomputes the linear predictor and mu, `dispersion` r; W and
+        E are recomputed either way.  The default recomputes everything.
+        Clipped exponents of the recomputed mu or r add to clamp_events.
+        The arrays are laid out like the counts, so a transposed twin
+        recomputes them in the orientation of its original and keeps views.
+        """
+        if self.y.flags.c_contiguous:
+            self.work = self._recomputed(mean, dispersion)
+        else:
+            self.work = self.transposed()._recomputed(mean, dispersion).transposed()
         self.clamp_events += self.work.clamped
 
-    def log_posterior(self) -> float:
-        """Log-likelihood plus log-prior (normalizing constants included)."""
-        self.refresh()
+    def _recomputed(self, mean, dispersion) -> nb.NbWorkspace:
         p, w = self.params, self.work
-        loglik = float(np.sum(nb.nb_log_pmf(self.Y.values, w.mu, w.r)))
+        mu, mu_clamped = nb.means(linear_predictor(p, self.cov)) if mean else (w.mu, 0)
+        r, r_clamped = nb.inverse_dispersions(p.S, p.T, p.omega) if dispersion else (w.r, 0)
+        return nb.NbWorkspace(mu, r, *nb.weights_and_scores(self.y, mu, r),
+                              clamped=mu_clamped + r_clamped)
+
+    def log_posterior(self) -> float:
+        """Log-likelihood plus log-prior (normalizing constants included),
+        the likelihood read from the workspace."""
+        p, w = self.params, self.work
+        loglik = float(np.sum(nb.nb_log_pmf(self.y, w.mu, w.r, log_y_factorial=0.0))
+                       - self.log_y_factorial)
         pr = self.prior
 
         def normal_term(q, lam, mean=0.0):
@@ -249,6 +288,7 @@ def _mirrored(step):
         back = flipped.transposed()
         vars(state.params).update(vars(back.params))
         vars(state.adapt).update(vars(back.adapt))
+        state.work = back.work
         state.clamp_events = back.clamp_events
     return mirrored
 
@@ -282,12 +322,12 @@ def _batched_capped_solve(F, rhs, lam, rho):
 
 def update_a(state: FitState):
     """Fisher-scoring step on each row of A, then the A projection."""
-    state.refresh()
     p, cov, w = state.params, state.cov, state.work
     F = _row_fisher_blocks(w.W, cov.X)                    # (J, K, K)
     rhs = w.E.T @ cov.X - state.prior.lambda_a * p.A      # (J, K)
     p.A += _batched_capped_solve(F, rhs, state.prior.lambda_a, state.config.rho)
     project_a(state)
+    state.refresh(dispersion=False)
 
 
 update_b = _mirrored(update_a)   # rows of B, then the B projection
@@ -309,13 +349,13 @@ def fisher_c(W, cov) -> np.ndarray:
 
 def update_c(state: FitState):
     """Joint Fisher-scoring step on vec(C).  C is unconstrained."""
-    state.refresh()
     p, cov, w = state.params, state.cov, state.work
     F = fisher_c(w.W, cov)
     grad = (cov.X.T @ w.E @ cov.Z).ravel(order="F")
     vecC = p.C.ravel(order="F")
     vecC = bounded_fisher_step(vecC, grad, F, state.prior.lambda_c, state.config.rho)
     p.C = vecC.reshape(cov.K, cov.L, order="F")
+    state.refresh(dispersion=False)
 
 
 def fisher_d(W, U, V) -> np.ndarray:
@@ -327,13 +367,13 @@ def fisher_d(W, U, V) -> np.ndarray:
 
 def update_d(state: FitState):
     """Fisher-scoring step on the singular values (no projection needed)."""
-    state.refresh()
     p, w = state.params, state.work
     if p.M == 0:
         return
     F = fisher_d(w.W, p.U, p.V)
     grad = np.einsum("im,im->m", p.U, w.E @ p.V)
     p.D = bounded_fisher_step(p.D, grad, F, state.prior.lambda_d, state.config.rho)
+    state.refresh(dispersion=False)
 
 
 def update_g(state: FitState):
@@ -345,7 +385,6 @@ def update_g(state: FitState):
     values are those of G outside span(X), and the current G = U D lies
     there already).  The step therefore regularizes G with lambda_d.
     """
-    state.refresh()
     p, w = state.params, state.work
     if p.M == 0:
         return
@@ -355,6 +394,7 @@ def update_g(state: FitState):
     rhs = w.E @ p.V - lam * G
     G = G + _batched_capped_solve(F, rhs, lam, state.config.rho)
     project_g(state, G)
+    state.refresh(dispersion=False)
 
 
 update_h = _mirrored(update_g)   # right factors H = V * D, prior lambda_d
@@ -392,14 +432,14 @@ def update_s(state: FitState):
     is that of lambda_s ||S - m_s||^2 / 2 at the recentred S (see
     _recentred_prior_gradient), since the common shift goes into omega.
     """
-    state.refresh()
     p, pr = state.params, state.prior
-    derivs = nb.dispersion_derivatives(state.Y, state.work.mu, state.work.r)
+    derivs = nb.dispersion_derivatives(state.y, state.work.mu, state.work.r)
     grad = _recentred_prior_gradient(p.S, pr.lambda_s, pr.m_s) + derivs.delta.sum(axis=1)
     hess = -pr.lambda_s + derivs.delta_prime.sum(axis=1)
     p.S, exceeded = _newton_dispersion_step(p.S, grad, hess, state.adapt.rho_s)
     state.adapt.rho_s = np.where(exceeded, state.adapt.rho_s / 2.0, state.config.rho)
     project_s(state)
+    state.refresh(mean=False)
 
 
 update_t = _mirrored(update_s)   # column offsets, prior lambda_t and m_t
@@ -476,6 +516,11 @@ class FitResult:
 
     `constraints` is the identifiability check of the final parameters; a
     fit whose `constraints.passed` is false is returned with a warning.
+    `clamp_events` counts exponents clipped at +-700 each time the workspace
+    is recomputed (initialization included): entries of the linear
+    predictor when mu is recomputed (after A, B, C, D, G and H steps) and
+    of -(s_i + t_j + omega) when r is (after S and T steps); a full refresh
+    counts both.
     """
 
     params: GbmParams

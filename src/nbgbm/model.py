@@ -20,6 +20,7 @@ Identifiability constraints enforced throughout:
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,6 +38,23 @@ def _unchecked(cls, **fields):
     return obj
 
 
+def _numeric_objects(values: np.ndarray) -> np.ndarray:
+    """An object array of Python numbers as int64 (all integers) or float64.
+
+    Integers are range-checked here, where Python compares them exactly.
+    """
+    flat = values.ravel().tolist()
+    if not all(isinstance(v, (numbers.Real, np.bool_)) for v in flat):
+        raise DomainError("count matrix has entries that are not real numbers")
+    if not all(isinstance(v, (numbers.Integral, np.bool_)) for v in flat):
+        return values.astype(np.float64)
+    if any(v < 0 for v in flat):
+        raise DomainError("count matrix has negative entries")
+    if any(v >= 2**63 for v in flat):
+        raise DomainError("count matrix has entries of 2**63 or more, beyond the int64 range")
+    return values.astype(np.int64)
+
+
 @dataclass(frozen=True)
 class DataMatrix:
     """Nonnegative integer count matrix."""
@@ -47,6 +65,10 @@ class DataMatrix:
         values = np.asarray(self.values)
         if values.ndim != 2 or values.shape[0] < 1 or values.shape[1] < 1:
             raise ShapeError("count matrix must be 2-d with at least one row and column")
+        if values.dtype.kind == "O":
+            values = _numeric_objects(values)
+        elif values.dtype.kind not in "biuf":
+            raise DomainError(f"count matrix must be real numbers, not dtype {values.dtype}")
         # checked before the int64 cast, which wraps NaN, inf and >= 2**63 silently
         if values.dtype.kind == "f" and not np.all(np.isfinite(values)):
             raise DomainError("count matrix has non-finite entries (NaN or infinity)")
@@ -396,7 +418,10 @@ def check_constraints(params: GbmParams, cov: CovariateSet,
     """Report per-condition max violations; `passed` compares them to tol.
 
     Product checks are compared against tol * max(1, largest |entry| of the
-    corresponding block) so the criterion is scale-free.  The column sign
+    corresponding block) so the criterion is scale-free, and so is (d): a
+    singular value at or below tol times that scale is not positive, since
+    its factors are then fixed by rounding, not by the data (all-zero counts
+    drive D there).  The column sign
     convention is reported always but only enters `passed` when strict=True,
     since it is enforced only at finalization.
     """
@@ -409,6 +434,7 @@ def check_constraints(params: GbmParams, cov: CovariateSet,
         return float(np.abs(q).max()) if q.size else 0.0
 
     eye = np.eye(M)
+    scale = max(1.0, *(maxabs(q) for q in (params.A, params.B, params.U, params.V)))
     report = ConstraintReport(
         max_zta=maxabs(cov.Z.T @ params.A),
         max_xtb=maxabs(cov.X.T @ params.B),
@@ -417,11 +443,11 @@ def check_constraints(params: GbmParams, cov: CovariateSet,
         max_utu=maxabs(params.U.T @ params.U - eye),
         max_vtv=maxabs(params.V.T @ params.V - eye),
         d_ordered=bool(np.all(np.diff(params.D) < 0)) if M > 1 else True,
-        d_positive=bool(np.all(params.D > 0)) if M else True,
+        d_positive=bool(np.all(params.D > tol * scale)) if M else True,
         u_signs_ok=bool(np.all(first_nonzero_signs(params.U) >= 0)),
         mean_exp_s=float(np.mean(np.exp(params.S))),
         mean_exp_t=float(np.mean(np.exp(params.T))),
-        scale=max(1.0, *(maxabs(q) for q in (params.A, params.B, params.U, params.V))),
+        scale=scale,
         tol=tol,
         strict=strict,
     )

@@ -159,7 +159,8 @@ class TestInfer:
     def test_infer_reads_back_identical_params(self, fit_dir):
         params = nbio.read_params(fit_dir)
         assert isinstance(params, GbmParams)
-        blob = json.load(open(fit_dir / "params.json"))
+        with open(fit_dir / "params.json") as fh:
+            blob = json.load(fh)
         np.testing.assert_array_equal(np.asarray(blob["A"]), params.A)
 
     def test_oracle_guard_on_small_instance(self, sim_dir, fit_dir, tmp_path):

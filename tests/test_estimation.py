@@ -17,7 +17,7 @@ from nbgbm.model import (
 )
 from nbgbm.simulate import SimScheme, simulate_dataset
 
-from conftest import random_constrained_params
+from conftest import ASYMMETRIC_PRIOR, random_constrained_params
 
 
 class TestStandardize:
@@ -244,6 +244,27 @@ class TestBlockUpdates:
         assert max(worst.values()) <= 1e-7, worst
 
 
+    def test_every_update_leaves_the_workspace_of_its_params(self):
+        # each update reads state.work as the previous one left it, so a
+        # step that forgets part of the workspace feeds stale mu or r on
+        scheme = SimScheme(dims=(40, 20, 2, 2, 2), seed=31)
+        Y, truth = simulate_dataset(scheme)
+        state = est.make_state(Y, truth.cov, est.initial_params(Y, truth.cov, 2),
+                               prior=ASYMMETRIC_PRIOR)
+        updates = dict(zip("ABCDGHST", (
+            est.update_a, est.update_b, est.update_c, est.update_d,
+            est.update_g, est.update_h, est.update_s, est.update_t)))
+        for cycle in range(2):
+            for name, update in updates.items():
+                update(state)
+                p = state.params
+                fresh = nb.nb_workspace(Y, linear_predictor(p, truth.cov), p.S, p.T, p.omega)
+                for field in ("mu", "r", "W", "E"):
+                    np.testing.assert_allclose(getattr(state.work, field), getattr(fresh, field),
+                                               rtol=1e-12, atol=0,
+                                               err_msg=f"cycle {cycle}, update {name}: {field}")
+
+
 class TestProjections:
     def test_a_projection_preserves_linpred(self, small_instance):
         Y, truth = small_instance
@@ -428,6 +449,25 @@ class TestFit:
         result = est.fit(Y, truth.cov, 1, init_params=truth.params0,
                          config=FitConfig(max_iter=3))
         assert result.params.M == 1
+
+    def test_clipped_linear_predictor_counts_clamp_events(self, small_instance):
+        # an intercept 720 too high puts every exponent of mu beyond the clip
+        Y, truth = small_instance
+        params = truth.params0.copy()
+        params.C[0, 0] += 720.0
+        result = est.fit(Y, truth.cov, 1, init_params=params, config=FitConfig(max_iter=3))
+        assert result.clamp_events >= Y.I * Y.J
+        assert est.fit(Y, truth.cov, 1, init_params=truth.params0,
+                       config=FitConfig(max_iter=3)).clamp_events == 0
+
+    def test_all_zero_counts_flag_vanishing_singular_values(self):
+        # no signal drives D to rounding level, where U and V are not
+        # determined by the data; the fit must say so, whatever noise X'U carries
+        cov = est.prepare_covariates(np.ones((20, 1)), np.ones((10, 1)))
+        with pytest.warns(UserWarning, match="constraint tolerance"):
+            result = est.fit(DataMatrix(np.zeros((20, 10), dtype=int)), cov, 1)
+        assert result.params.D[0] < 1e-8
+        assert not result.constraints.d_positive and not result.constraints.passed
 
     def test_trace_is_monotone_after_transient(self):
         scheme = SimScheme(dims=(120, 30, 2, 2, 1), seed=5)

@@ -62,6 +62,29 @@ class TestDataMatrix:
         dm = DataMatrix(np.array([[0, top]], dtype=dtype))
         assert dm.values[0, 1] == int(top)
 
+    @pytest.mark.parametrize("values, error", [
+        (np.asarray([[2**64, 1]]), "int64 range"),
+        (np.asarray([[2**63, 1]], dtype=object), "int64 range"),
+        (np.asarray([[-2**70, 1]], dtype=object), "negative"),
+        (np.asarray([["3", "1"]]), "real numbers"),
+        (np.asarray([["3", 1]], dtype=object), "real numbers"),
+        (np.asarray([[None, 1]], dtype=object), "real numbers"),
+        (np.asarray([[1 + 0j, 2]]), "real numbers"),
+        (np.asarray([[1.5, 2]], dtype=object), "non-integral"),
+        (np.asarray([[2, 1]], dtype=object), None),
+        (np.asarray([[2**63 - 1, 1]], dtype=object), None),
+        (np.asarray([[2.0, 1]], dtype=object), None),
+        (np.asarray([[True, False]]), None),
+    ])
+    def test_dtypes_give_counts_or_domain_error(self, values, error):
+        if error is not None:
+            with pytest.raises(DomainError, match=error):
+                DataMatrix(values)
+        else:
+            dm = DataMatrix(values)
+            assert dm.values.dtype == np.int64
+            assert dm.values.tolist() == [[int(v) for v in row] for row in values.tolist()]
+
 
 class TestCovariateSet:
     def test_pseudoinverse_identity(self):

@@ -91,6 +91,66 @@ class TestSpecialFunctions:
         assert out <= 0.0
 
 
+EPS = np.finfo(float).eps
+SHIFT = float(nb.TRIGAMMA_SHIFT)
+
+
+def scipy_psi_differences(y, r):
+    """psi(y + r) - psi(r), psi'(y + r) - psi'(r) from scipy, with the error
+    bounds a comparison against them can use: rounding of the scipy terms,
+    plus for r >= LARGE_R the remainder of the Poisson-limit forms there."""
+    psi_y, psi_r = digamma(y + r), digamma(r)
+    tri_y, tri_r = polygamma(1, y + r), polygamma(1, r)
+    tol_psi = 16 * EPS * (max(abs(psi_y), 1.0) + max(abs(psi_r), 1.0))
+    tol_tri = 16 * EPS * (tri_y + tri_r)
+    if r >= nb.LARGE_R:
+        # psi(x) = log x - 1/(2x) + O(x^-2), psi'(x) = 1/x + 1/(2x^2) + O(x^-3)
+        tol_psi += y / (2 * r * (y + r)) + 1 / r ** 2
+        tol_tri += 1 / r ** 2
+    return psi_y - psi_r, tri_y - tri_r, tol_psi, tol_tri
+
+
+counts = st.one_of(st.floats(0.0, 1e15), st.floats(0.0, 2 * SHIFT), st.integers(0, 60).map(float))
+inverse_dispersions = st.one_of(
+    st.floats(1e-12, 1e12),
+    st.floats(SHIFT * (1 - 1e-12), SHIFT * (1 + 1e-12)),   # either side of the series threshold
+    st.floats(nb.LARGE_R * (1 - 1e-12), nb.LARGE_R * (1 + 1e-12)))
+
+
+class TestKernelAgainstScipy:
+    @settings(max_examples=400, deadline=None)
+    @given(y=counts, r=inverse_dispersions, mu=st.floats(1e-6, 1e6))
+    def test_differences_and_derivatives_match_scipy(self, y, r, mu):
+        dpsi, dtri, tol_psi, tol_tri = scipy_psi_differences(y, r)
+        assert abs(nb.psi_delta(y, r) - dpsi) <= tol_psi
+        assert abs(nb.psi_prime_delta(y, r) - dtri) <= tol_tri
+
+        # the derivatives built from the scipy differences, as dispersion_derivatives does
+        rp, mp = r / (r + mu), mu / (r + mu)
+        log_ratio = np.log1p(mu / r)
+        rest = log_ratio + (y - mu) / (r + mu)
+        delta = -r * (dpsi - rest)
+        delta_prime = -delta + r * r * dtri + y * rp * rp + r * mp * mp
+        tol_delta = r * tol_psi + 4 * EPS * r * (abs(dpsi) + abs(log_ratio) + abs(rest))
+        tol_prime = (tol_delta + r * r * tol_tri
+                     + 4 * EPS * (abs(delta) + r * r * abs(dtri) + y * rp * rp + r * mp * mp))
+        derivs = nb.dispersion_derivatives(np.full((1, 1), y), np.full((1, 1), mu),
+                                           np.full((1, 1), r))
+        assert abs(derivs.delta[0, 0] - delta) <= tol_delta
+        assert abs(derivs.delta_prime[0, 0] - delta_prime) <= tol_prime
+
+    def test_kernel_either_side_of_the_series_threshold(self):
+        below = [SHIFT]
+        above = [SHIFT]
+        for _ in range(4):
+            below.append(np.nextafter(below[-1], 0.0))
+            above.append(np.nextafter(above[-1], np.inf))
+        x = np.array(below[::-1] + above[1:] + [SHIFT - 1e-9, SHIFT + 1e-9])
+        psi, tri = nb._psi_trigamma(x)
+        np.testing.assert_allclose(psi, digamma(x), rtol=4 * EPS, atol=0)
+        np.testing.assert_allclose(tri, polygamma(1, x), rtol=4 * EPS, atol=0)
+
+
 class TestWorkspace:
     def test_unit_case(self):
         Y = np.array([[3, 0], [1, 2]])
