@@ -18,6 +18,8 @@ import sys
 import time
 import warnings
 
+from .exceptions import InputError, NbgbmError, NumericError
+
 __version__ = "0.1.0"
 
 EXIT_USAGE = 2
@@ -128,12 +130,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _intercept_only(n):
-    import numpy as np
-
-    return np.ones((n, 1))
-
-
 def cmd_fit(args) -> int:
     import numpy as np
 
@@ -144,19 +140,19 @@ def cmd_fit(args) -> int:
     with _recorded_warnings() as raised:
         counts = io.read_matrix(args.counts)
         Y = DataMatrix(counts)
-        X = io.read_matrix(args.row_covariates) if args.row_covariates else _intercept_only(Y.I)
-        Z = io.read_matrix(args.col_covariates) if args.col_covariates else _intercept_only(Y.J)
+        X = io.read_matrix(args.row_covariates) if args.row_covariates else np.ones((Y.I, 1))
+        Z = io.read_matrix(args.col_covariates) if args.col_covariates else np.ones((Y.J, 1))
         if X.shape[0] != Y.I:
-            raise _input_err(f"row covariates {args.row_covariates} have {X.shape[0]} rows, "
+            raise InputError(f"row covariates {args.row_covariates} have {X.shape[0]} rows, "
                              f"counts {args.counts} have {Y.I}")
         if Z.shape[0] != Y.J:
-            raise _input_err(f"column covariates {args.col_covariates} have {Z.shape[0]} rows, "
+            raise InputError(f"column covariates {args.col_covariates} have {Z.shape[0]} rows, "
                              f"counts {args.counts} have {Y.J} columns")
         prior = _prior_config(args)
         config = FitConfig(rho=args.rho, tol=args.tol, max_iter=args.max_iter,
                            epsilon=args.epsilon, s_floor=args.s_floor, t_floor=args.t_floor,
-                           standardize=not args.no_standardize, seed=args.seed)
-        cov = estimation.prepare_covariates(X, Z, standardize=config.standardize)
+                           seed=args.seed)
+        cov = estimation.prepare_covariates(X, Z, standardize=not args.no_standardize)
         result = estimation.fit(Y, cov, args.latent, prior, config)
     report = result.constraints
     os.makedirs(args.out, exist_ok=True)
@@ -166,7 +162,8 @@ def cmd_fit(args) -> int:
     io.write_vector(os.path.join(args.out, "trace.csv"), np.asarray(result.trace))
     manifest = io.build_manifest(
         command="fit",
-        config={**vars(config), **vars(prior), "latent": args.latent},
+        config={**vars(config), "standardize": not args.no_standardize, **vars(prior),
+                "latent": args.latent},
         seed=args.seed,
         inputs={"counts": args.counts, "row_covariates": args.row_covariates,
                 "col_covariates": args.col_covariates},
@@ -209,13 +206,13 @@ def cmd_infer(args) -> int:
         for spec_str in args.test:
             block_name, _, column = spec_str.partition(":")
             if block_name not in ("A", "B", "U", "V") or not column.isdigit():
-                raise _input_err("--test expects BLOCK:COLUMN with BLOCK in A,B,U,V; "
+                raise InputError("--test expects BLOCK:COLUMN with BLOCK in A,B,U,V; "
                                  f"got {spec_str!r}")
             col = int(column) - 1
             est_block = estimates[block_name]
             se_block = result.blocks()[block_name]
             if not 0 <= col < est_block.shape[1]:
-                raise _input_err(f"--test {spec_str!r}: column out of range "
+                raise InputError(f"--test {spec_str!r}: column out of range "
                                  f"1..{est_block.shape[1]}")
             tests = inference.wald_tests(est_block[:, col], se_block[:, col], level=args.level)
             rows = [est_block[:, col], se_block[:, col], tests["p_values"],
@@ -249,9 +246,9 @@ def cmd_simulate(args) -> int:
     try:
         dims = tuple(int(tok) for tok in args.dims.lower().split("x"))
     except ValueError:
-        raise _input_err(f"--dims must look like 1000x100x4x2x3, got {args.dims!r}")
+        raise InputError(f"--dims must look like 1000x100x4x2x3, got {args.dims!r}")
     if len(dims) != 5:
-        raise _input_err(f"--dims needs five fields IxJxKxLxM, got {args.dims!r}")
+        raise InputError(f"--dims needs five fields IxJxKxLxM, got {args.dims!r}")
     scheme = SimScheme.parse(args.scheme, dims, seed=args.seed)
     Y, truth = simulate_dataset(scheme, replicate=args.replicate)
     os.makedirs(args.out, exist_ok=True)
@@ -286,10 +283,10 @@ def cmd_evaluate(args) -> int:
     truth = io.read_params(args.truth_dir)
     for name in ("A", "B", "C", "S", "T"):
         if est.blocks()[name].shape != truth.blocks()[name].shape:
-            raise _input_err(f"block {name}: estimate shape {est.blocks()[name].shape} "
+            raise InputError(f"block {name}: estimate shape {est.blocks()[name].shape} "
                              f"differs from truth {truth.blocks()[name].shape}")
     if est.M != truth.M:
-        raise _input_err(f"latent dimension differs: estimate {est.M}, truth {truth.M}")
+        raise InputError(f"latent dimension differs: estimate {est.M}, truth {truth.M}")
     est = align_latent_factors(est, truth)
     report = {"relative_mse": {}}
     for name in ("A", "B", "C", "D", "U", "V", "S", "omega"):
@@ -331,9 +328,9 @@ def cmd_score(args) -> int:
     series = np.atleast_2d(io.read_matrix(args.series))
     weights = np.atleast_2d(io.read_matrix(args.weights))
     if series.shape != weights.shape:
-        raise _input_err(f"series {series.shape} and weights {weights.shape} differ")
+        raise InputError(f"series {series.shape} and weights {weights.shape} differ")
     if np.any(weights <= 0):
-        raise _input_err("weights must be positive")
+        raise InputError("weights must be positive")
     report = {"bandwidth": args.bandwidth, "columns": []}
     for c in range(series.shape[1]):
         ws = WeightedSeries(series[:, c], weights[:, c], k=args.bandwidth)
@@ -342,19 +339,11 @@ def cmd_score(args) -> int:
     return 0
 
 
-def _input_err(msg):
-    from .exceptions import InputError
-
-    return InputError(msg)
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.threads is not None:
         _set_threads(args.threads)
-    from .exceptions import InputError, NbgbmError, NumericError
-
     handlers = {
         "fit": cmd_fit, "infer": cmd_infer, "simulate": cmd_simulate,
         "evaluate": cmd_evaluate, "score": cmd_score,

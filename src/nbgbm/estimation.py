@@ -54,8 +54,11 @@ from .model import (
     check_constraints,
     first_nonzero_signs,
     linear_predictor,
+    nullspace_frame,
 )
 from .rngstreams import stream_rng
+
+INIT_ST_ITERS = 4   # S/T update cycles that refine the initial dispersions
 
 
 def standardize_covariates(Xraw: np.ndarray) -> np.ndarray:
@@ -86,14 +89,6 @@ def prepare_covariates(X, Z, standardize=True) -> CovariateSet:
         X = standardize_covariates(X)
         Z = standardize_covariates(Z)
     return CovariateSet(X, Z)
-
-
-def compact_svd(Q: np.ndarray, rank: int):
-    """Rank-`rank` compact SVD of a dense matrix; singular values descending."""
-    if rank == 0:
-        return np.zeros((Q.shape[0], 0)), np.zeros(0), np.zeros((Q.shape[1], 0))
-    U, s, Vt = np.linalg.svd(Q, full_matrices=False)
-    return U[:, :rank], s[:rank], Vt[:rank].T
 
 
 def svd_of_product(P: np.ndarray, Q: np.ndarray):
@@ -151,10 +146,11 @@ class FitState:
     """Mutable bundle passed between block updates.
 
     `y` holds the counts as float64 and `log_y_factorial` the sum of log y!
-    over them; both are computed once and shared with transposed twins.
+    over them; make_state computes both once, and transposed twins share them.
     """
 
-    Y: DataMatrix
+    y: np.ndarray = field(repr=False)
+    log_y_factorial: float
     cov: CovariateSet
     params: GbmParams
     prior: PriorConfig
@@ -162,23 +158,16 @@ class FitState:
     adapt: AdaptiveStepState
     work: nb.NbWorkspace = None
     clamp_events: int = 0
-    y: np.ndarray = field(default=None, repr=False)
-    log_y_factorial: float = None
-
-    def __post_init__(self):
-        if self.y is None:
-            self.y = self.Y.values.astype(np.float64)
-            self.log_y_factorial = float(np.sum(gammaln(self.y + 1.0)))
 
     def transposed(self) -> "FitState":
         """The same state for Y', sharing the arrays, the workspace included."""
-        return FitState(Y=self.Y.transposed(), cov=self.cov.transposed(),
+        return FitState(y=self.y.T, log_y_factorial=self.log_y_factorial,
+                        cov=self.cov.transposed(),
                         params=self.params.transposed(), prior=self.prior.transposed(),
                         config=self.config,
                         adapt=AdaptiveStepState(rho_s=self.adapt.rho_t, rho_t=self.adapt.rho_s),
                         work=self.work.transposed() if self.work is not None else None,
-                        clamp_events=self.clamp_events, y=self.y.T,
-                        log_y_factorial=self.log_y_factorial)
+                        clamp_events=self.clamp_events)
 
     def refresh(self, mean=True, dispersion=True):
         """Bring the workspace up to date with the parameters.
@@ -225,7 +214,9 @@ class FitState:
 def make_state(Y, cov, params, prior=None, config=None) -> FitState:
     prior = prior or PriorConfig()
     config = config or FitConfig()
-    state = FitState(Y=Y, cov=cov, params=params, prior=prior, config=config,
+    y = Y.values.astype(np.float64)
+    state = FitState(y=y, log_y_factorial=float(np.sum(gammaln(y + 1.0))), cov=cov,
+                     params=params, prior=prior, config=config,
                      adapt=AdaptiveStepState.fresh(cov.I, cov.J, config.rho))
     state.refresh()
     return state
@@ -250,15 +241,17 @@ def project_g(state: FitState, G: np.ndarray):
     own projection through C) and refactors G V' by compact SVD so that the
     new (U, D, V) satisfy the orthonormality constraints.  The linear
     predictor of the pre-projection state (with latent part G V') is
-    preserved exactly.
+    preserved exactly.  G is projected twice: when most of G lies in
+    span(X), one pass leaves a remainder of that part's rounding error,
+    which the SVD blows up to the scale of U; the second pass removes it
+    ("twice is enough", Giraud et al., Numer. Math. 2005).
     """
     p, cov = state.params, state.cov
-    Q = cov.Xplus @ G
-    G = G - cov.X @ Q
-    p.A += p.V @ Q.T
-    Q2 = cov.Zplus @ p.A
-    p.A -= cov.Z @ Q2
-    p.C += Q2.T
+    for _ in range(2):
+        Q = cov.Xplus @ G
+        G = G - cov.X @ Q
+        p.A += p.V @ Q.T
+    project_a(state)
     p.U, p.D, p.V = svd_of_product(G, p.V)
 
 
@@ -445,15 +438,14 @@ def update_s(state: FitState):
 update_t = _mirrored(update_s)   # column offsets, prior lambda_t and m_t
 
 
-def bias_correct_dispersions(state: FitState, s_floor=None, t_floor=None):
-    """Softplus-floor the log-dispersion offsets, then re-project.
+def bias_correct_dispersions(state: FitState):
+    """Softplus-floor the log-dispersion offsets at config.s_floor and
+    config.t_floor, then re-project.
 
     Applied once after the final iteration; counteracts the downward bias
     of the offsets when the true values are very low.
     """
-    p = state.params
-    s_floor = state.config.s_floor if s_floor is None else s_floor
-    t_floor = state.config.t_floor if t_floor is None else t_floor
+    p, s_floor, t_floor = state.params, state.config.s_floor, state.config.t_floor
     p.S = s_floor + np.logaddexp(0.0, p.S - s_floor)
     project_s(state)
     p.T = t_floor + np.logaddexp(0.0, p.T - t_floor)
@@ -486,9 +478,11 @@ def initial_params(Y: DataMatrix, cov: CovariateSet, M: int,
 
     A, B, C minimize the sum of squared log-scale residuals with the latent
     part excluded (which keeps the factors from chasing outliers before the
-    dispersions are estimated); U, D, V come from the rank-M SVD of an
-    I x J matrix with i.i.d. Normal(0, 1e-16) entries; S, T, omega start at
-    zero and are refined by a few dispersion update cycles.
+    dispersions are estimated).  U and then V are uniform orthonormal frames
+    in the nullspaces of X' and Z', drawn by QR of I x M and J x M Gaussian
+    matrices from the seeded "init" stream (no I x J matrix is formed), and
+    D descends linearly from 1e-8 (sqrt(I) + sqrt(J)) to half that.  S, T,
+    omega start at zero and are refined by INIT_ST_ITERS dispersion cycles.
     """
     prior = prior or PriorConfig()
     config = config or FitConfig()
@@ -499,12 +493,13 @@ def initial_params(Y: DataMatrix, cov: CovariateSet, M: int,
     A = (cov.Xplus @ logy - C @ cov.Z.T).T
     B = logy @ cov.Zplus.T - cov.X @ C
     rng = stream_rng(config.seed, "init")
-    noise = rng.normal(scale=1e-8, size=(cov.I, cov.J))
-    U, D, V = compact_svd(noise, M)
+    U = nullspace_frame(cov.X, M, rng)
+    V = nullspace_frame(cov.Z, M, rng)
+    D = 1e-8 * (np.sqrt(cov.I) + np.sqrt(cov.J)) * np.linspace(1.0, 0.5, M)
     params = GbmParams(A=A, B=B, C=C, D=D, U=U, V=V,
                        S=np.zeros(cov.I), T=np.zeros(cov.J), omega=0.0)
     state = make_state(Y, cov, params, prior, config)
-    for _ in range(config.init_st_iters):
+    for _ in range(INIT_ST_ITERS):
         update_s(state)
         update_t(state)
     return state.params

@@ -200,8 +200,7 @@ def _squares(a, axis):
     return np.einsum("ij,ij->j" if axis == 0 else "ij,ij->i", a, a)
 
 
-def joint_uv_uncertainty(pieces: InferencePieces, params: GbmParams, cov: CovariateSet,
-                         prior: PriorConfig):
+def joint_uv_uncertainty(pieces: InferencePieces, params: GbmParams, cov: CovariateSet):
     """Variances of vec(U') and vec(V') from the bordered joint system.
 
     Keeps the independent constraint rows (orthonormality rows (a, m) and
@@ -225,7 +224,7 @@ def joint_uv_uncertainty(pieces: InferencePieces, params: GbmParams, cov: Covari
         return np.zeros(0), np.zeros(0)
     if cov.I < cov.J:
         varV, varU = joint_uv_uncertainty(pieces.transposed(), params.transposed(),
-                                          cov.transposed(), prior.transposed())
+                                          cov.transposed())
         return varU, varV
     I, JM = cov.I, cov.J * M
     jac = constraint_jacobians(params, cov)
@@ -344,8 +343,7 @@ def _interaction_variance_from_a(pieces, cov, varA):
     return var
 
 
-def propagate_ab_to_c(pieces: InferencePieces, params: GbmParams, cov: CovariateSet,
-                      varA=None, varB=None):
+def propagate_ab_to_c(pieces: InferencePieces, cov: CovariateSet, varA=None, varB=None):
     """Extra variance of vec(C) due to uncertainty in A and in B.
 
     varA/varB are the full per-entry variances (conditional plus latent-
@@ -371,15 +369,20 @@ def _score_sensitivities(W, E, mu, r):
     return Q, P
 
 
+def _dispersion_response(Q, P, invF, grad):
+    """n x J response R = (-invF^2 grad)(Q - P) + invF Q of the one-step
+    offset estimates to the linear predictor, through which both dispersion
+    Jacobians factor."""
+    return (-invF ** 2 * grad)[:, None] * (Q - P) + invF[:, None] * Q
+
+
 def dispersion_jacobian_same_axis(Q, P, scaled_other, invF, gradv):
     """d (one-step offset estimate) / d (same-axis factor row), all rows.
 
     Q, P are n x J; scaled_other is the J x M other-axis factor times D.
     Returns n x M: row i holds the sensitivities to factor row i.
     """
-    dgrad = Q @ scaled_other
-    dF = dgrad - P @ scaled_other
-    return (-invF ** 2 * gradv)[:, None] * dF + invF[:, None] * dgrad
+    return _dispersion_response(Q, P, invF, gradv) @ scaled_other
 
 
 def dispersion_jacobian_other_axis(Q, P, scaled_same, invF, gradv):
@@ -388,21 +391,18 @@ def dispersion_jacobian_other_axis(Q, P, scaled_same, invF, gradv):
     scaled_same is the n x M same-axis factor times D.  Returns n x J x M.
     Analytic reference only: the standard errors contract it without forming it.
     """
-    dgrad = Q[:, :, None] * scaled_same[:, None, :]
-    dF = dgrad - P[:, :, None] * scaled_same[:, None, :]
-    return (-invF ** 2 * gradv)[:, None, None] * dF + invF[:, None, None] * dgrad
+    return _dispersion_response(Q, P, invF, gradv)[:, :, None] * scaled_same[:, None, :]
 
 
 def _offset_variances(Q, P, invF, grad, same, other):
     """Extra variances of the n one-step offsets, keyed by source block.
 
-    Both dispersion Jacobians factor through R = (-invF^2 grad)(Q - P) +
-    invF Q (n x J): the same-axis one is R @ scaled_other and the other-axis
-    one has entries scaled_same[n, m] R[n, j].  `same` maps a source to
-    (scaled_other J x m, its variances n x m), `other` to (scaled_same n x m,
-    its variances J x m).
+    With R = _dispersion_response(Q, P, invF, grad), the same-axis Jacobian
+    is R @ scaled_other and the other-axis one has entries
+    scaled_same[n, m] R[n, j].  `same` maps a source to (scaled_other J x m,
+    its variances n x m), `other` to (scaled_same n x m, its variances J x m).
     """
-    R = (-invF ** 2 * grad)[:, None] * (Q - P) + invF[:, None] * Q
+    R = _dispersion_response(Q, P, invF, grad)
     R2 = R ** 2
     out = {name: np.einsum("nm,nm->n", (R @ scaled) ** 2, var)
            for name, (scaled, var) in same.items()}
@@ -469,13 +469,13 @@ def standard_errors(Y, params: GbmParams, cov: CovariateSet,
     pieces = preprocess(Y, params, cov, prior)
     clock.append(time.perf_counter())
     M = params.M
-    varU, varV = joint_uv_uncertainty(pieces, params, cov, prior)
+    varU, varV = joint_uv_uncertainty(pieces, params, cov)
     clock.append(time.perf_counter())
     varAfromU, varAfromV, varBfromU, varBfromV = propagate_uv_to_ab(pieces, params, cov, varU, varV)
     varA = np.einsum("jkk->jk", pieces.invFa).ravel() + varAfromU + varAfromV
     varB = np.einsum("ill->il", pieces.invFb).ravel() + varBfromU + varBfromV
     clock.append(time.perf_counter())
-    varCfromA, varCfromB = propagate_ab_to_c(pieces, params, cov, varA, varB)
+    varCfromA, varCfromB = propagate_ab_to_c(pieces, cov, varA, varB)
     varC = np.diag(pieces.invFc) + varCfromA + varCfromB
     clock.append(time.perf_counter())
     var_s, var_t = propagate_to_dispersions(pieces, params, cov, varA, varB, varU, varV)

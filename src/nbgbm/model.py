@@ -88,10 +88,6 @@ class DataMatrix:
     def J(self) -> int:
         return self.values.shape[1]
 
-    def transposed(self) -> "DataMatrix":
-        """Y' as a view of the same counts."""
-        return _unchecked(DataMatrix, values=self.values.T)
-
 
 class CovariateSet:
     """Row and column covariates with precomputed pseudoinverses.
@@ -247,8 +243,9 @@ class FitConfig:
 
     rho is the cap on the root-mean-square of every update step, tol the
     relative change of log-likelihood + log-prior that stops iteration,
-    epsilon the pseudocount used in log-scale residuals, and
-    s_floor/t_floor the bias-correction floors for the log-dispersions.
+    epsilon the pseudocount used in log-scale residuals,
+    s_floor/t_floor the bias-correction floors for the log-dispersions, and
+    seed the seed of the random latent factors of the initialization.
     """
 
     rho: float = 5.0
@@ -257,8 +254,6 @@ class FitConfig:
     epsilon: float = 0.125
     s_floor: float = -4.0
     t_floor: float = -4.0
-    standardize: bool = True
-    init_st_iters: int = 4
     seed: int = 0
 
     def __post_init__(self):
@@ -401,6 +396,20 @@ class ConstraintReport:
         if self.strict:
             ok = ok and self.u_signs_ok
         self.passed = ok
+
+
+def nullspace_frame(design: np.ndarray, M: int, rng) -> np.ndarray:
+    """n x M orthonormal frame with columns orthogonal to the design's span.
+
+    Gaussian draws projected out of span(design) and orthonormalized by QR,
+    with the signs fixed so that R has a positive diagonal: a uniformly
+    distributed (Haar) frame in that nullspace, at O(n M^2) cost.  M = 0
+    gives an n x 0 frame and draws nothing.
+    """
+    raw = rng.standard_normal((design.shape[0], M))
+    raw -= design @ np.linalg.solve(design.T @ design, design.T @ raw)
+    q, r = np.linalg.qr(raw)
+    return q * np.sign(np.diag(r))
 
 
 def first_nonzero_signs(U: np.ndarray) -> np.ndarray:

@@ -17,7 +17,8 @@ from scipy.special import gammaincinv, ndtr, ndtri
 
 from . import nb
 from .exceptions import DomainError, InputError, ShapeError
-from .model import CovariateSet, DataMatrix, GbmParams, linear_predictor
+from .model import (CovariateSet, DataMatrix, GbmParams, first_nonzero_signs,
+                    linear_predictor, nullspace_frame)
 from .rngstreams import stream_rng
 
 COVARIATE_SCHEMES = ("Normal", "Gamma", "Binary")
@@ -67,12 +68,10 @@ class SimScheme:
 
 @dataclass
 class SimTruth:
-    """Covariates, true parameters, and the derived mean/dispersion surfaces."""
+    """Covariates, true parameters, and the covariate clamp-event count."""
 
     cov: CovariateSet
     params0: GbmParams
-    mu0: np.ndarray
-    r0: np.ndarray
     clamp_events: int = 0
 
 
@@ -132,15 +131,6 @@ def _coef_draw(shape, scheme, var, rng):
     return rng.gamma(shape=2.0, scale=1.0 / rate, size=shape)
 
 
-def _nullspace_stiefel(design, M, rng):
-    """Orthonormal factor with columns orthogonal to the design's span."""
-    n = design.shape[0]
-    raw = rng.standard_normal((n, M))
-    raw -= design @ np.linalg.solve(design.T @ design, design.T @ raw)
-    q, r = np.linalg.qr(raw)
-    return q * np.sign(np.diag(r))
-
-
 def generate_parameters(cov: CovariateSet, M: int, scheme: str, rng) -> GbmParams:
     """True parameters satisfying every identifiability constraint.
 
@@ -158,20 +148,13 @@ def generate_parameters(cov: CovariateSet, M: int, scheme: str, rng) -> GbmParam
     C[0, 0] += 3.0
     A -= cov.Z @ (cov.Zplus @ A)
     B -= cov.X @ (cov.Xplus @ B)
-    if M > 0:
-        U = _nullspace_stiefel(cov.X, M, rng)
-        V = _nullspace_stiefel(cov.Z, M, rng)
-        base = np.sqrt(I) + np.sqrt(J)
-        D = np.sort(np.linspace(base, 2 * base, M))[::-1].copy()
-        for m in range(M):
-            nz = np.flatnonzero(U[:, m])
-            if nz.size and U[nz[0], m] < 0:
-                U[:, m] *= -1.0
-                V[:, m] *= -1.0
-    else:
-        U = np.zeros((I, 0))
-        V = np.zeros((J, 0))
-        D = np.zeros(0)
+    U = nullspace_frame(cov.X, M, rng)
+    V = nullspace_frame(cov.Z, M, rng)
+    flip = np.where(first_nonzero_signs(U) < 0, -1.0, 1.0)
+    U *= flip
+    V *= flip
+    base = np.sqrt(I) + np.sqrt(J)
+    D = np.sort(np.linspace(base, 2 * base, M))[::-1].copy()
     s = rng.standard_normal(I)
     t = rng.standard_normal(J)
     S = s - np.log(np.mean(np.exp(s)))
@@ -218,8 +201,7 @@ def simulate_dataset(scheme: SimScheme, replicate: int = 0):
     r0, _ = nb.inverse_dispersions(params0.S, params0.T, params0.omega)
     Y = generate_outcomes(mu0, r0, scheme.outcome,
                           stream_rng(scheme.seed, "outcomes", replicate))
-    truth = SimTruth(cov=cov, params0=params0, mu0=mu0, r0=r0, clamp_events=cx + cz)
-    return Y, truth
+    return Y, SimTruth(cov=cov, params0=params0, clamp_events=cx + cz)
 
 
 # ---------------------------------------------------------------------------

@@ -261,7 +261,7 @@ def test_criterion_04_joint_uv_oracle():
         result = est.fit(Y, truth.cov, M)
         prior = PriorConfig()
         pieces = inf.preprocess(Y, result.params, truth.cov, prior)
-        varU, varV = inf.joint_uv_uncertainty(pieces, result.params, truth.cov, prior)
+        varU, varV = inf.joint_uv_uncertainty(pieces, result.params, truth.cov)
         oU, oV = inf.joint_uv_dense_oracle(pieces, result.params, truth.cov)
         worst = max(worst,
                     np.abs(varU / oU - 1.0).max(),

@@ -129,6 +129,17 @@ class TestFit:
         assert params.A.shape == (12, 1)
         assert params.B.shape == (40, 1)
 
+    def test_no_standardize_keeps_centered_covariates(self, sim_dir, fit_dir, tmp_path):
+        X = nbio.read_matrix(sim_dir / "X.csv")
+        X[:, 1:] *= 3.0   # still centered, no longer unit mean square
+        nbio.write_matrix(tmp_path / "X3.csv", X)
+        out = tmp_path / "fit_raw"
+        assert run(["fit", "--counts", sim_dir / "Y.csv", "--row-covariates", tmp_path / "X3.csv",
+                    "--latent", 0, "--no-standardize", "--out", out]) == 0
+        assert nbio.read_json(out / "manifest.json")["config"]["standardize"] is False
+        np.testing.assert_array_equal(nbio.read_matrix(out / "X.csv"), X)
+        assert nbio.read_json(fit_dir / "manifest.json")["config"]["standardize"] is True
+
     def test_missing_file_is_input_error(self, tmp_path):
         code = run(["fit", "--counts", tmp_path / "nope.csv", "--out", tmp_path / "o"])
         assert code == 3

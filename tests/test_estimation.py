@@ -63,6 +63,22 @@ class TestInitialization:
         assert np.all(params.D > 0)
         assert np.all(params.D <= 1e-7)
 
+    @pytest.mark.parametrize("M", [1, 2])
+    def test_latent_frames_in_the_covariate_nullspaces(self, M):
+        Y, truth = simulate_dataset(SimScheme(dims=(25, 12, 3, 2, M), seed=2))
+        params = est.initial_params(Y, truth.cov, M)
+        eye = np.eye(M)
+        assert np.abs(truth.cov.X.T @ params.U).max() <= 1e-12
+        assert np.abs(truth.cov.Z.T @ params.V).max() <= 1e-12
+        assert np.abs(params.U.T @ params.U - eye).max() <= 1e-12
+        assert np.abs(params.V.T @ params.V - eye).max() <= 1e-12
+
+    def test_no_latent_factors_gives_empty_factors(self):
+        Y, truth = simulate_dataset(SimScheme(dims=(25, 12, 2, 2, 0), seed=2))
+        params = est.initial_params(Y, truth.cov, 0)
+        assert params.U.shape == (25, 0) and params.V.shape == (12, 0)
+        assert params.D.shape == (0,)
+
     def test_m_too_large(self):
         Y = DataMatrix(np.ones((4, 3), dtype=int))
         cov = CovariateSet(np.ones((4, 1)), np.ones((3, 1)))
@@ -468,6 +484,15 @@ class TestFit:
             result = est.fit(DataMatrix(np.zeros((20, 10), dtype=int)), cov, 1)
         assert result.params.D[0] < 1e-8
         assert not result.constraints.d_positive and not result.constraints.passed
+
+    def test_all_zero_counts_keep_factors_orthogonal_to_covariates(self):
+        # G lies almost wholly in span(X) here; one projection pass would
+        # leave its rounding error in X'U
+        cov = est.prepare_covariates(np.ones((20, 1)), np.ones((10, 1)))
+        with pytest.warns(UserWarning, match="constraint tolerance"):
+            result = est.fit(DataMatrix(np.zeros((20, 10), dtype=int)), cov, 1)
+        assert result.constraints.max_xtu <= 1e-12
+        assert result.constraints.max_ztv <= 1e-12
 
     def test_trace_is_monotone_after_transient(self):
         scheme = SimScheme(dims=(120, 30, 2, 2, 1), seed=5)

@@ -102,7 +102,7 @@ class TestJointUv:
         result = est.fit(Y, truth.cov, M)
         prior = PriorConfig()
         pieces = inf.preprocess(Y, result.params, truth.cov, prior)
-        varU, varV = inf.joint_uv_uncertainty(pieces, result.params, truth.cov, prior)
+        varU, varV = inf.joint_uv_uncertainty(pieces, result.params, truth.cov)
         oU, oV = inf.joint_uv_dense_oracle(pieces, result.params, truth.cov)
         np.testing.assert_allclose(varU, oU, rtol=1e-8)
         np.testing.assert_allclose(varV, oV, rtol=1e-8)
@@ -116,7 +116,7 @@ class TestJointUv:
         result = est.fit(Y, truth.cov, M)
         prior = PriorConfig()
         pieces = inf.preprocess(Y, result.params, truth.cov, prior)
-        varU, varV = inf.joint_uv_uncertainty(pieces, result.params, truth.cov, prior)
+        varU, varV = inf.joint_uv_uncertainty(pieces, result.params, truth.cov)
         oU, oV = inf.joint_uv_dense_oracle(pieces, result.params, truth.cov)
         np.testing.assert_allclose(varU, oU, rtol=1e-8)
         np.testing.assert_allclose(varV, oV, rtol=1e-8)
@@ -129,7 +129,7 @@ class TestJointUv:
         JM = cov.J * params.M
         tracemalloc.start()
         try:
-            inf.joint_uv_uncertainty(pieces, params, cov, prior)
+            inf.joint_uv_uncertainty(pieces, params, cov)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -149,7 +149,7 @@ class TestJointUv:
         prior = PriorConfig()
         pieces = inf.preprocess(Y, params, cov, prior)
         with pytest.raises(RankError):
-            inf.joint_uv_uncertainty(pieces, params, cov, prior)
+            inf.joint_uv_uncertainty(pieces, params, cov)
 
     def test_proposition_leading_submatrix_equality(self):
         # bordering with F versus F + J'J leaves the leading block unchanged
@@ -179,7 +179,7 @@ class TestJointUv:
         result = est.fit(Y, truth.cov, 0)
         prior = PriorConfig()
         pieces = inf.preprocess(Y, result.params, truth.cov, prior)
-        varU, varV = inf.joint_uv_uncertainty(pieces, result.params, truth.cov, prior)
+        varU, varV = inf.joint_uv_uncertainty(pieces, result.params, truth.cov)
         assert varU.size == 0 and varV.size == 0
 
 
@@ -195,10 +195,10 @@ class TestPropagation:
     def test_outputs_nonnegative(self, fitted):
         Y, truth, result, prior, pieces = fitted
         cov = truth.cov
-        varU, varV = inf.joint_uv_uncertainty(pieces, result.params, cov, prior)
+        varU, varV = inf.joint_uv_uncertainty(pieces, result.params, cov)
         out = inf.propagate_uv_to_ab(pieces, result.params, cov, varU, varV)
         assert all(np.all(v >= 0) for v in out)
-        varCa, varCb = inf.propagate_ab_to_c(pieces, result.params, cov)
+        varCa, varCb = inf.propagate_ab_to_c(pieces, cov)
         assert np.all(varCa >= 0) and np.all(varCb >= 0)
 
     def test_zero_score_kills_dispersion_edges(self):
@@ -244,7 +244,7 @@ class TestPropagation:
         Y = np.triu(upper) + np.triu(upper, 1).T  # symmetric counts
         prior = PriorConfig()
         pieces = inf.preprocess(DataMatrix(Y), params, cov, prior)
-        varU, varV = inf.joint_uv_uncertainty(pieces, params, cov, prior)
+        varU, varV = inf.joint_uv_uncertainty(pieces, params, cov)
         varA = np.einsum("jkk->jk", pieces.invFa).ravel()
         varB = np.einsum("ill->il", pieces.invFb).ravel()
         var_s, var_t = inf.propagate_to_dispersions(pieces, params, cov,
@@ -427,7 +427,7 @@ class TestFullFisherOracle:
         result = est.fit(Y, truth.cov, 1)
         prior = PriorConfig()
         pieces = inf.preprocess(Y, result.params, truth.cov, prior)
-        varU, varV = inf.joint_uv_uncertainty(pieces, result.params, truth.cov, prior)
+        varU, varV = inf.joint_uv_uncertainty(pieces, result.params, truth.cov)
         oU, oV = inf.joint_uv_dense_oracle(pieces, result.params, truth.cov)
         np.testing.assert_allclose(varU, oU, rtol=1e-6)
         np.testing.assert_allclose(varV, oV, rtol=1e-6)
