@@ -21,13 +21,14 @@ __version__ = "0.1.0"
 # submodule -> the public names it defines
 _EXPORTS = {
     "estimation": ("FitResult", "bias_correct_dispersions", "bounded_fisher_step", "fit",
-                   "initial_params", "prepare_covariates", "standardize_covariates"),
+                   "initial_params", "prepare_covariates"),
     "inference": ("InferenceResult", "full_fisher_variances", "joint_uv_uncertainty",
                   "standard_errors", "wald_tests"),
     "metrics": ("WeightedSeries", "lrse", "weighted_moving_average", "wmad"),
     "model": ("CovariateSet", "DataMatrix", "FitConfig", "GbmParams", "PriorConfig",
               "check_constraints", "linear_predictor", "partial_residuals",
-              "residual_precisions", "residuals", "sum_of_squares_decomposition"),
+              "residual_precisions", "residuals", "standardize_covariates",
+              "sum_of_squares_decomposition"),
     "simulate": ("SimScheme", "SimTruth", "align_latent_factors", "coverage_curve",
                  "generate_covariates", "generate_outcomes", "generate_parameters",
                  "relative_mse", "simulate_dataset"),

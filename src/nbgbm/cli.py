@@ -18,9 +18,8 @@ import sys
 import time
 import warnings
 
-from .exceptions import InputError, NbgbmError, NumericError
-
-__version__ = "0.1.0"
+from . import __version__
+from .exceptions import DomainError, InputError, NbgbmError, NumericError
 
 EXIT_USAGE = 2
 EXIT_INPUT = 3
@@ -33,22 +32,43 @@ def _set_threads(n):
         os.environ[var] = str(n)
 
 
-PRIOR_BLOCKS = "abcduvst"
+PRIOR_FIELDS = tuple(f"lambda_{name}" for name in "abcduvst") + ("m_s", "m_t")
 
 
 def _add_prior_args(parser):
-    """The --lambda-* prior precisions and --m-s/--m-t prior means."""
-    for name in PRIOR_BLOCKS:
-        parser.add_argument(f"--lambda-{name}", type=float, default=1.0)
-    parser.add_argument("--m-s", type=float, default=0.0)
-    parser.add_argument("--m-t", type=float, default=0.0)
+    """The --lambda-* prior precisions (default 1) and --m-s/--m-t prior
+    means (default 0) of `fit`."""
+    for name in PRIOR_FIELDS:
+        parser.add_argument("--" + name.replace("_", "-"), type=float,
+                            default=1.0 if name.startswith("lambda") else 0.0)
 
 
-def _prior_config(args):
+def _prior_config(settings):
+    """PriorConfig from a mapping holding every prior field: the parsed `fit`
+    flags or the `config` of a fit manifest."""
     from .model import PriorConfig
 
-    return PriorConfig(**{f"lambda_{n}": getattr(args, f"lambda_{n}") for n in PRIOR_BLOCKS},
-                       m_s=args.m_s, m_t=args.m_t)
+    return PriorConfig(**{name: float(settings[name]) for name in PRIOR_FIELDS})
+
+
+def _fit_prior(fit_dir):
+    """The prior the fit in `fit_dir` maximized, read from its manifest.
+
+    Standard errors are taken at the MAP estimate, so they hold only under
+    that prior.  A directory without a manifest (simulate's truth/) gets the
+    default prior."""
+    from . import io
+    from .model import PriorConfig
+
+    path = os.path.join(fit_dir, "manifest.json")
+    if not os.path.exists(path):
+        return PriorConfig()
+    try:
+        return _prior_config(io.read_json(path)["config"])
+    except KeyError as err:
+        raise InputError(f"{path} has no field {err}; infer needs the fit's prior") from err
+    except (TypeError, ValueError, DomainError) as err:
+        raise InputError(f"{path}: invalid fit manifest ({err})") from err
 
 
 @contextlib.contextmanager
@@ -88,16 +108,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--out", required=True, help="output directory")
     p_fit.add_argument("--max-iter", type=int, default=50)
     p_fit.add_argument("--tol", type=float, default=1e-6)
-    p_fit.add_argument("--rho", type=float, default=5.0)
-    p_fit.add_argument("--epsilon", type=float, default=0.125)
     p_fit.add_argument("--seed", type=int, default=0)
     p_fit.add_argument("--no-standardize", action="store_true",
                        help="keep covariates on their original scale")
     _add_prior_args(p_fit)
-    p_fit.add_argument("--s-floor", type=float, default=-4.0)
-    p_fit.add_argument("--t-floor", type=float, default=-4.0)
 
-    p_inf = sub.add_parser("infer", help="standard errors and Wald tests for a fit")
+    p_inf = sub.add_parser("infer", help="standard errors and Wald tests for a fit, "
+                                         "under the prior recorded in its manifest")
     p_inf.add_argument("--counts", required=True)
     p_inf.add_argument("--fit-dir", required=True, help="directory written by `fit`")
     p_inf.add_argument("--out", required=True)
@@ -106,7 +123,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_inf.add_argument("--level", type=float, default=0.95)
     p_inf.add_argument("--oracle-full-fisher", action="store_true",
                        help="also run the dense bordered-Fisher oracle (small problems only)")
-    _add_prior_args(p_inf)
 
     p_sim = sub.add_parser("simulate", help="draw a synthetic dataset with known truth")
     p_sim.add_argument("--scheme", default="NB/Normal/Normal",
@@ -148,10 +164,8 @@ def cmd_fit(args) -> int:
         if Z.shape[0] != Y.J:
             raise InputError(f"column covariates {args.col_covariates} have {Z.shape[0]} rows, "
                              f"counts {args.counts} have {Y.J} columns")
-        prior = _prior_config(args)
-        config = FitConfig(rho=args.rho, tol=args.tol, max_iter=args.max_iter,
-                           epsilon=args.epsilon, s_floor=args.s_floor, t_floor=args.t_floor,
-                           seed=args.seed)
+        prior = _prior_config(vars(args))
+        config = FitConfig(tol=args.tol, max_iter=args.max_iter, seed=args.seed)
         cov = estimation.prepare_covariates(X, Z, standardize=not args.no_standardize)
         result = estimation.fit(Y, cov, args.latent, prior, config)
     report = result.constraints
@@ -197,7 +211,7 @@ def cmd_infer(args) -> int:
         X = io.read_matrix(os.path.join(args.fit_dir, "X.csv"))
         Z = io.read_matrix(os.path.join(args.fit_dir, "Z.csv"))
         cov = CovariateSet(X, Z)
-        prior = _prior_config(args)
+        prior = _fit_prior(args.fit_dir)
         result = inference.standard_errors(Y, params, cov, prior)
         os.makedirs(args.out, exist_ok=True)
         for name, block in result.blocks().items():

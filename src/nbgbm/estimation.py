@@ -3,7 +3,7 @@
 Each outer iteration cycles through the blocks A, B, C, D, G = U*D,
 H = V*D, S, T.  Every block update is an optimization-projection step:
 a regularized Fisher-scoring (or Newton, for S/T) step whose root mean
-square is capped at rho, followed by a projection back onto the
+square is capped at RHO, followed by a projection back onto the
 identifiability-constrained parameter set that leaves the linear predictor
 (hence the likelihood) unchanged by compensating through other blocks.
 
@@ -37,14 +37,9 @@ import numpy as np
 from scipy.special import gammaln
 
 from . import nb
-from .exceptions import (
-    DegenerateCovariateError,
-    DomainError,
-    NumericError,
-    RankError,
-    ShapeError,
-)
+from .exceptions import NumericError, ShapeError
 from .model import (
+    EPSILON,
     ConstraintReport,
     CovariateSet,
     DataMatrix,
@@ -55,32 +50,13 @@ from .model import (
     first_nonzero_signs,
     linear_predictor,
     nullspace_frame,
+    standardize_covariates,
 )
 from .rngstreams import stream_rng
 
-INIT_ST_ITERS = 4   # S/T update cycles that refine the initial dispersions
-
-
-def standardize_covariates(Xraw: np.ndarray) -> np.ndarray:
-    """Center non-intercept columns and scale them to unit mean square.
-
-    Column 1 (the intercept) is left untouched and must already be all ones.
-    """
-    X = np.array(Xraw, dtype=np.float64)
-    if X.ndim != 2:
-        raise ShapeError("covariate matrix must be 2-d")
-    if not np.allclose(X[:, 0], 1.0):
-        raise DomainError("first covariate column must be all ones")
-    n = X.shape[0]
-    for k in range(1, X.shape[1]):
-        col = X[:, k] - X[:, k].mean()
-        ms = np.mean(col ** 2)
-        if ms <= 1e-12 * max(1.0, np.mean(X[:, k] ** 2)):
-            raise DegenerateCovariateError(f"covariate column {k} has zero variance")
-        X[:, k] = col / np.sqrt(ms)
-    if np.linalg.matrix_rank(X) < X.shape[1]:
-        raise RankError("covariate matrix is rank deficient after standardization")
-    return X
+INIT_ST_ITERS = 4    # S/T update cycles that refine the initial dispersions
+RHO = 5.0            # cap on the root mean square of every update step
+OFFSET_FLOOR = -4.0  # softplus floor of the S and T offsets in bias_correct_dispersions
 
 
 def prepare_covariates(X, Z, standardize=True) -> CovariateSet:
@@ -154,7 +130,6 @@ class FitState:
     cov: CovariateSet
     params: GbmParams
     prior: PriorConfig
-    config: FitConfig
     adapt: AdaptiveStepState
     work: nb.NbWorkspace = None
     clamp_events: int = 0
@@ -164,7 +139,6 @@ class FitState:
         return FitState(y=self.y.T, log_y_factorial=self.log_y_factorial,
                         cov=self.cov.transposed(),
                         params=self.params.transposed(), prior=self.prior.transposed(),
-                        config=self.config,
                         adapt=AdaptiveStepState(rho_s=self.adapt.rho_t, rho_t=self.adapt.rho_s),
                         work=self.work.transposed() if self.work is not None else None,
                         clamp_events=self.clamp_events)
@@ -211,13 +185,12 @@ class FitState:
         return loglik + float(logprior)
 
 
-def make_state(Y, cov, params, prior=None, config=None) -> FitState:
+def make_state(Y, cov, params, prior=None) -> FitState:
     prior = prior or PriorConfig()
-    config = config or FitConfig()
     y = Y.values.astype(np.float64)
     state = FitState(y=y, log_y_factorial=float(np.sum(gammaln(y + 1.0))), cov=cov,
-                     params=params, prior=prior, config=config,
-                     adapt=AdaptiveStepState.fresh(cov.I, cov.J, config.rho))
+                     params=params, prior=prior,
+                     adapt=AdaptiveStepState.fresh(cov.I, cov.J, RHO))
     state.refresh()
     return state
 
@@ -318,7 +291,7 @@ def update_a(state: FitState):
     p, cov, w = state.params, state.cov, state.work
     F = _row_fisher_blocks(w.W, cov.X)                    # (J, K, K)
     rhs = w.E.T @ cov.X - state.prior.lambda_a * p.A      # (J, K)
-    p.A += _batched_capped_solve(F, rhs, state.prior.lambda_a, state.config.rho)
+    p.A += _batched_capped_solve(F, rhs, state.prior.lambda_a, RHO)
     project_a(state)
     state.refresh(dispersion=False)
 
@@ -346,7 +319,7 @@ def update_c(state: FitState):
     F = fisher_c(w.W, cov)
     grad = (cov.X.T @ w.E @ cov.Z).ravel(order="F")
     vecC = p.C.ravel(order="F")
-    vecC = bounded_fisher_step(vecC, grad, F, state.prior.lambda_c, state.config.rho)
+    vecC = bounded_fisher_step(vecC, grad, F, state.prior.lambda_c, RHO)
     p.C = vecC.reshape(cov.K, cov.L, order="F")
     state.refresh(dispersion=False)
 
@@ -365,7 +338,7 @@ def update_d(state: FitState):
         return
     F = fisher_d(w.W, p.U, p.V)
     grad = np.einsum("im,im->m", p.U, w.E @ p.V)
-    p.D = bounded_fisher_step(p.D, grad, F, state.prior.lambda_d, state.config.rho)
+    p.D = bounded_fisher_step(p.D, grad, F, state.prior.lambda_d, RHO)
     state.refresh(dispersion=False)
 
 
@@ -385,7 +358,7 @@ def update_g(state: FitState):
     lam = state.prior.lambda_d
     F = _row_fisher_blocks(w.W.T, p.V)                    # (I, M, M)
     rhs = w.E @ p.V - lam * G
-    G = G + _batched_capped_solve(F, rhs, lam, state.config.rho)
+    G = G + _batched_capped_solve(F, rhs, lam, RHO)
     project_g(state, G)
     state.refresh(dispersion=False)
 
@@ -430,7 +403,7 @@ def update_s(state: FitState):
     grad = _recentred_prior_gradient(p.S, pr.lambda_s, pr.m_s) + derivs.delta.sum(axis=1)
     hess = -pr.lambda_s + derivs.delta_prime.sum(axis=1)
     p.S, exceeded = _newton_dispersion_step(p.S, grad, hess, state.adapt.rho_s)
-    state.adapt.rho_s = np.where(exceeded, state.adapt.rho_s / 2.0, state.config.rho)
+    state.adapt.rho_s = np.where(exceeded, state.adapt.rho_s / 2.0, RHO)
     project_s(state)
     state.refresh(mean=False)
 
@@ -439,16 +412,16 @@ update_t = _mirrored(update_s)   # column offsets, prior lambda_t and m_t
 
 
 def bias_correct_dispersions(state: FitState):
-    """Softplus-floor the log-dispersion offsets at config.s_floor and
-    config.t_floor, then re-project.
+    """Softplus-floor the log-dispersion offsets S and T at OFFSET_FLOOR,
+    then re-project.
 
     Applied once after the final iteration; counteracts the downward bias
     of the offsets when the true values are very low.
     """
-    p, s_floor, t_floor = state.params, state.config.s_floor, state.config.t_floor
-    p.S = s_floor + np.logaddexp(0.0, p.S - s_floor)
+    p = state.params
+    p.S = OFFSET_FLOOR + np.logaddexp(0.0, p.S - OFFSET_FLOOR)
     project_s(state)
-    p.T = t_floor + np.logaddexp(0.0, p.T - t_floor)
+    p.T = OFFSET_FLOOR + np.logaddexp(0.0, p.T - OFFSET_FLOOR)
     project_t(state)
 
 
@@ -488,7 +461,7 @@ def initial_params(Y: DataMatrix, cov: CovariateSet, M: int,
     config = config or FitConfig()
     if M >= min(cov.I, cov.J):
         raise ShapeError(f"M = {M} must be smaller than min(I, J) = {min(cov.I, cov.J)}")
-    logy = np.log(Y.values + config.epsilon)
+    logy = np.log(Y.values + EPSILON)
     C = cov.Xplus @ logy @ cov.Zplus.T
     A = (cov.Xplus @ logy - C @ cov.Z.T).T
     B = logy @ cov.Zplus.T - cov.X @ C
@@ -498,7 +471,7 @@ def initial_params(Y: DataMatrix, cov: CovariateSet, M: int,
     D = 1e-8 * (np.sqrt(cov.I) + np.sqrt(cov.J)) * np.linspace(1.0, 0.5, M)
     params = GbmParams(A=A, B=B, C=C, D=D, U=U, V=V,
                        S=np.zeros(cov.I), T=np.zeros(cov.J), omega=0.0)
-    state = make_state(Y, cov, params, prior, config)
+    state = make_state(Y, cov, params, prior)
     for _ in range(INIT_ST_ITERS):
         update_s(state)
         update_t(state)
@@ -523,7 +496,6 @@ class FitResult:
     converged: bool
     iterations: int
     clamp_events: int
-    cov: CovariateSet = field(repr=False, default=None)
     constraints: ConstraintReport = field(repr=False, default=None)
 
 
@@ -550,7 +522,7 @@ def fit(Y, cov, M, prior: PriorConfig = None, config: FitConfig = None,
         params = init_params.copy()
         if params.M != M:
             raise ShapeError(f"init_params has M = {params.M}, expected {M}")
-    state = make_state(Y, cov, params, prior, config)
+    state = make_state(Y, cov, params, prior)
     updates = {
         "A": update_a, "B": update_b, "C": update_c, "D": update_d,
         "G": update_g, "H": update_h, "S": update_s, "T": update_t,
@@ -560,8 +532,6 @@ def fit(Y, cov, M, prior: PriorConfig = None, config: FitConfig = None,
     iterations = 0
     for it in range(1, config.max_iter + 1):
         for name in _UPDATE_CYCLE:
-            if M == 0 and name in ("D", "G", "H"):
-                continue
             try:
                 updates[name](state)
             except NumericError as err:
@@ -578,5 +548,5 @@ def fit(Y, cov, M, prior: PriorConfig = None, config: FitConfig = None,
     if not report.passed:
         warnings.warn("final state exceeds the constraint tolerance")
     return FitResult(params=state.params, trace=trace, converged=converged,
-                     iterations=iterations, clamp_events=state.clamp_events, cov=cov,
+                     iterations=iterations, clamp_events=state.clamp_events,
                      constraints=report)

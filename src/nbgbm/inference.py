@@ -337,20 +337,17 @@ def _interaction_variance_from_a(pieces, cov, varA):
     """Extra variance of vec(C) from A (see propagate_ab_to_c)."""
     jac = interaction_jacobian_from_a(pieces, cov)
     var = np.einsum("jck,jkl,jcl->c", jac, pieces.invFa, jac, optimize=True)
-    if varA is not None:
-        extra = np.maximum(varA.reshape(cov.J, cov.K) - np.einsum("jkk->jk", pieces.invFa), 0.0)
-        var += np.einsum("jck,jk->c", jac ** 2, extra, optimize=True)
-    return var
+    extra = np.maximum(varA.reshape(cov.J, cov.K) - np.einsum("jkk->jk", pieces.invFa), 0.0)
+    return var + np.einsum("jck,jk->c", jac ** 2, extra, optimize=True)
 
 
-def propagate_ab_to_c(pieces: InferencePieces, cov: CovariateSet, varA=None, varB=None):
+def propagate_ab_to_c(pieces: InferencePieces, cov: CovariateSet, varA, varB):
     """Extra variance of vec(C) due to uncertainty in A and in B.
 
     varA/varB are the full per-entry variances (conditional plus latent-
     propagated) in vec(A')/vec(B') order.  The conditional part contracts
     with the per-row inverse Fisher blocks; the propagated remainder, which
-    carries the latent-to-coefficient chain, contracts diagonally.  Omitting
-    varA/varB keeps the conditional part only.
+    carries the latent-to-coefficient chain, contracts diagonally.
     """
     varCfromA = _interaction_variance_from_a(pieces, cov, varA)
     varCfromB = _interaction_variance_from_a(pieces.transposed(), cov.transposed(), varB)

@@ -106,7 +106,7 @@ def _jsonify(obj):
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
-def build_manifest(command, config, seed, inputs, wall_time, convergence=None, version="0.1.0"):
+def build_manifest(command, config, seed, inputs, wall_time, version, convergence=None):
     """Run manifest emitted next to every command's outputs."""
     return {
         "command": command,

@@ -25,9 +25,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import DomainError, PreconditionError, ShapeError
+from .exceptions import (DegenerateCovariateError, DomainError, PreconditionError, RankError,
+                         ShapeError)
 
 CONSTRAINT_TOL = 1e-8
+EPSILON = 0.125   # pseudocount of the log-scale residuals log(y + EPSILON)
 
 
 def _unchecked(cls, **fields):
@@ -89,6 +91,27 @@ class DataMatrix:
         return self.values.shape[1]
 
 
+def standardize_covariates(Xraw: np.ndarray) -> np.ndarray:
+    """Center non-intercept columns and scale them to unit mean square.
+
+    Column 1 (the intercept) is left untouched and must already be all ones.
+    """
+    X = np.array(Xraw, dtype=np.float64)
+    if X.ndim != 2:
+        raise ShapeError("covariate matrix must be 2-d")
+    if not np.allclose(X[:, 0], 1.0):
+        raise DomainError("first covariate column must be all ones")
+    for k in range(1, X.shape[1]):
+        col = X[:, k] - X[:, k].mean()
+        ms = np.mean(col ** 2)
+        if ms <= 1e-12 * max(1.0, np.mean(X[:, k] ** 2)):
+            raise DegenerateCovariateError(f"covariate column {k} has zero variance")
+        X[:, k] = col / np.sqrt(ms)
+    if np.linalg.matrix_rank(X) < X.shape[1]:
+        raise RankError("covariate matrix is rank deficient after standardization")
+    return X
+
+
 class CovariateSet:
     """Row and column covariates with precomputed pseudoinverses.
 
@@ -99,8 +122,8 @@ class CovariateSet:
     Z : ndarray of shape (J, L)
         Column covariates, same conventions.
 
-    Use :func:`nbgbm.estimation.standardize_covariates` (or pass already
-    standardized matrices) before construction; the constructor validates
+    Use :func:`standardize_covariates` (or pass already standardized
+    matrices) before construction; the constructor validates
     the intercept/centering conventions and full column rank.
     """
 
@@ -241,30 +264,20 @@ class PriorConfig:
 class FitConfig:
     """Optimizer controls.
 
-    rho is the cap on the root-mean-square of every update step, tol the
-    relative change of log-likelihood + log-prior that stops iteration,
-    epsilon the pseudocount used in log-scale residuals,
-    s_floor/t_floor the bias-correction floors for the log-dispersions, and
-    seed the seed of the random latent factors of the initialization.
+    tol is the relative change of log-likelihood + log-prior that stops
+    iteration, and seed the seed of the random latent factors of the
+    initialization.
     """
 
-    rho: float = 5.0
     tol: float = 1e-6
     max_iter: int = 50
-    epsilon: float = 0.125
-    s_floor: float = -4.0
-    t_floor: float = -4.0
     seed: int = 0
 
     def __post_init__(self):
-        if self.rho <= 0:
-            raise DomainError("rho must be positive")
         if self.tol <= 0:
             raise DomainError("tol must be positive")
         if self.max_iter < 1:
             raise DomainError("max_iter must be at least 1")
-        if self.epsilon <= 0:
-            raise DomainError("epsilon must be positive")
 
 
 def _check_dims(params: GbmParams, cov: CovariateSet) -> None:
@@ -294,7 +307,7 @@ def linear_predictor(params: GbmParams, cov: CovariateSet) -> np.ndarray:
     return out
 
 
-def residuals(Y: DataMatrix, linpred: np.ndarray, epsilon: float = 0.125) -> np.ndarray:
+def residuals(Y: DataMatrix, linpred: np.ndarray, epsilon: float = EPSILON) -> np.ndarray:
     """log(Y + epsilon) minus the linear predictor (log link)."""
     if epsilon <= 0:
         raise DomainError("epsilon must be positive")
@@ -346,12 +359,12 @@ def sum_of_squares_decomposition(params: GbmParams, cov: CovariateSet) -> dict:
     Z'V = 0 (within CONSTRAINT_TOL), under which the four terms are
     mutually orthogonal and their sums of squares add up exactly.
     """
-    report = check_constraints(params, cov, tol=CONSTRAINT_TOL)
+    report = check_constraints(params, cov)
     ortho = max(report.max_zta, report.max_xtb, report.max_xtu, report.max_ztv)
-    scale = max(1.0, *(np.abs(q).max(initial=0.0) for q in (params.A, params.B, params.U, params.V)))
-    if ortho > CONSTRAINT_TOL * scale:
+    if ortho > CONSTRAINT_TOL * report.scale:
         raise PreconditionError(
-            f"orthogonality violation {ortho:.3e} exceeds {CONSTRAINT_TOL:.0e} * {scale:.3g}; "
+            f"orthogonality violation {ortho:.3e} exceeds "
+            f"{CONSTRAINT_TOL:.0e} * {report.scale:.3g}; "
             "decomposition is not valid"
         )
     X, Z = cov.X, cov.Z
@@ -381,21 +394,17 @@ class ConstraintReport:
     mean_exp_s: float
     mean_exp_t: float
     scale: float = 1.0
-    tol: float = CONSTRAINT_TOL
-    strict: bool = False
     passed: bool = field(init=False)
 
     def __post_init__(self):
-        ok = (
-            max(self.max_zta, self.max_xtb, self.max_xtu, self.max_ztv) <= self.tol * self.scale
-            and max(self.max_utu, self.max_vtv) <= self.tol
+        ortho = max(self.max_zta, self.max_xtb, self.max_xtu, self.max_ztv)
+        self.passed = (
+            ortho <= CONSTRAINT_TOL * self.scale
+            and max(self.max_utu, self.max_vtv) <= CONSTRAINT_TOL
             and self.d_ordered and self.d_positive
-            and abs(self.mean_exp_s - 1.0) <= self.tol
-            and abs(self.mean_exp_t - 1.0) <= self.tol
+            and abs(self.mean_exp_s - 1.0) <= CONSTRAINT_TOL
+            and abs(self.mean_exp_t - 1.0) <= CONSTRAINT_TOL
         )
-        if self.strict:
-            ok = ok and self.u_signs_ok
-        self.passed = ok
 
 
 def nullspace_frame(design: np.ndarray, M: int, rng) -> np.ndarray:
@@ -422,17 +431,17 @@ def first_nonzero_signs(U: np.ndarray) -> np.ndarray:
     return signs
 
 
-def check_constraints(params: GbmParams, cov: CovariateSet,
-                      tol: float = CONSTRAINT_TOL, strict: bool = False) -> ConstraintReport:
-    """Report per-condition max violations; `passed` compares them to tol.
+def check_constraints(params: GbmParams, cov: CovariateSet) -> ConstraintReport:
+    """Report per-condition max violations; `passed` compares them to
+    CONSTRAINT_TOL.
 
-    Product checks are compared against tol * max(1, largest |entry| of the
-    corresponding block) so the criterion is scale-free, and so is (d): a
-    singular value at or below tol times that scale is not positive, since
-    its factors are then fixed by rounding, not by the data (all-zero counts
-    drive D there).  The column sign
-    convention is reported always but only enters `passed` when strict=True,
-    since it is enforced only at finalization.
+    Product checks are compared against CONSTRAINT_TOL * max(1, largest
+    |entry| of the corresponding block) so the criterion is scale-free, and
+    so is (d): a singular value at or below CONSTRAINT_TOL times that scale
+    is not positive, since its factors are then fixed by rounding, not by
+    the data (all-zero counts drive D there).  The column sign convention
+    (u_signs_ok) is reported but does not enter `passed`, since it is
+    enforced only at finalization.
     """
     _check_dims(params, cov)
     M = params.M
@@ -452,12 +461,10 @@ def check_constraints(params: GbmParams, cov: CovariateSet,
         max_utu=maxabs(params.U.T @ params.U - eye),
         max_vtv=maxabs(params.V.T @ params.V - eye),
         d_ordered=bool(np.all(np.diff(params.D) < 0)) if M > 1 else True,
-        d_positive=bool(np.all(params.D > tol * scale)) if M else True,
+        d_positive=bool(np.all(params.D > CONSTRAINT_TOL * scale)) if M else True,
         u_signs_ok=bool(np.all(first_nonzero_signs(params.U) >= 0)),
         mean_exp_s=float(np.mean(np.exp(params.S))),
         mean_exp_t=float(np.mean(np.exp(params.T))),
         scale=scale,
-        tol=tol,
-        strict=strict,
     )
     return report

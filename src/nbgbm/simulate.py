@@ -18,7 +18,7 @@ from scipy.special import gammaincinv, ndtr, ndtri
 from . import nb
 from .exceptions import DomainError, InputError, ShapeError
 from .model import (CovariateSet, DataMatrix, GbmParams, first_nonzero_signs,
-                    linear_predictor, nullspace_frame)
+                    linear_predictor, nullspace_frame, standardize_covariates)
 from .rngstreams import stream_rng
 
 COVARIATE_SCHEMES = ("Normal", "Gamma", "Binary")
@@ -93,7 +93,7 @@ def generate_covariates(n: int, p: int, scheme: str, rng) -> np.ndarray:
     A random correlation matrix (normalized Q'Q with Gaussian Q) drives
     joint normal draws that are pushed through the scheme's inverse CDF and
     clamped at +-100; column one is then set to the intercept and the rest
-    centered and scaled to unit mean square.
+    centered and scaled to unit mean square by standardize_covariates.
     """
     mat, _ = generate_covariates_counted(n, p, scheme, rng)
     return mat
@@ -114,13 +114,7 @@ def generate_covariates_counted(n, p, scheme, rng):
     clamps = int(np.count_nonzero(np.abs(raw) > H_CLAMP))
     vals = np.sign(raw) * np.minimum(H_CLAMP, np.abs(raw))
     vals[:, 0] = 1.0
-    for k in range(1, p):
-        col = vals[:, k] - vals[:, k].mean()
-        ms = np.mean(col ** 2)
-        if ms <= 0:
-            raise DomainError(f"degenerate simulated covariate column {k}")
-        vals[:, k] = col / np.sqrt(ms)
-    return vals, clamps
+    return standardize_covariates(vals), clamps
 
 
 def _coef_draw(shape, scheme, var, rng):

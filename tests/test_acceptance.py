@@ -86,7 +86,7 @@ def test_criterion_01_projection_invariance():
         def check(label, state, before):
             after = linear_predictor(state.params, cov)
             gap = np.abs(before - after).max()
-            rep = check_constraints(state.params, cov, tol=1e-8)
+            rep = check_constraints(state.params, cov)
             if gap >= 1e-8 or not rep.passed:
                 failures.append((label, k, gap, rep.passed))
 

@@ -1,16 +1,50 @@
 import json
 import os
+import pathlib
+import re
+import shutil
 
 import numpy as np
 import pytest
 
+import nbgbm
 from nbgbm import io as nbio
 from nbgbm.cli import main
-from nbgbm.model import CONSTRAINT_TOL, GbmParams
+from nbgbm.inference import standard_errors
+from nbgbm.model import CONSTRAINT_TOL, CovariateSet, DataMatrix, GbmParams, PriorConfig
+
+PYPROJECT = pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"
 
 
 def run(args):
     return main([str(a) for a in args])
+
+
+def fit_with(sim_dir, out, *flags):
+    """`nbgbm fit` at the fixture's settings plus `flags`."""
+    code = run(["fit", "--counts", sim_dir / "Y.csv",
+                "--row-covariates", sim_dir / "X.csv",
+                "--col-covariates", sim_dir / "Z.csv",
+                "--latent", 1, "--seed", "3", "--out", out, *flags])
+    assert code == 0
+    return out
+
+
+def infer_flagless(sim_dir, fit_dir, out):
+    assert run(["infer", "--counts", sim_dir / "Y.csv", "--fit-dir", fit_dir, "--out", out]) == 0
+    return out
+
+
+def assert_se_files_equal_library(sim_dir, fit_dir, se_dir, prior, scratch):
+    """The se_*.csv files of `se_dir` hold, byte for byte, what the library
+    computes for the fit in `fit_dir` under `prior`."""
+    params = nbio.read_params(fit_dir)
+    cov = CovariateSet(nbio.read_matrix(fit_dir / "X.csv"), nbio.read_matrix(fit_dir / "Z.csv"))
+    result = standard_errors(DataMatrix(nbio.read_matrix(sim_dir / "Y.csv")), params, cov, prior)
+    for name, block in result.blocks().items():
+        nbio.write_matrix(scratch / f"se_{name}.csv", block)
+        assert (se_dir / f"se_{name}.csv").read_bytes() == \
+            (scratch / f"se_{name}.csv").read_bytes(), name
 
 
 @pytest.fixture(scope="module")
@@ -24,13 +58,17 @@ def sim_dir(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def fit_dir(sim_dir, tmp_path_factory):
-    out = tmp_path_factory.mktemp("fit")
-    code = run(["fit", "--counts", sim_dir / "Y.csv",
-                "--row-covariates", sim_dir / "X.csv",
-                "--col-covariates", sim_dir / "Z.csv",
-                "--latent", 1, "--seed", "3", "--out", out])
-    assert code == 0
-    return out
+    return fit_with(sim_dir, tmp_path_factory.mktemp("fit"))
+
+
+@pytest.fixture(scope="module")
+def fit_dir_lambda_b(sim_dir, tmp_path_factory):
+    return fit_with(sim_dir, tmp_path_factory.mktemp("fit_lambda_b"), "--lambda-b", "4")
+
+
+@pytest.fixture(scope="module")
+def infer_dir_lambda_b(sim_dir, fit_dir_lambda_b, tmp_path_factory):
+    return infer_flagless(sim_dir, fit_dir_lambda_b, tmp_path_factory.mktemp("se_lambda_b"))
 
 
 @pytest.fixture(scope="module")
@@ -89,7 +127,6 @@ class TestFit:
         assert manifest["convergence"]["iterations"] + 1 == trace.size
         assert manifest["config"]["max_iter"] == 50
         assert manifest["config"]["tol"] == 1e-6
-        assert manifest["config"]["rho"] == 5.0
         assert set(manifest["input_digests"]) == {"counts", "row_covariates", "col_covariates"}
         assert manifest["convergence"]["constraints_passed"] is True
         violations = manifest["convergence"]["constraint_violations"]
@@ -97,6 +134,10 @@ class TestFit:
                                    "max_utu", "max_vtv"}
         assert all(0.0 <= v <= CONSTRAINT_TOL for v in
                    (violations["max_utu"], violations["max_vtv"]))
+
+    def test_vector_blocks_are_single_rows(self, fit_dir):
+        for name, length in (("D", 1), ("S", 40), ("T", 12)):
+            assert nbio.read_matrix(fit_dir / f"{name}.csv").shape == (1, length), name
 
     def test_manifest_records_warnings(self, tmp_path, recwarn):
         # all-zero counts leave the final factors off the constraint set
@@ -181,23 +222,53 @@ class TestInfer:
         assert code == 0
         assert (out / "oracle_var_C.csv").exists()
 
-    def test_prior_flag_changes_standard_errors(self, sim_dir, fit_dir, infer_dir, tmp_path):
-        out = tmp_path / "se_lambda_b"
-        code = run(["infer", "--counts", sim_dir / "Y.csv", "--fit-dir", fit_dir,
-                    "--out", out, "--lambda-b", "4"])
-        assert code == 0
+    def test_prior_flag_changes_standard_errors(self, infer_dir_lambda_b, infer_dir):
+        out = infer_dir_lambda_b
         assert nbio.read_json(out / "manifest.json")["config"]["lambda_b"] == 4.0
         se_b = nbio.read_matrix(out / "se_B.csv")
         default = nbio.read_matrix(infer_dir / "se_B.csv")
         # a larger prior precision on B shrinks its conditional variances
         assert se_b.mean() < default.mean()
 
-    def test_manifest_records_every_prior_field(self, sim_dir, fit_dir, tmp_path):
-        out = tmp_path / "se_m_s"
-        code = run(["infer", "--counts", sim_dir / "Y.csv", "--fit-dir", fit_dir,
-                    "--out", out, "--m-s", "0.5"])
-        assert code == 0
+    def test_manifest_records_every_prior_field(self, sim_dir, tmp_path):
+        fit_dir = fit_with(sim_dir, tmp_path / "fit_m_s", "--m-s", "0.5")
+        out = infer_flagless(sim_dir, fit_dir, tmp_path / "se_m_s")
         assert nbio.read_json(out / "manifest.json")["config"]["m_s"] == 0.5
+
+    def test_standard_errors_use_the_fit_prior(self, sim_dir, fit_dir_lambda_b,
+                                               infer_dir_lambda_b, tmp_path):
+        assert_se_files_equal_library(sim_dir, fit_dir_lambda_b, infer_dir_lambda_b,
+                                      PriorConfig(lambda_b=4.0), tmp_path)
+
+    def test_directory_without_manifest_gets_default_prior(self, sim_dir, tmp_path):
+        truth = sim_dir / "truth"
+        out = infer_flagless(sim_dir, truth, tmp_path / "se_truth")
+        assert_se_files_equal_library(sim_dir, truth, out, PriorConfig(), tmp_path)
+
+    def test_prior_flags_are_usage_errors(self, sim_dir, fit_dir, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            run(["infer", "--counts", sim_dir / "Y.csv", "--fit-dir", fit_dir,
+                 "--out", tmp_path / "o", "--lambda-b", "4"])
+        assert exc.value.code == 2
+
+    def test_manifest_without_a_prior_field_is_input_error(self, sim_dir, fit_dir, tmp_path,
+                                                           capsys):
+        copy = tmp_path / "fit_copy"
+        shutil.copytree(fit_dir, copy)
+        manifest = nbio.read_json(copy / "manifest.json")
+        del manifest["config"]["lambda_b"]
+        nbio.write_json(copy / "manifest.json", manifest)
+        code = run(["infer", "--counts", sim_dir / "Y.csv", "--fit-dir", copy,
+                    "--out", tmp_path / "o"])
+        assert code == 3
+        assert "lambda_b" in capsys.readouterr().err
+
+    def test_manifests_record_the_package_version(self, sim_dir, fit_dir, infer_dir):
+        declared = re.search(r'^version = "(.+)"$', PYPROJECT.read_text(), re.MULTILINE).group(1)
+        assert nbgbm.__version__ == declared
+        for directory in (sim_dir, fit_dir, infer_dir):
+            manifest = nbio.read_json(directory / "manifest.json")
+            assert manifest["software_version"] == declared, directory
 
     def test_manifest_records_stage_seconds_and_warnings(self, infer_dir):
         manifest = nbio.read_json(infer_dir / "manifest.json")

@@ -7,6 +7,7 @@ from nbgbm import nb
 from nbgbm.exceptions import (DegenerateCovariateError, DomainError, NumericError, RankError,
                                ShapeError)
 from nbgbm.model import (
+    EPSILON,
     CovariateSet,
     DataMatrix,
     FitConfig,
@@ -383,8 +384,7 @@ class TestBiasCorrection:
         np.testing.assert_allclose(out, -4.0 + np.log(2.0))
 
     def test_defaults(self):
-        config = FitConfig()
-        assert config.s_floor == -4.0 and config.t_floor == -4.0
+        assert est.OFFSET_FLOOR == -4.0
 
 
 class TestFit:
@@ -395,11 +395,13 @@ class TestFit:
         assert result.converged
         assert result.iterations <= 50
         assert len(result.trace) == result.iterations + 1
-        assert check_constraints(result.params, truth.cov, strict=True).passed
+        report = check_constraints(result.params, truth.cov)
+        assert report.passed and report.u_signs_ok
 
     def test_default_config(self):
         config = FitConfig()
-        assert config.rho == 5.0 and config.tol == 1e-6 and config.max_iter == 50
+        assert est.RHO == 5.0 and config.tol == 1e-6 and config.max_iter == 50
+        assert EPSILON == 0.125
         prior = PriorConfig()
         assert all(getattr(prior, f"lambda_{n}") == 1.0 for n in "abcduvst")
 

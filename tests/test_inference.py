@@ -198,7 +198,9 @@ class TestPropagation:
         varU, varV = inf.joint_uv_uncertainty(pieces, result.params, cov)
         out = inf.propagate_uv_to_ab(pieces, result.params, cov, varU, varV)
         assert all(np.all(v >= 0) for v in out)
-        varCa, varCb = inf.propagate_ab_to_c(pieces, cov)
+        varCa, varCb = inf.propagate_ab_to_c(pieces, cov,
+                                             np.einsum("jkk->jk", pieces.invFa).ravel(),
+                                             np.einsum("ill->il", pieces.invFb).ravel())
         assert np.all(varCa >= 0) and np.all(varCb >= 0)
 
     def test_zero_score_kills_dispersion_edges(self):

@@ -76,8 +76,8 @@ class TestParameters:
         Z = generate_covariates(15, 2, "Normal", rng)
         cov = CovariateSet(X, Z)
         params = generate_parameters(cov, 2, "Normal", rng)
-        report = check_constraints(params, cov, strict=True)
-        assert report.passed
+        report = check_constraints(params, cov)
+        assert report.passed and report.u_signs_ok
         assert np.abs(cov.Z.T @ params.A).max() < 1e-10
         assert abs(np.mean(np.exp(params.S)) - 1.0) < 1e-12
 
