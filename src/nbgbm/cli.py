@@ -51,12 +51,13 @@ def _prior_config(settings):
     return PriorConfig(**{name: float(settings[name]) for name in PRIOR_FIELDS})
 
 
-def _fit_prior(fit_dir):
-    """The prior the fit in `fit_dir` maximized, read from its manifest.
+def _fit_prior(fit_dir, counts):
+    """The prior the fit in `fit_dir` maximized, read from its manifest,
+    after checking that `counts` hash to its input_digests.counts.
 
     Standard errors are taken at the MAP estimate, so they hold only under
-    that prior.  A directory without a manifest (simulate's truth/) gets the
-    default prior."""
+    that prior and for those counts.  A directory without a manifest
+    (simulate's truth/) is not checked and gets the default prior."""
     from . import io
     from .model import PriorConfig
 
@@ -64,11 +65,30 @@ def _fit_prior(fit_dir):
     if not os.path.exists(path):
         return PriorConfig()
     try:
-        return _prior_config(io.read_json(path)["config"])
+        manifest = io.read_json(path)
+        prior = _prior_config(manifest["config"])
+        fitted = manifest["input_digests"]["counts"]
     except KeyError as err:
-        raise InputError(f"{path} has no field {err}; infer needs the fit's prior") from err
+        raise InputError(f"{path} has no field {err}; infer needs the fit's prior "
+                         "and the digest of its counts") from err
     except (TypeError, ValueError, DomainError) as err:
         raise InputError(f"{path}: invalid fit manifest ({err})") from err
+    if io.file_digest(counts) != fitted:
+        raise InputError(f"{counts} are not the counts of the fit in {fit_dir}: their SHA-256 "
+                         f"differs from input_digests.counts in {path}")
+    return prior
+
+
+def _wald_column(spec, params):
+    """(block, 0-based column) of a --test BLOCK:COLUMN spec, checked against params."""
+    block_name, _, column = spec.partition(":")
+    if block_name not in ("A", "B", "U", "V") or not column.isdigit():
+        raise InputError(f"--test expects BLOCK:COLUMN with BLOCK in A,B,U,V; got {spec!r}")
+    col = int(column) - 1
+    width = params.blocks()[block_name].shape[1]
+    if not 0 <= col < width:
+        raise InputError(f"--test {spec!r}: column out of range 1..{width}")
+    return block_name, col
 
 
 @contextlib.contextmanager
@@ -205,29 +225,22 @@ def cmd_infer(args) -> int:
 
     t0 = time.time()
     with _recorded_warnings() as raised:
+        prior = _fit_prior(args.fit_dir, args.counts)
         counts = io.read_matrix(args.counts)
         Y = DataMatrix(counts)
         params = io.read_params(args.fit_dir)
+        wald_columns = [_wald_column(spec, params) for spec in args.test]
         X = io.read_matrix(os.path.join(args.fit_dir, "X.csv"))
         Z = io.read_matrix(os.path.join(args.fit_dir, "Z.csv"))
         cov = CovariateSet(X, Z)
-        prior = _fit_prior(args.fit_dir)
         result = inference.standard_errors(Y, params, cov, prior)
         os.makedirs(args.out, exist_ok=True)
         for name, block in result.blocks().items():
             io.write_matrix(os.path.join(args.out, f"se_{name}.csv"), block)
         estimates = params.blocks()
-        for spec_str in args.test:
-            block_name, _, column = spec_str.partition(":")
-            if block_name not in ("A", "B", "U", "V") or not column.isdigit():
-                raise InputError("--test expects BLOCK:COLUMN with BLOCK in A,B,U,V; "
-                                 f"got {spec_str!r}")
-            col = int(column) - 1
+        for block_name, col in wald_columns:
             est_block = estimates[block_name]
             se_block = result.blocks()[block_name]
-            if not 0 <= col < est_block.shape[1]:
-                raise InputError(f"--test {spec_str!r}: column out of range "
-                                 f"1..{est_block.shape[1]}")
             tests = inference.wald_tests(est_block[:, col], se_block[:, col], level=args.level)
             rows = [est_block[:, col], se_block[:, col], tests["p_values"],
                     tests["ci_lower"], tests["ci_upper"]]

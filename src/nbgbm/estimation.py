@@ -16,16 +16,17 @@ which has no prior).  The cycle is then an ascent method on the quantity
 FitState.log_posterior reports.
 
 Rows and columns are symmetric (Y' swaps X and Z, A and B, U and V, S and
-T, and turns C into C'), so every B, H and T update and projection is its
-A, G or S twin run on FitState.transposed(), which shares the arrays.
+T, and turns C into C'), so each twin pair of updates shares one step
+kernel handed its axis's arrays: _rows_step serves A/B and G/H, and
+_offsets_step S/T.  Every array stays in the orientation of the counts.
 
 Workspace invariant: after make_state and after every block update,
-state.work is the NB workspace (mu, r, W, E) of state.params.  Each update
-reads it as it stands and brings it up to date with what it changed: the
-mean blocks A, B, C, D, G and H recompute the linear predictor, mu, W and E
-and keep r; the S and T steps recompute r, W and E and keep mu.  The bare
-projections (project_a, project_g, project_s and their twins) leave the
-likelihood unchanged and do not touch it.
+state.work is the NB workspace (mu, r, W, E) of state.params, laid out like
+the counts.  Each update reads it as it stands and brings it up to date
+with what it changed: the mean blocks A, B, C, D, G and H recompute the
+linear predictor, mu, W and E and keep r; the S and T steps recompute r, W
+and E and keep mu.  The bare projections (project_a, project_g, project_s
+and their twins) leave the likelihood unchanged and do not touch it.
 """
 
 from __future__ import annotations
@@ -106,23 +107,12 @@ def _capped(xi_rows: np.ndarray, rho: float) -> np.ndarray:
 
 
 @dataclass
-class AdaptiveStepState:
-    """Per-coordinate maximum step sizes for the S and T updates."""
-
-    rho_s: np.ndarray
-    rho_t: np.ndarray
-
-    @staticmethod
-    def fresh(I, J, rho) -> "AdaptiveStepState":
-        return AdaptiveStepState(rho_s=np.full(I, rho), rho_t=np.full(J, rho))
-
-
-@dataclass
 class FitState:
     """Mutable bundle passed between block updates.
 
     `y` holds the counts as float64 and `log_y_factorial` the sum of log y!
-    over them; make_state computes both once, and transposed twins share them.
+    over them; make_state computes both once.  `rho_s` and `rho_t` are the
+    per-coordinate caps of the S and T Newton steps.
     """
 
     y: np.ndarray = field(repr=False)
@@ -130,18 +120,10 @@ class FitState:
     cov: CovariateSet
     params: GbmParams
     prior: PriorConfig
-    adapt: AdaptiveStepState
+    rho_s: np.ndarray
+    rho_t: np.ndarray
     work: nb.NbWorkspace = None
     clamp_events: int = 0
-
-    def transposed(self) -> "FitState":
-        """The same state for Y', sharing the arrays, the workspace included."""
-        return FitState(y=self.y.T, log_y_factorial=self.log_y_factorial,
-                        cov=self.cov.transposed(),
-                        params=self.params.transposed(), prior=self.prior.transposed(),
-                        adapt=AdaptiveStepState(rho_s=self.adapt.rho_t, rho_t=self.adapt.rho_s),
-                        work=self.work.transposed() if self.work is not None else None,
-                        clamp_events=self.clamp_events)
 
     def refresh(self, mean=True, dispersion=True):
         """Bring the workspace up to date with the parameters.
@@ -149,21 +131,13 @@ class FitState:
         `mean` recomputes the linear predictor and mu, `dispersion` r; W and
         E are recomputed either way.  The default recomputes everything.
         Clipped exponents of the recomputed mu or r add to clamp_events.
-        The arrays are laid out like the counts, so a transposed twin
-        recomputes them in the orientation of its original and keeps views.
         """
-        if self.y.flags.c_contiguous:
-            self.work = self._recomputed(mean, dispersion)
-        else:
-            self.work = self.transposed()._recomputed(mean, dispersion).transposed()
-        self.clamp_events += self.work.clamped
-
-    def _recomputed(self, mean, dispersion) -> nb.NbWorkspace:
         p, w = self.params, self.work
         mu, mu_clamped = nb.means(linear_predictor(p, self.cov)) if mean else (w.mu, 0)
         r, r_clamped = nb.inverse_dispersions(p.S, p.T, p.omega) if dispersion else (w.r, 0)
-        return nb.NbWorkspace(mu, r, *nb.weights_and_scores(self.y, mu, r),
-                              clamped=mu_clamped + r_clamped)
+        self.work = nb.NbWorkspace(mu, r, *nb.weights_and_scores(self.y, mu, r),
+                                   clamped=mu_clamped + r_clamped)
+        self.clamp_events += self.work.clamped
 
     def log_posterior(self) -> float:
         """Log-likelihood plus log-prior (normalizing constants included),
@@ -190,7 +164,7 @@ def make_state(Y, cov, params, prior=None) -> FitState:
     y = Y.values.astype(np.float64)
     state = FitState(y=y, log_y_factorial=float(np.sum(gammaln(y + 1.0))), cov=cov,
                      params=params, prior=prior,
-                     adapt=AdaptiveStepState.fresh(cov.I, cov.J, RHO))
+                     rho_s=np.full(cov.I, RHO), rho_t=np.full(cov.J, RHO))
     state.refresh()
     return state
 
@@ -205,6 +179,14 @@ def project_a(state: FitState):
     Q = cov.Zplus @ p.A
     p.A -= cov.Z @ Q
     p.C += Q.T
+
+
+def project_b(state: FitState):
+    """Enforce X'B = 0, compensating through C."""
+    p, cov = state.params, state.cov
+    Q = cov.Xplus @ p.B
+    p.B -= cov.X @ Q
+    p.C += Q
 
 
 def project_g(state: FitState, G: np.ndarray):
@@ -228,6 +210,17 @@ def project_g(state: FitState, G: np.ndarray):
     p.U, p.D, p.V = svd_of_product(G, p.V)
 
 
+def project_h(state: FitState, H: np.ndarray):
+    """Absorb a right-factor step H (J x M): project_g's twin, through B."""
+    p, cov = state.params, state.cov
+    for _ in range(2):
+        Q = cov.Zplus @ H
+        H = H - cov.Z @ Q
+        p.B += p.U @ Q.T
+    project_b(state)
+    p.V, p.D, p.U = svd_of_product(H, p.U)
+
+
 def _log_mean_exp(x):
     """log mean exp(x) and the softmax weights exp(x) / sum exp(x)."""
     e = np.exp(x - x.max())
@@ -243,25 +236,12 @@ def project_s(state: FitState):
     p.omega += c
 
 
-def _mirrored(step):
-    """The B, H or T twin of an A, G or S step: `step` on the transposed state.
-
-    `step` is bound here, so a wrapper later installed on its module attribute
-    is not entered twice.  The caller's params and adapt keep their identity."""
-    def mirrored(state: FitState, *args):
-        flipped = state.transposed()
-        step(flipped, *args)
-        back = flipped.transposed()
-        vars(state.params).update(vars(back.params))
-        vars(state.adapt).update(vars(back.adapt))
-        state.work = back.work
-        state.clamp_events = back.clamp_events
-    return mirrored
-
-
-project_b = _mirrored(project_a)   # X'B = 0, compensating through C
-project_h = _mirrored(project_g)   # right-factor step H (J x M)
-project_t = _mirrored(project_s)   # mean-exp-one T
+def project_t(state: FitState):
+    """Recenter T to mean-exp one, compensating through omega."""
+    p = state.params
+    c, _ = _log_mean_exp(p.T)
+    p.T -= c
+    p.omega += c
 
 
 # ---------------------------------------------------------------------------
@@ -286,17 +266,28 @@ def _batched_capped_solve(F, rhs, lam, rho):
     return _capped(xi, rho)
 
 
+def _rows_step(W, E, design, rows, lam):
+    """Capped Fisher steps of the rows of a coefficient block whose row n
+    enters the linear predictor as design @ rows[n] in column n of W and E:
+    A (W, E, X), B (W', E', Z), G (W', E', V) and H (W, E, U)."""
+    rhs = E.T @ design - lam * rows
+    return _batched_capped_solve(_row_fisher_blocks(W, design), rhs, lam, RHO)
+
+
 def update_a(state: FitState):
     """Fisher-scoring step on each row of A, then the A projection."""
-    p, cov, w = state.params, state.cov, state.work
-    F = _row_fisher_blocks(w.W, cov.X)                    # (J, K, K)
-    rhs = w.E.T @ cov.X - state.prior.lambda_a * p.A      # (J, K)
-    p.A += _batched_capped_solve(F, rhs, state.prior.lambda_a, RHO)
+    p, w = state.params, state.work
+    p.A += _rows_step(w.W, w.E, state.cov.X, p.A, state.prior.lambda_a)
     project_a(state)
     state.refresh(dispersion=False)
 
 
-update_b = _mirrored(update_a)   # rows of B, then the B projection
+def update_b(state: FitState):
+    """Fisher-scoring step on each row of B, then the B projection."""
+    p, w = state.params, state.work
+    p.B += _rows_step(w.W.T, w.E.T, state.cov.Z, p.B, state.prior.lambda_b)
+    project_b(state)
+    state.refresh(dispersion=False)
 
 
 def _fisher_c_from_blocks(blocks, Z) -> np.ndarray:
@@ -355,15 +346,20 @@ def update_g(state: FitState):
     if p.M == 0:
         return
     G = p.U * p.D
-    lam = state.prior.lambda_d
-    F = _row_fisher_blocks(w.W.T, p.V)                    # (I, M, M)
-    rhs = w.E @ p.V - lam * G
-    G = G + _batched_capped_solve(F, rhs, lam, RHO)
+    G = G + _rows_step(w.W.T, w.E.T, p.V, G, state.prior.lambda_d)
     project_g(state, G)
     state.refresh(dispersion=False)
 
 
-update_h = _mirrored(update_g)   # right factors H = V * D, prior lambda_d
+def update_h(state: FitState):
+    """Optimization-projection step on H = V * D, update_g's twin."""
+    p, w = state.params, state.work
+    if p.M == 0:
+        return
+    H = p.V * p.D
+    H = H + _rows_step(w.W, w.E, p.U, H, state.prior.lambda_d)
+    project_h(state, H)
+    state.refresh(dispersion=False)
 
 
 def _newton_dispersion_step(offsets, grad, hess, rho_vec):
@@ -391,24 +387,36 @@ def _recentred_prior_gradient(offsets, lam, mean):
     return -lam * dev + lam * weights * dev.sum()
 
 
-def update_s(state: FitState):
-    """Bounded Newton step on each s_i, adaptive caps, then the projection.
+def _offsets_step(state: FitState, offsets, axis, lam, mean, rho):
+    """Bounded Newton step on the S (axis 1) or T (axis 0) offsets.
 
     The step is taken on the posterior after projection: its prior gradient
-    is that of lambda_s ||S - m_s||^2 / 2 at the recentred S (see
+    is that of lam ||offsets - mean||^2 / 2 at the recentred offsets (see
     _recentred_prior_gradient), since the common shift goes into omega.
+    Returns the stepped offsets and their next caps: a coordinate whose
+    Newton step exceeded its cap `rho` gets half that cap, the rest RHO.
     """
-    p, pr = state.params, state.prior
     derivs = nb.dispersion_derivatives(state.y, state.work.mu, state.work.r)
-    grad = _recentred_prior_gradient(p.S, pr.lambda_s, pr.m_s) + derivs.delta.sum(axis=1)
-    hess = -pr.lambda_s + derivs.delta_prime.sum(axis=1)
-    p.S, exceeded = _newton_dispersion_step(p.S, grad, hess, state.adapt.rho_s)
-    state.adapt.rho_s = np.where(exceeded, state.adapt.rho_s / 2.0, RHO)
+    grad = _recentred_prior_gradient(offsets, lam, mean) + derivs.delta.sum(axis=axis)
+    hess = -lam + derivs.delta_prime.sum(axis=axis)
+    stepped, exceeded = _newton_dispersion_step(offsets, grad, hess, rho)
+    return stepped, np.where(exceeded, rho / 2.0, RHO)
+
+
+def update_s(state: FitState):
+    """Bounded Newton step on each row offset s_i, adaptive caps, then the projection."""
+    p, pr = state.params, state.prior
+    p.S, state.rho_s = _offsets_step(state, p.S, 1, pr.lambda_s, pr.m_s, state.rho_s)
     project_s(state)
     state.refresh(mean=False)
 
 
-update_t = _mirrored(update_s)   # column offsets, prior lambda_t and m_t
+def update_t(state: FitState):
+    """Bounded Newton step on each column offset t_j, adaptive caps, then the projection."""
+    p, pr = state.params, state.prior
+    p.T, state.rho_t = _offsets_step(state, p.T, 0, pr.lambda_t, pr.m_t, state.rho_t)
+    project_t(state)
+    state.refresh(mean=False)
 
 
 def bias_correct_dispersions(state: FitState):

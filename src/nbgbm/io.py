@@ -72,13 +72,6 @@ def write_vector(path, vec, header=None):
     write_matrix(path, np.asarray(vec, dtype=np.float64).reshape(-1, 1), header=header)
 
 
-def read_vector(path) -> np.ndarray:
-    mat = read_matrix(path)
-    if 1 not in mat.shape and mat.ndim == 2 and min(mat.shape) != 1:
-        raise InputError(f"{path}: expected a single row or column")
-    return mat.ravel()
-
-
 def file_digest(path) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:

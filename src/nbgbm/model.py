@@ -32,14 +32,6 @@ CONSTRAINT_TOL = 1e-8
 EPSILON = 0.125   # pseudocount of the log-scale residuals log(y + EPSILON)
 
 
-def _unchecked(cls, **fields):
-    """An instance of cls holding `fields` as they are, without validation."""
-    obj = object.__new__(cls)
-    for name, value in fields.items():
-        object.__setattr__(obj, name, value)
-    return obj
-
-
 def _numeric_objects(values: np.ndarray) -> np.ndarray:
     """An object array of Python numbers as int64 (all integers) or float64.
 
@@ -165,7 +157,9 @@ class CovariateSet:
 
     def transposed(self) -> "CovariateSet":
         """The designs of the transposed problem: Z for the rows, X for the columns."""
-        return _unchecked(CovariateSet, X=self.Z, Z=self.X, Xplus=self.Zplus, Zplus=self.Xplus)
+        flipped = object.__new__(CovariateSet)
+        flipped.X, flipped.Z, flipped.Xplus, flipped.Zplus = self.Z, self.X, self.Zplus, self.Xplus
+        return flipped
 
 
 @dataclass
@@ -250,14 +244,6 @@ class PriorConfig:
                      "lambda_u", "lambda_v", "lambda_s", "lambda_t"):
             if getattr(self, name) <= 0:
                 raise DomainError(f"{name} must be positive")
-
-    def transposed(self) -> "PriorConfig":
-        """The same priors with the row and column blocks swapped."""
-        return _unchecked(
-            PriorConfig, lambda_a=self.lambda_b, lambda_b=self.lambda_a,
-            lambda_c=self.lambda_c, lambda_d=self.lambda_d,
-            lambda_u=self.lambda_v, lambda_v=self.lambda_u,
-            lambda_s=self.lambda_t, lambda_t=self.lambda_s, m_s=self.m_t, m_t=self.m_s)
 
 
 @dataclass(frozen=True)

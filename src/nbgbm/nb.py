@@ -46,8 +46,7 @@ BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6)
 def _psi_trigamma(x):
     """psi(x) and psi'(x) for a float64 array x > 0, evaluated together."""
     shape = x.shape
-    order = "F" if x.flags.f_contiguous and not x.flags.c_contiguous else "C"
-    x = x.ravel(order)
+    x = x.ravel()
     low = np.flatnonzero(x < TRIGAMMA_SHIFT)
     z = x
     if low.size:
@@ -89,7 +88,7 @@ def _psi_trigamma(x):
     if low.size:
         psi[low] -= psi_sum
         tri_poly[low] += tri_sum
-    return psi.reshape(shape, order=order), tri_poly.reshape(shape, order=order)
+    return psi.reshape(shape), tri_poly.reshape(shape)
 
 
 def _scalar_or_array(out):
@@ -180,11 +179,6 @@ class NbWorkspace:
     W: np.ndarray
     E: np.ndarray
     clamped: int = 0
-
-    def transposed(self) -> "NbWorkspace":
-        """The workspace of Y', as views of the same arrays."""
-        return NbWorkspace(mu=self.mu.T, r=self.r.T, W=self.W.T, E=self.E.T,
-                           clamped=self.clamped)
 
 
 def _clipped_exp(expo):

@@ -122,7 +122,7 @@ class TestFit:
         for name in ("A", "B", "C", "D", "U", "V", "S", "T", "omega"):
             assert (fit_dir / f"{name}.csv").exists()
         assert (fit_dir / "params.json").exists()
-        trace = nbio.read_vector(fit_dir / "trace.csv")
+        trace = nbio.read_matrix(fit_dir / "trace.csv").ravel()
         manifest = nbio.read_json(fit_dir / "manifest.json")
         assert manifest["convergence"]["iterations"] + 1 == trace.size
         assert manifest["config"]["max_iter"] == 50
@@ -278,9 +278,36 @@ class TestInfer:
         assert isinstance(manifest["warnings"], list)
 
     def test_bad_test_spec(self, sim_dir, fit_dir, tmp_path):
-        code = run(["infer", "--counts", sim_dir / "Y.csv", "--fit-dir", fit_dir,
-                    "--out", tmp_path / "o", "--test", "D:1"])
+        # refused before the standard errors are computed, so nothing is written
+        for spec in ("D:1", "B:9"):
+            out = tmp_path / spec.replace(":", "_")
+            code = run(["infer", "--counts", sim_dir / "Y.csv", "--fit-dir", fit_dir,
+                        "--out", out, "--test", spec])
+            assert code == 3, spec
+            assert not list(out.glob("se_*.csv")), spec
+
+    def test_counts_of_another_dataset_are_input_error(self, sim_dir, fit_dir, tmp_path,
+                                                       capsys):
+        other = tmp_path / "sim8"
+        assert run(["simulate", "--dims", "40x12x2x2x1", "--seed", "8", "--out", other]) == 0
+        out = tmp_path / "o"
+        code = run(["infer", "--counts", other / "Y.csv", "--fit-dir", fit_dir, "--out", out])
         assert code == 3
+        err = capsys.readouterr().err
+        assert str(other / "Y.csv") in err and str(fit_dir / "manifest.json") in err
+        assert not out.exists()
+
+    def test_manifest_without_a_counts_digest_is_input_error(self, sim_dir, fit_dir, tmp_path,
+                                                             capsys):
+        copy = tmp_path / "fit_copy"
+        shutil.copytree(fit_dir, copy)
+        manifest = nbio.read_json(copy / "manifest.json")
+        del manifest["input_digests"]["counts"]
+        nbio.write_json(copy / "manifest.json", manifest)
+        code = run(["infer", "--counts", sim_dir / "Y.csv", "--fit-dir", copy,
+                    "--out", tmp_path / "o"])
+        assert code == 3
+        assert "counts" in capsys.readouterr().err
 
 
 class TestEvaluate:

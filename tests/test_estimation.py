@@ -142,8 +142,8 @@ class TestBlockUpdates:
     @pytest.mark.parametrize("block", ["A", "B"])
     def test_infinite_shrinkage_freezes_a(self, small_instance, block):
         # with its lambda huge the regularized step pins the block at its
-        # prior mode; B's step is A's on the transposed problem, so a
-        # swapped prior would leave B free
+        # prior mode; B's step shares A's kernel, so handing it lambda_a
+        # would leave B free
         Y, truth = small_instance
         params = random_constrained_params(truth.cov, 1, seed=0)
         getattr(params, block)[:] = 0.0
@@ -282,6 +282,47 @@ class TestBlockUpdates:
                                                err_msg=f"cycle {cycle}, update {name}: {field}")
 
 
+def swapped_prior(prior):
+    """The prior of the transposed problem: row and column fields exchanged."""
+    return PriorConfig(lambda_a=prior.lambda_b, lambda_b=prior.lambda_a,
+                       lambda_c=prior.lambda_c, lambda_d=prior.lambda_d,
+                       lambda_u=prior.lambda_v, lambda_v=prior.lambda_u,
+                       lambda_s=prior.lambda_t, lambda_t=prior.lambda_s,
+                       m_s=prior.m_t, m_t=prior.m_s)
+
+
+class TestTwinUpdates:
+    @pytest.mark.parametrize("block,twin", [("B", "A"), ("H", "G"), ("T", "S"),
+                                            ("A", "B"), ("G", "H"), ("S", "T")])
+    def test_update_matches_its_twin_on_the_transposed_problem(self, small_instance,
+                                                               block, twin):
+        # each row/column pair shares one step kernel; handed the wrong axis,
+        # design, cap or prior field, a step stops matching its twin's on Y'
+        Y, truth = small_instance
+        params = random_constrained_params(truth.cov, 2, seed=6)
+        state = est.make_state(Y, truth.cov, params.copy(), prior=ASYMMETRIC_PRIOR)
+        flipped = est.make_state(DataMatrix(Y.values.T), truth.cov.transposed(),
+                                 params.copy().transposed(),
+                                 prior=swapped_prior(ASYMMETRIC_PRIOR))
+        np.testing.assert_allclose(flipped.log_posterior(), state.log_posterior(), rtol=1e-12)
+        for _ in range(3):
+            getattr(est, f"update_{block.lower()}")(state)
+            getattr(est, f"update_{twin.lower()}")(flipped)
+        back = flipped.params.transposed()
+        # U and V hold only up to joint column signs, which a rounding-level
+        # entry of svd_of_product's core can flip: compare them in the
+        # sign convention of finalization
+        for fitted in (state.params, back):
+            est.finalize_factor_signs(fitted)
+        for name, value in state.params.blocks().items():
+            scale = np.abs(value).max(initial=0.0)
+            np.testing.assert_allclose(back.blocks()[name], value, rtol=1e-12,
+                                       atol=1e-12 * scale, err_msg=name)
+        np.testing.assert_array_equal(flipped.rho_s, state.rho_t)
+        np.testing.assert_array_equal(flipped.rho_t, state.rho_s)
+        assert flipped.clamp_events == state.clamp_events
+
+
 class TestProjections:
     def test_a_projection_preserves_linpred(self, small_instance):
         Y, truth = small_instance
@@ -361,11 +402,28 @@ class TestDispersionUpdates:
         est.update_s(state)
         assert abs(np.mean(np.exp(state.params.S)) - 1.0) < 1e-12
 
-    def test_adaptive_cap_halves_and_resets(self):
-        adapt = est.AdaptiveStepState.fresh(3, 2, 5.0)
-        exceeded = np.array([True, False, True])
-        adapt.rho_s = np.where(exceeded, adapt.rho_s / 2, 5.0)
-        np.testing.assert_allclose(adapt.rho_s, [2.5, 5.0, 2.5])
+    def test_adaptive_cap_halves_and_resets(self, small_fit):
+        # the chosen offsets sit 3 away from the fit, so their Newton steps
+        # exceed a cap of 1e-6; every other step is far below a cap of 1e3
+        Y, truth, result = small_fit
+        params = result.params.copy()
+        rows, cols = [0, 3], [1, 5]
+        params.S[rows] += 3.0
+        params.T[cols] -= 3.0
+        state = est.make_state(Y, truth.cov, params)
+        expected = {}
+        for name, n, chosen in (("rho_s", truth.cov.I, rows), ("rho_t", truth.cov.J, cols)):
+            caps = np.full(n, 1e3)
+            caps[chosen] = 1e-6
+            setattr(state, name, caps)
+            expected[name] = np.where(np.isin(np.arange(n), chosen), 5e-7, est.RHO)
+        rho_t = state.rho_t.copy()
+        est.update_s(state)
+        np.testing.assert_array_equal(state.rho_s, expected["rho_s"])
+        np.testing.assert_array_equal(state.rho_t, rho_t)
+        est.update_t(state)
+        np.testing.assert_array_equal(state.rho_t, expected["rho_t"])
+        np.testing.assert_array_equal(state.rho_s, expected["rho_s"])
 
 
 class TestBiasCorrection:

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nbgbm.estimation import make_state
 from nbgbm.exceptions import DomainError, PreconditionError, ShapeError
 from nbgbm.model import (
     CONSTRAINT_TOL,
@@ -20,7 +19,7 @@ from nbgbm.model import (
 from nbgbm.simulate import generate_covariates, generate_parameters
 from nbgbm.rngstreams import stream_rng
 
-from conftest import ASYMMETRIC_PRIOR, random_constrained_params
+from conftest import random_constrained_params
 
 
 def make_cov(I=6, J=4, K=2, L=2, seed=0):
@@ -161,13 +160,6 @@ class TestTransposition:
         np.testing.assert_allclose(linear_predictor(flipped, cov.transposed()),
                                    linear_predictor(params, cov).T, rtol=1e-12, atol=1e-12)
         assert np.shares_memory(flipped.A, params.B) and np.shares_memory(flipped.C, params.C)
-
-    def test_log_posterior_of_transposed_state(self, small_instance):
-        Y, truth = small_instance
-        params = random_constrained_params(truth.cov, 1, seed=6)
-        state = make_state(Y, truth.cov, params, prior=ASYMMETRIC_PRIOR)
-        np.testing.assert_allclose(state.transposed().log_posterior(), state.log_posterior(),
-                                   rtol=1e-12)
 
 
 class TestResiduals:
