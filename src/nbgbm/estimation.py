@@ -27,6 +27,12 @@ with what it changed: the mean blocks A, B, C, D, G and H recompute the
 linear predictor, mu, W and E and keep r; the S and T steps recompute r, W
 and E and keep mu.  The bare projections (project_a, project_g, project_s
 and their twins) leave the likelihood unchanged and do not touch it.
+
+The four workspace arrays are the only I x J arrays a fit holds besides
+the counts.  They are allocated once by make_state and overwritten in
+place, one row chunk of at most nb.CHUNK_ELEMENTS entries at a time
+(fill_workspace); the S/T steps (nb.dispersion_sums) and log_posterior
+run over the same chunks, so every other I x J temporary is chunk-sized.
 """
 
 from __future__ import annotations
@@ -71,18 +77,19 @@ def prepare_covariates(X, Z, standardize=True) -> CovariateSet:
 def svd_of_product(P: np.ndarray, Q: np.ndarray):
     """Compact SVD of P Q' without forming the I x J product.
 
-    P is I x M and Q is J x M; QR-reduce both sides, SVD the small M x M
-    core.  Returns (U, d, V) with U d V' = P Q' and d descending.
+    P is I x M and Q is J x M with orthonormal columns (Q'Q = I), as the
+    current V or U is for every caller: with P = Q_P R_P, P Q' =
+    Q_P R_P Q', so the SVD of the small M x M core R_P gives the factors.
+    Returns (U, d, V) with U d V' = P Q' and d descending.
     """
     M = P.shape[1]
     if M == 0:
         return np.zeros((P.shape[0], 0)), np.zeros(0), np.zeros((Q.shape[0], 0))
     Qp, Rp = np.linalg.qr(P)
-    Qq, Rq = np.linalg.qr(Q)
-    Us, s, Vst = np.linalg.svd(Rp @ Rq.T)
+    Us, s, Vst = np.linalg.svd(Rp)
     if M > 1 and np.any(np.diff(s) > -1e-10 * max(s[0], 1e-300)):
         warnings.warn("nearly repeated singular values in latent factor update")
-    return Qp @ Us, s, Qq @ Vst.T
+    return Qp @ Us, s, Q @ Vst.T
 
 
 def bounded_fisher_step(beta, grad, fisher, lam, rho):
@@ -106,13 +113,36 @@ def _capped(xi_rows: np.ndarray, rho: float) -> np.ndarray:
     return xi_rows * factor[:, None]
 
 
+def fill_workspace(work: nb.NbWorkspace, y, params: GbmParams, cov: CovariateSet,
+                   mean=True, dispersion=True) -> nb.NbWorkspace:
+    """Overwrite `work` with the NB workspace of params, one row chunk
+    (nb.row_chunks) at a time, and return it.
+
+    `mean` recomputes the linear predictor and mu, `dispersion` r; W and E
+    are recomputed either way.  work.clamped is set to the number of
+    clipped exponents among the recomputed mu and r.
+    """
+    clamped = 0
+    for rows in nb.row_chunks(*work.mu.shape):
+        if mean:
+            work.mu[rows], count = nb.means(linear_predictor(params, cov, rows))
+            clamped += count
+        if dispersion:
+            work.r[rows], count = nb.inverse_dispersions(params.S[rows], params.T, params.omega)
+            clamped += count
+        work.W[rows], work.E[rows] = nb.weights_and_scores(y[rows], work.mu[rows], work.r[rows])
+    work.clamped = clamped
+    return work
+
+
 @dataclass
 class FitState:
     """Mutable bundle passed between block updates.
 
-    `y` holds the counts as float64 and `log_y_factorial` the sum of log y!
-    over them; make_state computes both once.  `rho_s` and `rho_t` are the
-    per-coordinate caps of the S and T Newton steps.
+    `y` holds the counts (the DataMatrix's integers, not a float copy) and
+    `log_y_factorial` the sum of log y! over them; make_state computes it
+    once.  `rho_s` and `rho_t` are the per-coordinate caps of the S and T
+    Newton steps.
     """
 
     y: np.ndarray = field(repr=False)
@@ -132,19 +162,16 @@ class FitState:
         E are recomputed either way.  The default recomputes everything.
         Clipped exponents of the recomputed mu or r add to clamp_events.
         """
-        p, w = self.params, self.work
-        mu, mu_clamped = nb.means(linear_predictor(p, self.cov)) if mean else (w.mu, 0)
-        r, r_clamped = nb.inverse_dispersions(p.S, p.T, p.omega) if dispersion else (w.r, 0)
-        self.work = nb.NbWorkspace(mu, r, *nb.weights_and_scores(self.y, mu, r),
-                                   clamped=mu_clamped + r_clamped)
+        fill_workspace(self.work, self.y, self.params, self.cov, mean, dispersion)
         self.clamp_events += self.work.clamped
 
     def log_posterior(self) -> float:
         """Log-likelihood plus log-prior (normalizing constants included),
         the likelihood read from the workspace."""
         p, w = self.params, self.work
-        loglik = float(np.sum(nb.nb_log_pmf(self.y, w.mu, w.r, log_y_factorial=0.0))
-                       - self.log_y_factorial)
+        loglik = sum(float(np.sum(nb.nb_log_pmf(self.y[rows], w.mu[rows], w.r[rows],
+                                                log_y_factorial=0.0)))
+                     for rows in nb.row_chunks(*w.mu.shape)) - self.log_y_factorial
         pr = self.prior
 
         def normal_term(q, lam, mean=0.0):
@@ -161,10 +188,12 @@ class FitState:
 
 def make_state(Y, cov, params, prior=None) -> FitState:
     prior = prior or PriorConfig()
-    y = Y.values.astype(np.float64)
-    state = FitState(y=y, log_y_factorial=float(np.sum(gammaln(y + 1.0))), cov=cov,
-                     params=params, prior=prior,
-                     rho_s=np.full(cov.I, RHO), rho_t=np.full(cov.J, RHO))
+    y = Y.values
+    log_y_factorial = sum(float(np.sum(gammaln(y[rows] + 1.0)))
+                          for rows in nb.row_chunks(*y.shape))
+    state = FitState(y=y, log_y_factorial=log_y_factorial, cov=cov, params=params, prior=prior,
+                     rho_s=np.full(cov.I, RHO), rho_t=np.full(cov.J, RHO),
+                     work=nb.NbWorkspace.empty(y.shape))
     state.refresh()
     return state
 
@@ -396,9 +425,9 @@ def _offsets_step(state: FitState, offsets, axis, lam, mean, rho):
     Returns the stepped offsets and their next caps: a coordinate whose
     Newton step exceeded its cap `rho` gets half that cap, the rest RHO.
     """
-    derivs = nb.dispersion_derivatives(state.y, state.work.mu, state.work.r)
-    grad = _recentred_prior_gradient(offsets, lam, mean) + derivs.delta.sum(axis=axis)
-    hess = -lam + derivs.delta_prime.sum(axis=axis)
+    derivs = nb.dispersion_sums(state.y, state.work.mu, state.work.r)[axis]
+    grad = _recentred_prior_gradient(offsets, lam, mean) + derivs.delta
+    hess = -lam + derivs.delta_prime
     stepped, exceeded = _newton_dispersion_step(offsets, grad, hess, rho)
     return stepped, np.where(exceeded, rho / 2.0, RHO)
 

@@ -24,10 +24,18 @@ Three ingredients:
    form; coef_eta_jacobian and dispersion_jacobian_* build the dense
    Jacobians only as analytic references.
 
-Every B, V and T quantity of steps 1 and 3 is its A, U or S twin computed
-on InferencePieces.transposed(), the pieces of the problem for Y' (X and Z,
-A and B, U and V, S and T swapped, C turned into C'); the T edges use the
-transposed score sensitivities of the S edges.
+InferencePieces holds the four I x J arrays of the NB workspace (W, E, mu,
+r) and otherwise only per-row, per-column and coefficient-sized blocks.
+Every other I x J quantity (the dispersion derivatives, the derivatives
+dWM and dEM of W and E in the linear predictor, the propagation weights)
+is formed one row chunk of at most nb.CHUNK_ELEMENTS entries at a time
+and contracted at once: each stage derives a chunk's weights once and
+feeds both twins from them, summing over the chunk's rows for A, C from
+A and T, and over its columns for B, C from B and S.
+
+InferencePieces.transposed() gives the pieces of the problem for Y' (X
+and Z, A and B, U and V, S and T swapped, C turned into C'); the joint
+stage and the analytic references compute B, V and T quantities on it.
 
 No standard errors are produced for D or the global log-dispersion.
 """
@@ -43,7 +51,7 @@ from scipy.linalg import blas, lapack
 from scipy.special import ndtr, ndtri
 
 from . import nb
-from .estimation import _fisher_c_from_blocks, _row_fisher_blocks
+from .estimation import _fisher_c_from_blocks, _row_fisher_blocks, fill_workspace
 from .exceptions import DomainError, RankError, ShapeError, SizeGuardError
 from .model import CovariateSet, GbmParams, PriorConfig, linear_predictor
 
@@ -53,14 +61,18 @@ ROW_BLOCK_BYTES = 1 << 20   # bytes of one row block of Fuv in the joint (U, V) 
 
 @dataclass
 class InferencePieces:
-    """Workspace, scores, score derivatives, and conditional inverses."""
+    """The NB workspace of the fitted parameters, scores and conditional inverses.
+
+    W, E, mu and r are the four I x J workspace arrays; every other field
+    is a per-row, per-column or coefficient-sized block.  The derivatives
+    dWM and dEM of W and E in the linear predictor are derived from the
+    workspace (see _eta_derivatives), not stored.
+    """
 
     W: np.ndarray
     E: np.ndarray
     mu: np.ndarray
     r: np.ndarray
-    dWM: np.ndarray          # d w_ij / d linpred_ij
-    dEM: np.ndarray          # d e_ij / d linpred_ij
     gradA: np.ndarray        # J x K likelihood score rows
     gradB: np.ndarray        # I x L
     gradC: np.ndarray        # K x L
@@ -76,11 +88,21 @@ class InferencePieces:
     invFs: np.ndarray        # length I
     invFt: np.ndarray        # length J
 
+    @property
+    def dWM(self) -> np.ndarray:
+        """d w_ij / d linpred_ij, the whole I x J array (for references)."""
+        return _eta_derivatives(self)[0]
+
+    @property
+    def dEM(self) -> np.ndarray:
+        """d e_ij / d linpred_ij, the whole I x J array (for references)."""
+        return _eta_derivatives(self)[1]
+
     def transposed(self) -> "InferencePieces":
         """The pieces for Y', sharing the arrays; invFc goes to vec(C') order."""
         K, L = self.gradC.shape
         return InferencePieces(
-            W=self.W.T, E=self.E.T, mu=self.mu.T, r=self.r.T, dWM=self.dWM.T, dEM=self.dEM.T,
+            W=self.W.T, E=self.E.T, mu=self.mu.T, r=self.r.T,
             gradA=self.gradB, gradB=self.gradA, gradC=self.gradC.T,
             gradS=self.gradT, gradT=self.gradS, Fu=self.Fv, Fv=self.Fu,
             invFa=self.invFb, invFb=self.invFa,
@@ -89,17 +111,27 @@ class InferencePieces:
         )
 
 
+def _eta_derivatives(pieces: InferencePieces, rows: slice = slice(None)):
+    """Rows `rows` of dWM = d w / d linpred = W^2 / mu = mu r^2 / (r + mu)^2
+    and dEM = d e / d linpred = -W (1 + E / r) = -mu r (r + y) / (r + mu)^2."""
+    W = pieces.W[rows]
+    dWM = W * W
+    dWM /= pieces.mu[rows]
+    dEM = pieces.E[rows] / pieces.r[rows]
+    dEM += 1.0
+    dEM *= W
+    np.negative(dEM, out=dEM)
+    return dWM, dEM
+
+
 def preprocess(Y, params: GbmParams, cov: CovariateSet, prior: PriorConfig) -> InferencePieces:
     """One pass computing every reusable quantity of the inference algorithm."""
     values = Y.values if hasattr(Y, "values") else np.asarray(Y)
-    linpred = linear_predictor(params, cov)
-    work = nb.nb_workspace(values, linpred, params.S, params.T, params.omega)
-    mu, r, W, E = work.mu, work.r, work.W, work.E
-    dWM = mu * r ** 2 / (r + mu) ** 2
-    dEM = -mu * r * (r + values) / (r + mu) ** 2
-    derivs = nb.dispersion_derivatives(values, mu, r)
-    gradS = -prior.lambda_s * (params.S - prior.m_s) + derivs.delta.sum(axis=1)
-    gradT = -prior.lambda_t * (params.T - prior.m_t) + derivs.delta.sum(axis=0)
+    work = fill_workspace(nb.NbWorkspace.empty(values.shape), values, params, cov)
+    W, E = work.W, work.E
+    col_sums, row_sums = nb.dispersion_sums(values, work.mu, work.r)
+    gradS = -prior.lambda_s * (params.S - prior.m_s) + row_sums.delta
+    gradT = -prior.lambda_t * (params.T - prior.m_t) + col_sums.delta
 
     X, Z = cov.X, cov.Z
     Fa = _row_fisher_blocks(W, X)
@@ -120,10 +152,10 @@ def preprocess(Y, params: GbmParams, cov: CovariateSet, prior: PriorConfig) -> I
             denom = np.where(bad, np.abs(denom), denom)
         return 1.0 / denom
 
-    invFs = observed_inv(prior.lambda_s, derivs.delta_prime.sum(axis=1), "S")
-    invFt = observed_inv(prior.lambda_t, derivs.delta_prime.sum(axis=0), "T")
+    invFs = observed_inv(prior.lambda_s, row_sums.delta_prime, "S")
+    invFt = observed_inv(prior.lambda_t, col_sums.delta_prime, "T")
     return InferencePieces(
-        W=W, E=E, mu=mu, r=r, dWM=dWM, dEM=dEM,
+        W=W, E=E, mu=work.mu, r=work.r,
         gradA=E.T @ X, gradB=E @ Z, gradC=X.T @ E @ Z,
         gradS=gradS, gradT=gradT,
         Fu=Fu, Fv=Fv, invFa=invFa, invFb=invFb, invFc=invFc,
@@ -245,6 +277,7 @@ def joint_uv_uncertainty(pieces: InferencePieces, params: GbmParams, cov: Covari
         white = np.matmul(whiten[rows], Fuv.reshape(-1, M, JM)).reshape(-1, JM)
         schur = blas.dsyrk(-1.0, white.T, beta=1.0, c=schur, lower=1, overwrite_c=1)
         H += Zu[rows_m].T @ Fuv
+        del Fuv, white                                         # before the next block
     schur = blas.dsyrk(1.0, H.T, beta=1.0, c=schur, lower=1, overwrite_c=1)
     schur.T.reshape(cov.J, M, cov.J, M)[np.arange(cov.J), :, np.arange(cov.J), :] += pieces.Fv
 
@@ -261,6 +294,7 @@ def joint_uv_uncertainty(pieces: InferencePieces, params: GbmParams, cov: Covari
         xz = x @ Zv
         lx = blas.dtrmm(1.0, Linv, x.T, lower=1, overwrite_b=1)   # L^-1 x'
         varU[rows_m] += _squares(lx, 0) - _squares(xz, 1)
+        del Fuv, x, xz, lx                                     # before the next block
     if np.any(varU <= 0) or np.any(varV <= 0):
         warnings.warn("non-positive joint factor variance; inference may be unreliable")
     return varU, varV
@@ -270,10 +304,15 @@ def joint_uv_uncertainty(pieces: InferencePieces, params: GbmParams, cov: Covari
 # delta propagation: latent factors -> coefficients
 # ---------------------------------------------------------------------------
 
-def _coef_eta_weight(pieces: InferencePieces, cov: CovariateSet) -> np.ndarray:
-    """I x J weights dEM_ij - dWM_ij x_i' invFa_j gradA_j of coef_eta_jacobian."""
-    base = np.einsum("jkl,jl->jk", pieces.invFa, pieces.gradA)
-    return pieces.dEM - pieces.dWM * (cov.X @ base.T)
+def _coef_eta_base(pieces: InferencePieces) -> np.ndarray:
+    """J x K rows invFa_j gradA_j (pass the transposed pieces for B)."""
+    return np.einsum("jkl,jl->jk", pieces.invFa, pieces.gradA)
+
+
+def _coef_eta_weight(dWM, dEM, design, base) -> np.ndarray:
+    """Weights dEM_ij - dWM_ij x_i' invFa_j gradA_j of coef_eta_jacobian,
+    for the rows of design (X) and base (_coef_eta_base) given."""
+    return dEM - dWM * (design @ base.T)
 
 
 def coef_eta_jacobian(pieces: InferencePieces, cov: CovariateSet) -> np.ndarray:
@@ -284,34 +323,51 @@ def coef_eta_jacobian(pieces: InferencePieces, cov: CovariateSet) -> np.ndarray:
     transposed pieces and covariates for B.  Analytic reference only: the
     standard errors contract it without forming it.
     """
-    weight = _coef_eta_weight(pieces, cov)
+    weight = _coef_eta_weight(*_eta_derivatives(pieces), cov.X, _coef_eta_base(pieces))
     return np.einsum("jkl,il,ij->jki", pieces.invFa, cov.X, weight, optimize=True)
 
 
-def _coef_variances_from_factors(pieces, params, cov, varU, varV):
-    """Extra variances of vec(A') from U and from V (diagonal contractions of
-    coef_eta_jacobian Q).  sum_i Q_jki^2 t_ji is the diagonal of
-    invFa_j X' diag(weight_.j^2 t_j.) X invFa_j, and Q_j (U D) is
-    invFa_j X' diag(weight_.j) U D."""
-    weight = _coef_eta_weight(pieces, cov)
-    UD, VD = params.U * params.D, params.V * params.D
-    I, J, K, M = cov.I, cov.J, cov.K, params.M
-    t = varU.reshape(I, M) @ (VD ** 2).T                       # (I, J)
-    spread = pieces.invFa @ _row_fisher_blocks(weight ** 2 * t, cov.X)
-    fromU = np.einsum("jkl,jkl->jk", spread, pieces.invFa)
-    XUD = (cov.X[:, :, None] * UD[:, None, :]).reshape(I, K * M)
-    QUD = pieces.invFa @ (weight.T @ XUD).reshape(J, K, M)
-    fromV = np.einsum("jkm,jm->jk", QUD ** 2, varV.reshape(J, M))
-    return fromU.ravel(), fromV.ravel()
+def _coef_variances(invF, spread, sums, var_other):
+    """Extra variances of the coefficient rows n from their own-axis factor
+    (diag of invF_n spread_n invF_n) and from the other axis's factor
+    (sum_m (invF_n sums_n)_km^2 var_other_nm); see propagate_uv_to_ab."""
+    n, K, _ = spread.shape
+    same = np.einsum("nkl,nkl->nk", invF @ spread, invF)
+    other = np.einsum("nkm,nm->nk", (invF @ sums.reshape(n, K, -1)) ** 2, var_other)
+    return same.ravel(), other.ravel()
 
 
 def propagate_uv_to_ab(pieces: InferencePieces, params: GbmParams, cov: CovariateSet,
                        varU: np.ndarray, varV: np.ndarray):
     """Extra variances of A and B due to uncertainty in the latent factors,
-    as flat vectors in vec(A') / vec(B') order."""
-    varAfromU, varAfromV = _coef_variances_from_factors(pieces, params, cov, varU, varV)
-    varBfromV, varBfromU = _coef_variances_from_factors(
-        pieces.transposed(), params.transposed(), cov.transposed(), varV, varU)
+    as flat vectors in vec(A') / vec(B') order.
+
+    Diagonal contractions of coef_eta_jacobian Q: sum_i Q_jki^2 t_ji is the
+    diagonal of invFa_j X' diag(weight_.j^2 t_j.) X invFa_j with
+    t = varU (V D)^2', and Q_j (U D) is invFa_j X' diag(weight_.j) U D;
+    B is the same on the transposed problem.  The sums over i (A) and over
+    j (B) are taken one row chunk at a time.
+    """
+    X, Z = cov.X, cov.Z
+    I, J, K, L, M = cov.I, cov.J, cov.K, cov.L, params.M
+    UD, VD = params.U * params.D, params.V * params.D
+    UD2, VD2 = UD ** 2, VD ** 2
+    varU, varV = varU.reshape(I, M), varV.reshape(J, M)
+    base_a, base_b = _coef_eta_base(pieces), _coef_eta_base(pieces.transposed())
+    XUD = (X[:, :, None] * UD[:, None, :]).reshape(I, K * M)
+    ZVD = (Z[:, :, None] * VD[:, None, :]).reshape(J, L * M)
+    spread_a, sums_a = np.zeros((J, K, K)), np.zeros((J, K * M))
+    spread_b, sums_b = np.empty((I, L, L)), np.empty((I, L * M))
+    for rows in nb.row_chunks(I, J):
+        dWM, dEM = _eta_derivatives(pieces, rows)
+        weight_a = _coef_eta_weight(dWM, dEM, X[rows], base_a)
+        weight_b = _coef_eta_weight(dWM.T, dEM.T, Z, base_b[rows])      # J x n
+        spread_a += _row_fisher_blocks(weight_a ** 2 * (varU[rows] @ VD2.T), X[rows])
+        sums_a += weight_a.T @ XUD[rows]
+        spread_b[rows] = _row_fisher_blocks(weight_b ** 2 * (varV @ UD2[rows].T), Z)
+        sums_b[rows] = weight_b.T @ ZVD
+    varAfromU, varAfromV = _coef_variances(pieces.invFa, spread_a, sums_a, varV)
+    varBfromV, varBfromU = _coef_variances(pieces.invFb, spread_b, sums_b, varU)
     return varAfromU, varAfromV, varBfromU, varBfromV
 
 
@@ -319,26 +375,39 @@ def propagate_uv_to_ab(pieces: InferencePieces, params: GbmParams, cov: Covariat
 # delta propagation: coefficients -> interactions
 # ---------------------------------------------------------------------------
 
+def _interaction_weight(pieces: InferencePieces, cov: CovariateSet, rows: slice = slice(None)):
+    """Rows `rows` of the I x J weight dEM - dWM * (X C1 Z'), C1 = invFc vec(gradC),
+    whose blocks X' diag(weight_.j) X are H_j - G_j of interaction_jacobian_from_a."""
+    C1 = (pieces.invFc @ pieces.gradC.ravel(order="F")).reshape(cov.K, cov.L, order="F")
+    dWM, dEM = _eta_derivatives(pieces, rows)
+    return dEM - dWM * (cov.X[rows] @ C1 @ cov.Z.T)
+
+
+def _interaction_jacobian(invFc, HG, other_design):
+    """n x KL x K blocks invFc (z_n kron HG_n), other_design holding the z_n."""
+    n, K, _ = HG.shape
+    kron = np.einsum("jl,jak->jlak", other_design, HG).reshape(n, -1, K)
+    return invFc @ kron
+
+
 def interaction_jacobian_from_a(pieces: InferencePieces, cov: CovariateSet) -> np.ndarray:
     """J x KL x K derivatives of the one-step vec(C) estimator in the rows of A.
 
     Block j is invFc (z_j kron (H_j - G_j)): H_j = X' diag(dEM_j) X from the
     score, G_j = X' diag(dWM_j * (X C1 Z')_j) X from the Fisher information,
     C1 = invFc vec(gradC).  For B pass the transposed problem (vec(C') order).
+    Analytic reference only: the standard errors build the blocks by chunks.
     """
-    X, Z = cov.X, cov.Z
-    C1 = (pieces.invFc @ pieces.gradC.ravel(order="F")).reshape(cov.K, cov.L, order="F")
-    HG = _row_fisher_blocks(pieces.dEM, X) - _row_fisher_blocks(pieces.dWM * (X @ C1 @ Z.T), X)
-    kron = np.einsum("jl,jak->jlak", Z, HG).reshape(cov.J, cov.K * cov.L, cov.K)
-    return pieces.invFc @ kron
+    HG = _row_fisher_blocks(_interaction_weight(pieces, cov), cov.X)
+    return _interaction_jacobian(pieces.invFc, HG, cov.Z)
 
 
-def _interaction_variance_from_a(pieces, cov, varA):
-    """Extra variance of vec(C) from A (see propagate_ab_to_c)."""
-    jac = interaction_jacobian_from_a(pieces, cov)
-    var = np.einsum("jck,jkl,jcl->c", jac, pieces.invFa, jac, optimize=True)
-    extra = np.maximum(varA.reshape(cov.J, cov.K) - np.einsum("jkk->jk", pieces.invFa), 0.0)
-    return var + np.einsum("jck,jk->c", jac ** 2, extra, optimize=True)
+def _interaction_variance(jac, invF, var):
+    """Extra variance of vec(C) from the rows of A (or B), given their vec(C)
+    Jacobian blocks `jac` and conditional inverses `invF` (see propagate_ab_to_c)."""
+    out = np.einsum("jck,jkl,jcl->c", jac, invF, jac, optimize=True)
+    extra = np.maximum(var.reshape(invF.shape[:2]) - np.einsum("jkk->jk", invF), 0.0)
+    return out + np.einsum("jck,jk->c", jac ** 2, extra, optimize=True)
 
 
 def propagate_ab_to_c(pieces: InferencePieces, cov: CovariateSet, varA, varB):
@@ -347,11 +416,22 @@ def propagate_ab_to_c(pieces: InferencePieces, cov: CovariateSet, varA, varB):
     varA/varB are the full per-entry variances (conditional plus latent-
     propagated) in vec(A')/vec(B') order.  The conditional part contracts
     with the per-row inverse Fisher blocks; the propagated remainder, which
-    carries the latent-to-coefficient chain, contracts diagonally.
+    carries the latent-to-coefficient chain, contracts diagonally.  One
+    chunked I x J weight gives the X blocks of A (summed over i) and the Z
+    blocks of B (summed over j).
     """
-    varCfromA = _interaction_variance_from_a(pieces, cov, varA)
-    varCfromB = _interaction_variance_from_a(pieces.transposed(), cov.transposed(), varB)
-    return varCfromA, varCfromB.reshape(cov.K, cov.L).ravel(order="F")
+    I, J, K, L = cov.I, cov.J, cov.K, cov.L
+    HG_a, HG_b = np.zeros((J, K, K)), np.empty((I, L, L))
+    for rows in nb.row_chunks(I, J):
+        weight = _interaction_weight(pieces, cov, rows)
+        HG_a += _row_fisher_blocks(weight, cov.X[rows])
+        HG_b[rows] = _row_fisher_blocks(weight.T, cov.Z)
+    invFc_t = pieces.transposed().invFc                       # vec(C') order
+    varCfromA = _interaction_variance(_interaction_jacobian(pieces.invFc, HG_a, cov.Z),
+                                      pieces.invFa, varA)
+    varCfromB = _interaction_variance(_interaction_jacobian(invFc_t, HG_b, cov.X),
+                                      pieces.invFb, varB)
+    return varCfromA, varCfromB.reshape(K, L).ravel(order="F")
 
 
 # ---------------------------------------------------------------------------
@@ -391,20 +471,23 @@ def dispersion_jacobian_other_axis(Q, P, scaled_same, invF, gradv):
     return _dispersion_response(Q, P, invF, gradv)[:, :, None] * scaled_same[:, None, :]
 
 
-def _offset_variances(Q, P, invF, grad, same, other):
-    """Extra variances of the n one-step offsets, keyed by source block.
-
-    With R = _dispersion_response(Q, P, invF, grad), the same-axis Jacobian
-    is R @ scaled_other and the other-axis one has entries
-    scaled_same[n, m] R[n, j].  `same` maps a source to (scaled_other J x m,
-    its variances n x m), `other` to (scaled_same n x m, its variances J x m).
-    """
-    R = _dispersion_response(Q, P, invF, grad)
+def _response_sums(R, factors, variances):
+    """Sums over the columns of the response R: R @ factor for each
+    same-axis source and R^2 @ variances for each other-axis source."""
+    out = {name: R @ factor for name, factor in factors.items()}
     R2 = R ** 2
-    out = {name: np.einsum("nm,nm->n", (R @ scaled) ** 2, var)
-           for name, (scaled, var) in same.items()}
-    out.update({name: np.einsum("nm,nm->n", scaled ** 2, R2 @ var)
-                for name, (scaled, var) in other.items()})
+    out.update({name: R2 @ var for name, var in variances.items()})
+    return out
+
+
+def _offset_variances(sums, variances, factors):
+    """Extra offset variances from _response_sums: the same-axis Jacobian is
+    R @ scaled_other, so its source contributes sum_m (R @ scaled)^2 var;
+    the other-axis one has entries scaled_same[n, m] R[n, j], so its source
+    contributes sum_m scaled^2 (R^2 @ var)."""
+    out = {name: np.einsum("nm,nm->n", sums[name] ** 2, var) for name, var in variances.items()}
+    out.update({name: np.einsum("nm,nm->n", factor ** 2, sums[name])
+                for name, factor in factors.items()})
     return out
 
 
@@ -413,20 +496,33 @@ def propagate_to_dispersions(pieces: InferencePieces, params: GbmParams, cov: Co
     """Extra variances of S and T from uncertainty in A, B, U, V.
 
     varA/varB must be the full (conditional + propagated) variances in
-    vec(A') / vec(B') order.  Returns two dicts keyed by source block; T's
-    uses the transposed score sensitivities.
+    vec(A') / vec(B') order.  Returns two dicts keyed by source block.  The
+    score sensitivities of a row chunk give both responses: S's, summed
+    over the chunk's columns, and T's (transposed), summed over its rows.
     """
-    Q, P = _score_sensitivities(pieces.W, pieces.E, pieces.mu, pieces.r)
+    X, Z = cov.X, cov.Z
     UD, VD = params.U * params.D, params.V * params.D
     varA, varB = varA.reshape(cov.J, cov.K), varB.reshape(cov.I, cov.L)
     varU, varV = varU.reshape(cov.I, params.M), varV.reshape(cov.J, params.M)
-    var_s = _offset_variances(Q, P, pieces.invFs, pieces.gradS,
-                              same={"B": (cov.Z, varB), "U": (VD, varU)},
-                              other={"A": (cov.X, varA), "V": (UD, varV)})
-    var_t = _offset_variances(Q.T, P.T, pieces.invFt, pieces.gradT,
-                              same={"A": (cov.X, varA), "V": (UD, varV)},
-                              other={"B": (cov.Z, varB), "U": (VD, varU)})
-    return ({name: var_s[name] for name in "ABUV"}, {name: var_t[name] for name in "ABUV"})
+    # the sources' column-indexed parts: factors B and U enter S through
+    # Z and V D, variances A and V through varA and varV; T the other way
+    col_factors, col_variances = {"B": Z, "U": VD}, {"A": varA, "V": varV}
+    var_s = {name: np.empty(cov.I) for name in "ABUV"}
+    sums_t = {name: 0.0 for name in "ABUV"}
+    for rows in nb.row_chunks(cov.I, cov.J):
+        Q, P = _score_sensitivities(pieces.W[rows], pieces.E[rows], pieces.mu[rows],
+                                    pieces.r[rows])
+        row_factors = {"A": X[rows], "V": UD[rows]}
+        row_variances = {"B": varB[rows], "U": varU[rows]}
+        R_s = _dispersion_response(Q, P, pieces.invFs[rows], pieces.gradS[rows])
+        sums_s = _response_sums(R_s, col_factors, col_variances)
+        for name, value in _offset_variances(sums_s, row_variances, row_factors).items():
+            var_s[name][rows] = value
+        R_t = _dispersion_response(Q.T, P.T, pieces.invFt, pieces.gradT)
+        for name, value in _response_sums(R_t, row_factors, row_variances).items():
+            sums_t[name] += value
+    var_t = _offset_variances(sums_t, col_variances, col_factors)
+    return var_s, {name: var_t[name] for name in "ABUV"}
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,11 @@ def read_matrix(path, allow_empty=False) -> np.ndarray:
         [float(tok) for tok in lines[0].split(delim)]
     except ValueError:
         start = 1
+    if len(lines) > start:
+        try:
+            return np.loadtxt(lines[start:], delimiter=delim, ndmin=2, comments=None)
+        except ValueError:
+            pass   # the line-by-line parse below names the offending line and column
     rows = []
     width = None
     for lineno, ln in enumerate(lines[start:], start=start + 1):
@@ -61,11 +66,11 @@ def _is_number(tok):
 def write_matrix(path, mat, header=None):
     """Write a matrix as comma-delimited text at round-trip-exact precision."""
     mat = np.atleast_2d(np.asarray(mat, dtype=np.float64))
+    row_format = ",".join([FLOAT_FMT] * mat.shape[1]) + "\n"
     with open(path, "w") as fh:
         if header:
             fh.write(",".join(header) + "\n")
-        for row in mat:
-            fh.write(",".join(FLOAT_FMT % v for v in row) + "\n")
+        fh.writelines(row_format % tuple(row) for row in mat.tolist())
 
 
 def write_vector(path, vec, header=None):

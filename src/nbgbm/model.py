@@ -283,13 +283,14 @@ def _check_dims(params: GbmParams, cov: CovariateSet) -> None:
             raise ShapeError(f"component {name} has shape {got}, expected {want}")
 
 
-def linear_predictor(params: GbmParams, cov: CovariateSet) -> np.ndarray:
-    """Return the I x J matrix X A' + B Z' + X C Z' + U D V'."""
+def linear_predictor(params: GbmParams, cov: CovariateSet, rows: slice = slice(None)) -> np.ndarray:
+    """Return the I x J matrix X A' + B Z' + X C Z' + U D V', or the rows
+    `rows` of it."""
     _check_dims(params, cov)
-    X, Z = cov.X, cov.Z
-    out = X @ params.A.T + params.B @ Z.T + X @ params.C @ Z.T
+    X, Z = cov.X[rows], cov.Z
+    out = X @ params.A.T + params.B[rows] @ Z.T + X @ params.C @ Z.T
     if params.M > 0:
-        out += (params.U * params.D) @ params.V.T
+        out += (params.U[rows] * params.D) @ params.V.T
     return out
 
 

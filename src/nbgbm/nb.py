@@ -13,6 +13,11 @@ Against 40-digit mpmath values for x in [1e-12, 1e12] psi is within
 1e-15 of max(|psi(x)|, 1) and psi' within 1e-15 relative.  scipy's
 `digamma` and `polygamma` are not used.  `dispersion_derivatives` calls
 the kernel once at y + r and once at r.
+
+The fit and the inference preprocessing never hold the I x J derivatives
+whole: `dispersion_sums` returns their row and column sums, computing them
+one row chunk of at most `CHUNK_ELEMENTS` entries at a time (`row_chunks`),
+so the temporaries of a chunk stay in cache.
 """
 
 from __future__ import annotations
@@ -26,6 +31,10 @@ from .exceptions import DomainError
 
 # exponent clip keeping exp() inside double range
 EXP_CLIP = 700.0
+
+# entries of one row chunk of the I x J passes (row_chunks); 2**15 doubles
+# (256 KiB per temporary) keeps a chunk's temporaries in cache
+CHUNK_ELEMENTS = 1 << 15
 
 # above this inverse dispersion, digamma/trigamma differences switch to
 # their asymptotic forms to avoid catastrophic cancellation
@@ -180,6 +189,11 @@ class NbWorkspace:
     E: np.ndarray
     clamped: int = 0
 
+    @classmethod
+    def empty(cls, shape) -> "NbWorkspace":
+        """A workspace of uninitialized arrays, to be overwritten in place."""
+        return cls(*(np.empty(shape) for _ in range(4)))
+
 
 def _clipped_exp(expo):
     """exp of the exponents clipped to +-700, and the number clipped."""
@@ -233,22 +247,70 @@ def dispersion_derivatives(Y, mu, r) -> DispersionDerivs:
     Stable for r in [1e-12, 1e12] and counts up to 1e15: ratios that can
     overflow are rewritten through r/(r+mu) and mu/(r+mu).
     """
-    y = np.asarray(Y.values if hasattr(Y, "values") else Y, dtype=np.float64)
-    mu = np.asarray(mu, dtype=np.float64)
-    r = np.asarray(r, dtype=np.float64)
+    y, mu, r = np.broadcast_arrays(
+        np.asarray(Y.values if hasattr(Y, "values") else Y, dtype=np.float64),
+        np.asarray(mu, dtype=np.float64), np.asarray(r, dtype=np.float64))
     dpsi, dtri = _psi_differences(y, r)
+    total = r + mu
     with np.errstate(over="ignore"):
-        ratio = mu / r
-    big = ~np.isfinite(ratio)
-    log_ratio = np.log1p(np.where(big, 0.0, ratio))
+        log_ratio = mu / r
+    big = ~np.isfinite(log_ratio)
     if big.any():
-        log_ratio = np.where(big, np.log(mu) - np.log(r), log_ratio)
-    rp = r / (r + mu)     # in (0, 1]
-    mp = mu / (r + mu)    # in [0, 1)
-    delta = -r * (dpsi - log_ratio - (y - mu) / (r + mu))
-    # rewrite (y + mu^2/r)/(1 + mu/r)^2 = y*rp^2 + r*mp^2 to avoid overflow
-    delta_prime = -delta + r * r * dtri + y * rp * rp + r * mp * mp
+        log_ratio[big] = 0.0
+        np.log1p(log_ratio, out=log_ratio)
+        log_ratio[big] = np.log(mu[big]) - np.log(r[big])
+    else:
+        np.log1p(log_ratio, out=log_ratio)
+    # delta = -r (dpsi - log_ratio - (y - mu)/(r + mu)), in dpsi's buffer
+    delta = dpsi
+    delta -= log_ratio
+    tmp = np.subtract(y, mu, out=log_ratio)
+    tmp /= total
+    delta -= tmp
+    delta *= r
+    np.negative(delta, out=delta)
+    # rewrite (y + mu^2/r)/(1 + mu/r)^2 = y*rp^2 + r*mp^2 with rp = r/(r+mu)
+    # in (0, 1] and mp = mu/(r+mu) in [0, 1) to avoid overflow
+    delta_prime = np.multiply(r, r)
+    delta_prime *= dtri
+    delta_prime -= delta
+    part = np.divide(r, total, out=dtri)
+    np.multiply(y, part, out=tmp)
+    tmp *= part
+    delta_prime += tmp
+    np.divide(mu, total, out=part)
+    np.multiply(r, part, out=tmp)
+    tmp *= part
+    delta_prime += tmp
     return DispersionDerivs(delta=delta, delta_prime=delta_prime)
+
+
+def row_chunks(n_rows, n_cols):
+    """Row slices of an n_rows x n_cols array, each of at most CHUNK_ELEMENTS
+    entries (and at least one row), covering it in order."""
+    step = max(1, CHUNK_ELEMENTS // max(n_cols, 1))
+    return [slice(start, min(start + step, n_rows)) for start in range(0, n_rows, step)]
+
+
+def dispersion_sums(y, mu, r):
+    """Column and row sums of delta and delta_prime (see dispersion_derivatives).
+
+    Element `axis` of the returned pair is a DispersionDerivs holding
+    delta.sum(axis) and delta_prime.sum(axis): index 1 gives the length-I
+    row sums of the S step, index 0 the length-J column sums of the T step.
+    The derivatives are computed one row chunk at a time (row_chunks), with
+    the counts converted to float per chunk, so no I x J delta is formed.
+    """
+    I, J = np.shape(mu)
+    cols = DispersionDerivs(np.zeros(J), np.zeros(J))
+    rows = DispersionDerivs(np.empty(I), np.empty(I))
+    for chunk in row_chunks(I, J):
+        part = dispersion_derivatives(y[chunk], mu[chunk], r[chunk])
+        cols.delta += part.delta.sum(axis=0)
+        cols.delta_prime += part.delta_prime.sum(axis=0)
+        rows.delta[chunk] = part.delta.sum(axis=1)
+        rows.delta_prime[chunk] = part.delta_prime.sum(axis=1)
+    return cols, rows
 
 
 def nb_sample(mu, r, rng):

@@ -261,7 +261,7 @@ class TestBlockUpdates:
         assert max(worst.values()) <= 1e-7, worst
 
 
-    def test_every_update_leaves_the_workspace_of_its_params(self):
+    def test_every_update_leaves_the_workspace_of_its_params(self, monkeypatch):
         # each update reads state.work as the previous one left it, so a
         # step that forgets part of the workspace feeds stale mu or r on
         scheme = SimScheme(dims=(40, 20, 2, 2, 2), seed=31)
@@ -280,6 +280,16 @@ class TestBlockUpdates:
                     np.testing.assert_allclose(getattr(state.work, field), getattr(fresh, field),
                                                rtol=1e-12, atol=0,
                                                err_msg=f"cycle {cycle}, update {name}: {field}")
+        chunked = state.log_posterior()
+        monkeypatch.setattr(nb, "CHUNK_ELEMENTS", Y.values.size)
+        np.testing.assert_allclose(state.log_posterior(), chunked, rtol=1e-12)
+
+    def test_every_update_leaves_the_workspace_of_its_params_in_ragged_chunks(self, monkeypatch):
+        # 70-entry chunks cover the 40 x 20 counts in 3-row chunks, the last
+        # one ragged, so the refresh, the S/T sums and the log-posterior
+        # run over several chunks
+        monkeypatch.setattr(nb, "CHUNK_ELEMENTS", 70)
+        self.test_every_update_leaves_the_workspace_of_its_params(monkeypatch)
 
 
 def swapped_prior(prior):

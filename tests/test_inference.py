@@ -288,6 +288,21 @@ class TestStreamedContractions:
         for name, g, w in zip(("AfromU", "AfromV", "BfromU", "BfromV"), got, want):
             np.testing.assert_allclose(g, w, rtol=1e-12, err_msg=name)
 
+    def test_ab_to_c(self, case):
+        pieces, params, cov, var = case
+        K, L = cov.K, cov.L
+        want = []
+        for flipped, design, n, v in ((pieces, cov, cov.J, var["A"]),
+                                      (pieces.transposed(), cov.transposed(), cov.I, var["B"])):
+            jac = inf.interaction_jacobian_from_a(flipped, design)
+            extra = np.maximum(v.reshape(n, -1) - np.einsum("jkk->jk", flipped.invFa), 0.0)
+            want.append(np.einsum("jck,jkl,jcl->c", jac, flipped.invFa, jac)
+                        + np.einsum("jck,jk->c", jac ** 2, extra))
+        want[1] = want[1].reshape(K, L).ravel(order="F")
+        got = inf.propagate_ab_to_c(pieces, cov, var["A"], var["B"])
+        for name, g, w in zip(("CfromA", "CfromB"), got, want):
+            np.testing.assert_allclose(g, w, rtol=1e-12, err_msg=name)
+
     def test_to_dispersions(self, case):
         pieces, params, cov, var = case
         UD, VD = params.U * params.D, params.V * params.D
@@ -312,6 +327,13 @@ class TestStreamedContractions:
             np.testing.assert_allclose(var_s[name], want_s[name], rtol=1e-12, err_msg=f"S{name}")
             np.testing.assert_allclose(var_t[name], want_t[name], rtol=1e-12, err_msg=f"T{name}")
 
+    # 75-entry chunks cover the 40 x 25 counts in 3-row chunks, the last one
+    # ragged, so each stage's sums run over several chunks
+    @pytest.mark.parametrize("stage", ["uv_to_ab", "ab_to_c", "to_dispersions"])
+    def test_stage_in_ragged_chunks(self, case, monkeypatch, stage):
+        monkeypatch.setattr(nb, "CHUNK_ELEMENTS", 75)
+        getattr(self, f"test_{stage}")(case)
+
 
 class TestTransposition:
     def test_preprocess_of_transposed_problem(self, small_fit):
@@ -326,13 +348,64 @@ class TestTransposition:
                         lambda_d=pr.lambda_d, lambda_u=pr.lambda_v, lambda_v=pr.lambda_u,
                         lambda_s=pr.lambda_t, lambda_t=pr.lambda_s, m_s=pr.m_t, m_t=pr.m_s))
         flipped = inf.preprocess(Y, p, cov, pr).transposed()
-        for f in dataclasses.fields(inf.InferencePieces):
-            want = getattr(explicit, f.name)
+        # dWM and dEM are derived properties, not fields
+        for name in [f.name for f in dataclasses.fields(inf.InferencePieces)] + ["dWM", "dEM"]:
+            want = getattr(explicit, name)
             # scores near the mode are sums that cancel: rounding is relative
             # to the field's scale there, not to the entry
-            np.testing.assert_allclose(getattr(flipped, f.name), want, rtol=1e-12,
+            np.testing.assert_allclose(getattr(flipped, name), want, rtol=1e-12,
                                        atol=1e-12 * np.abs(want).max(initial=0.0),
-                                       err_msg=f.name)
+                                       err_msg=name)
+
+    def test_derived_eta_derivatives(self, small_fit):
+        Y, truth, result = small_fit
+        pieces = inf.preprocess(Y, result.params, truth.cov, ASYMMETRIC_PRIOR)
+        mu, r, y = pieces.mu, pieces.r, Y.values
+        dWM = mu * r ** 2 / (r + mu) ** 2
+        dEM = -mu * r * (r + y) / (r + mu) ** 2
+        flipped = pieces.transposed()
+        np.testing.assert_allclose(pieces.dWM, dWM, rtol=1e-12)
+        np.testing.assert_allclose(pieces.dEM, dEM, rtol=1e-12)
+        np.testing.assert_allclose(flipped.dWM, dWM.T, rtol=1e-12)
+        np.testing.assert_allclose(flipped.dEM, dEM.T, rtol=1e-12)
+
+
+class TestChunkedMemory:
+    """preprocess and standard_errors hold the four I x J workspace arrays
+    whole and every other I x J quantity one row chunk at a time."""
+
+    @pytest.fixture
+    def case(self, monkeypatch):
+        # small chunks, and joint (U, V) row blocks of one row, so that
+        # what remains of the peaks is whole I x J arrays (the joint stage's
+        # own bound is test_memory_holds_one_schur_buffer)
+        monkeypatch.setattr(nb, "CHUNK_ELEMENTS", 1000)
+        monkeypatch.setattr(inf, "ROW_BLOCK_BYTES", 1)
+        Y, truth = simulate_dataset(SimScheme(dims=(300, 300, 2, 2, 3), seed=2))
+        return Y, truth.params0, truth.cov, PriorConfig()
+
+    @staticmethod
+    def peak(call):
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_preprocess_holds_the_workspace(self, case):
+        # the whole-array preprocess held about 18 I x J arrays at once
+        Y, params, cov, prior = case
+        peak = self.peak(lambda: inf.preprocess(Y, params, cov, prior))
+        assert peak <= 6 * cov.I * cov.J * 8, peak / (cov.I * cov.J * 8)
+
+    def test_standard_errors_hold_the_workspace_and_the_schur_buffer(self, case):
+        # the whole-array stages held about 13 I x J arrays beside the buffer
+        Y, params, cov, prior = case
+        JM = min(cov.I, cov.J) * params.M
+        peak = self.peak(lambda: inf.standard_errors(Y, params, cov, prior))
+        assert peak <= JM ** 2 * 8 + 6 * cov.I * cov.J * 8, \
+            (peak - JM ** 2 * 8) / (cov.I * cov.J * 8)
 
 
 class TestStandardErrors:

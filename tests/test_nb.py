@@ -235,6 +235,29 @@ class TestDispersionDerivatives:
             assert np.isfinite(derivs.delta_prime).all(), (y, mu, r)
 
 
+class TestDispersionSums:
+    @pytest.mark.parametrize("shape, chunk, chunk_rows", [
+        ((7, 5), 10, [2, 2, 2, 1]),     # the last chunk is ragged
+        ((9, 40), 16, [1] * 9),         # J > CHUNK_ELEMENTS: a chunk is one row
+    ])
+    def test_match_whole_array_sums(self, monkeypatch, shape, chunk, chunk_rows):
+        monkeypatch.setattr(nb, "CHUNK_ELEMENTS", chunk)
+        assert [rows.stop - rows.start for rows in nb.row_chunks(*shape)] == chunk_rows
+        rng = np.random.default_rng(12)
+        Y = rng.poisson(5.0, size=shape)
+        mu = np.exp(rng.normal(1.0, 1.0, size=shape))
+        r = np.exp(rng.normal(0.0, 2.0, size=shape))
+        whole = nb.dispersion_derivatives(Y, mu, r)
+        sums = nb.dispersion_sums(Y, mu, r)
+        for axis in (0, 1):
+            for name in ("delta", "delta_prime"):
+                terms = getattr(whole, name)
+                # a sum that cancels is exact only relative to its terms
+                np.testing.assert_allclose(
+                    getattr(sums[axis], name), terms.sum(axis=axis), rtol=1e-12,
+                    atol=1e-12 * np.abs(terms).sum(axis=axis).max(), err_msg=f"{name}, axis {axis}")
+
+
 class TestMomentIdentities:
     def test_sampler_mean_and_variance(self):
         rng = np.random.default_rng(4)
