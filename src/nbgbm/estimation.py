@@ -29,7 +29,7 @@ and E and keep mu.  The bare projections (project_a, project_g, project_s
 and their twins) leave the likelihood unchanged and do not touch it.
 
 The four workspace arrays are the only I x J arrays a fit holds besides
-the counts.  They are allocated once by make_state and overwritten in
+the counts (and their float copy).  They are allocated once by make_state and overwritten in
 place, one row chunk of at most nb.CHUNK_ELEMENTS entries at a time
 (fill_workspace); the S/T steps (nb.dispersion_sums) and log_posterior
 run over the same chunks, so every other I x J temporary is chunk-sized.
@@ -124,13 +124,12 @@ def fill_workspace(work: nb.NbWorkspace, y, params: GbmParams, cov: CovariateSet
     """
     clamped = 0
     for rows in nb.row_chunks(*work.mu.shape):
+        mu, r = work.mu[rows], work.r[rows]
         if mean:
-            work.mu[rows], count = nb.means(linear_predictor(params, cov, rows))
-            clamped += count
+            clamped += nb.means(linear_predictor(params, cov, rows), out=mu)[1]
         if dispersion:
-            work.r[rows], count = nb.inverse_dispersions(params.S[rows], params.T, params.omega)
-            clamped += count
-        work.W[rows], work.E[rows] = nb.weights_and_scores(y[rows], work.mu[rows], work.r[rows])
+            clamped += nb.inverse_dispersions(params.S[rows], params.T, params.omega, out=r)[1]
+        nb.weights_and_scores(y[rows], mu, r, out=(work.W[rows], work.E[rows]))
     work.clamped = clamped
     return work
 
@@ -139,10 +138,9 @@ def fill_workspace(work: nb.NbWorkspace, y, params: GbmParams, cov: CovariateSet
 class FitState:
     """Mutable bundle passed between block updates.
 
-    `y` holds the counts (the DataMatrix's integers, not a float copy) and
-    `log_y_factorial` the sum of log y! over them; make_state computes it
-    once.  `rho_s` and `rho_t` are the per-coordinate caps of the S and T
-    Newton steps.
+    `y` holds the counts as float64 and `log_y_factorial` the sum of log y!
+    over them; make_state computes both once.  `rho_s` and `rho_t` are the
+    per-coordinate caps of the S and T Newton steps.
     """
 
     y: np.ndarray = field(repr=False)
@@ -188,7 +186,7 @@ class FitState:
 
 def make_state(Y, cov, params, prior=None) -> FitState:
     prior = prior or PriorConfig()
-    y = Y.values
+    y = Y.values.astype(np.float64)
     log_y_factorial = sum(float(np.sum(gammaln(y[rows] + 1.0)))
                           for rows in nb.row_chunks(*y.shape))
     state = FitState(y=y, log_y_factorial=log_y_factorial, cov=cov, params=params, prior=prior,

@@ -288,7 +288,9 @@ def linear_predictor(params: GbmParams, cov: CovariateSet, rows: slice = slice(N
     `rows` of it."""
     _check_dims(params, cov)
     X, Z = cov.X[rows], cov.Z
-    out = X @ params.A.T + params.B[rows] @ Z.T + X @ params.C @ Z.T
+    out = X @ params.A.T
+    out += params.B[rows] @ Z.T
+    out += X @ params.C @ Z.T
     if params.M > 0:
         out += (params.U[rows] * params.D) @ params.V.T
     return out

@@ -195,30 +195,37 @@ class NbWorkspace:
         return cls(*(np.empty(shape) for _ in range(4)))
 
 
-def _clipped_exp(expo):
+def _clipped_exp(expo, out=None):
     """exp of the exponents clipped to +-700, and the number clipped."""
     if -EXP_CLIP <= expo.min() and expo.max() <= EXP_CLIP:
-        return np.exp(expo), 0
+        return np.exp(expo, out=out), 0
     clamped = int(np.count_nonzero(np.abs(expo) > EXP_CLIP))
-    return np.exp(np.clip(expo, -EXP_CLIP, EXP_CLIP)), clamped
+    return np.exp(np.clip(expo, -EXP_CLIP, EXP_CLIP), out=out), clamped
 
 
-def means(linpred):
-    """mu_ij = exp(linpred_ij); exponents clipped to +-700."""
+def means(linpred, out=None):
+    """mu_ij = exp(linpred_ij); exponents clipped to +-700.  Written into
+    `out` when given, as by the other workspace functions."""
     if not np.all(np.isfinite(linpred)):
         raise DomainError("linear predictor contains non-finite entries")
-    return _clipped_exp(linpred)
+    return _clipped_exp(linpred, out)
 
 
-def inverse_dispersions(S, T, omega):
+def inverse_dispersions(S, T, omega, out=None):
     """r_ij = exp(-(s_i + t_j + omega)); exponents clipped to +-700."""
-    return _clipped_exp(-(np.add.outer(S, T) + omega))
+    expo = np.add.outer(S, T)
+    expo += omega
+    return _clipped_exp(np.negative(expo, out=expo), expo if out is None else out)
 
 
-def weights_and_scores(y, mu, r):
+def weights_and_scores(y, mu, r, out=(None, None)):
     """The Fisher weights W = r mu / (r + mu) and scores E = (y - mu) r / (r + mu)."""
     total = r + mu
-    return r * mu / total, (y - mu) * (r / total)
+    W = np.multiply(r, mu, out=out[0])
+    W /= total
+    E = np.subtract(y, mu, out=out[1])
+    E *= np.divide(r, total, out=total)
+    return W, E
 
 
 def nb_workspace(Y, linpred, S, T, omega) -> NbWorkspace:
