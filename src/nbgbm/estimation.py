@@ -29,10 +29,11 @@ and E and keep mu.  The bare projections (project_a, project_g, project_s
 and their twins) leave the likelihood unchanged and do not touch it.
 
 The four workspace arrays are the only I x J arrays a fit holds besides
-the counts (and their float copy).  They are allocated once by make_state and overwritten in
-place, one row chunk of at most nb.CHUNK_ELEMENTS entries at a time
-(fill_workspace); the S/T steps (nb.dispersion_sums) and log_posterior
-run over the same chunks, so every other I x J temporary is chunk-sized.
+the counts and their float copy.  They are allocated once by make_state
+and overwritten in place, one row chunk of at most nb.CHUNK_ELEMENTS
+entries at a time (fill_workspace); the S/T steps (nb.dispersion_sums)
+and log_posterior run over the same chunks, so every other I x J
+temporary is chunk-sized.
 """
 
 from __future__ import annotations
@@ -500,6 +501,7 @@ def initial_params(Y: DataMatrix, cov: CovariateSet, M: int,
     C = cov.Xplus @ logy @ cov.Zplus.T
     A = (cov.Xplus @ logy - C @ cov.Z.T).T
     B = logy @ cov.Zplus.T - cov.X @ C
+    del logy                                   # not held through the S/T cycles
     rng = stream_rng(config.seed, "init")
     U = nullspace_frame(cov.X, M, rng)
     V = nullspace_frame(cov.Z, M, rng)
