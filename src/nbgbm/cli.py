@@ -52,31 +52,36 @@ def _prior_config(settings):
 
 
 def _fit_prior(fit_dir, counts):
-    """The prior the fit in `fit_dir` maximized, read from its manifest,
+    """(prior, converged) of the fit in `fit_dir`, read from its manifest,
     after checking that `counts` hash to its input_digests.counts.
 
     Standard errors are taken at the MAP estimate, so they hold only under
-    that prior and for those counts.  A directory without a manifest
-    (simulate's truth/) is not checked and gets the default prior."""
+    that prior and for those counts; a fit that did not converge raises a
+    warning.  A directory without a manifest (simulate's truth/) is not
+    checked and gets the default prior and converged None."""
     from . import io
     from .model import PriorConfig
 
     path = os.path.join(fit_dir, "manifest.json")
     if not os.path.exists(path):
-        return PriorConfig()
+        return PriorConfig(), None
     try:
         manifest = io.read_json(path)
         prior = _prior_config(manifest["config"])
         fitted = manifest["input_digests"]["counts"]
+        converged = bool(manifest["convergence"]["converged"])
+        iterations = manifest["convergence"]["iterations"]
     except KeyError as err:
-        raise InputError(f"{path} has no field {err}; infer needs the fit's prior "
-                         "and the digest of its counts") from err
+        raise InputError(f"{path} has no field {err}; infer needs the fit's prior, "
+                         "the digest of its counts and its convergence") from err
     except (TypeError, ValueError, DomainError) as err:
         raise InputError(f"{path}: invalid fit manifest ({err})") from err
     if io.file_digest(counts) != fitted:
         raise InputError(f"{counts} are not the counts of the fit in {fit_dir}: their SHA-256 "
                          f"differs from input_digests.counts in {path}")
-    return prior
+    if not converged:
+        warnings.warn(f"the fit in {fit_dir} stopped at iteration {iterations} without converging")
+    return prior, converged
 
 
 def _wald_column(spec, params):
@@ -225,7 +230,7 @@ def cmd_infer(args) -> int:
 
     t0 = time.time()
     with _recorded_warnings() as raised:
-        prior = _fit_prior(args.fit_dir, args.counts)
+        prior, converged = _fit_prior(args.fit_dir, args.counts)
         counts = io.read_matrix(args.counts)
         Y = DataMatrix(counts)
         params = io.read_params(args.fit_dir)
@@ -251,16 +256,17 @@ def cmd_infer(args) -> int:
             oracle = inference.full_fisher_variances(Y, params, cov, prior)
             for name, block in oracle.items():
                 io.write_matrix(os.path.join(args.out, f"oracle_var_{name}.csv"), np.sqrt(block))
+    fit_files = [f"{block}.csv" for block in io.PARAM_FILES] + ["X.csv", "Z.csv", "manifest.json"]
     manifest = io.build_manifest(
         command="infer",
         config={"level": args.level, "tests": args.test, **vars(prior)},
         seed=None,
         inputs={"counts": args.counts,
-                "params": os.path.join(args.fit_dir, "params.json")},
+                **{name: os.path.join(args.fit_dir, name) for name in fit_files}},
         wall_time=time.time() - t0,
         version=__version__,
     )
-    manifest.update(warnings=raised, stage_seconds=result.stage_seconds)
+    manifest.update(warnings=raised, stage_seconds=result.stage_seconds, fit_converged=converged)
     io.write_json(os.path.join(args.out, "manifest.json"), manifest)
     return 0
 

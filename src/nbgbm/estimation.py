@@ -6,6 +6,7 @@ a regularized Fisher-scoring (or Newton, for S/T) step whose root mean
 square is capped at RHO, followed by a projection back onto the
 identifiability-constrained parameter set that leaves the linear predictor
 (hence the likelihood) unchanged by compensating through other blocks.
+initial_params is closed-form (no dispersion steps; S = T = omega = 0).
 
 Each step is taken on the log-posterior after its projection, so the prior
 term it regularizes is the one the projected state actually carries: A, B,
@@ -62,7 +63,6 @@ from .model import (
 )
 from .rngstreams import stream_rng
 
-INIT_ST_ITERS = 4    # S/T update cycles that refine the initial dispersions
 RHO = 5.0            # cap on the root mean square of every update step
 OFFSET_FLOOR = -4.0  # softplus floor of the S and T offsets in bias_correct_dispersions
 
@@ -482,18 +482,17 @@ def finalize_factor_signs(params: GbmParams):
 # ---------------------------------------------------------------------------
 
 def initial_params(Y: DataMatrix, cov: CovariateSet, M: int,
-                   prior: PriorConfig = None, config: FitConfig = None) -> GbmParams:
-    """Least-squares warm start on log counts plus a tiny random factorization.
+                   config: FitConfig = None) -> GbmParams:
+    """Closed-form start: least squares on log counts plus tiny random factors.
 
     A, B, C minimize the sum of squared log-scale residuals with the latent
     part excluded (which keeps the factors from chasing outliers before the
     dispersions are estimated).  U and then V are uniform orthonormal frames
     in the nullspaces of X' and Z', drawn by QR of I x M and J x M Gaussian
     matrices from the seeded "init" stream (no I x J matrix is formed), and
-    D descends linearly from 1e-8 (sqrt(I) + sqrt(J)) to half that.  S, T,
-    omega start at zero and are refined by INIT_ST_ITERS dispersion cycles.
+    D descends linearly from 1e-8 (sqrt(I) + sqrt(J)) to half that.  S, T
+    and omega start at zero; the fit's own S and T steps estimate them.
     """
-    prior = prior or PriorConfig()
     config = config or FitConfig()
     if M >= min(cov.I, cov.J):
         raise ShapeError(f"M = {M} must be smaller than min(I, J) = {min(cov.I, cov.J)}")
@@ -501,18 +500,12 @@ def initial_params(Y: DataMatrix, cov: CovariateSet, M: int,
     C = cov.Xplus @ logy @ cov.Zplus.T
     A = (cov.Xplus @ logy - C @ cov.Z.T).T
     B = logy @ cov.Zplus.T - cov.X @ C
-    del logy                                   # not held through the S/T cycles
     rng = stream_rng(config.seed, "init")
     U = nullspace_frame(cov.X, M, rng)
     V = nullspace_frame(cov.Z, M, rng)
     D = 1e-8 * (np.sqrt(cov.I) + np.sqrt(cov.J)) * np.linspace(1.0, 0.5, M)
-    params = GbmParams(A=A, B=B, C=C, D=D, U=U, V=V,
-                       S=np.zeros(cov.I), T=np.zeros(cov.J), omega=0.0)
-    state = make_state(Y, cov, params, prior)
-    for _ in range(INIT_ST_ITERS):
-        update_s(state)
-        update_t(state)
-    return state.params
+    return GbmParams(A=A, B=B, C=C, D=D, U=U, V=V,
+                     S=np.zeros(cov.I), T=np.zeros(cov.J), omega=0.0)
 
 
 @dataclass
@@ -554,7 +547,7 @@ def fit(Y, cov, M, prior: PriorConfig = None, config: FitConfig = None,
     if not isinstance(Y, DataMatrix):
         Y = DataMatrix(Y)
     if init_params is None:
-        params = initial_params(Y, cov, M, prior, config)
+        params = initial_params(Y, cov, M, config)
     else:
         params = init_params.copy()
         if params.M != M:

@@ -309,6 +309,45 @@ class TestInfer:
         assert code == 3
         assert "counts" in capsys.readouterr().err
 
+    def test_manifest_digests_every_file_read(self, sim_dir, fit_dir, tmp_path):
+        copy = tmp_path / "fit_copy"
+        shutil.copytree(fit_dir, copy)
+        first = infer_flagless(sim_dir, copy, tmp_path / "se_first")
+        digests = nbio.read_json(first / "manifest.json")["input_digests"]
+        read = [f"{name}.csv" for name in nbio.PARAM_FILES] + ["X.csv", "Z.csv", "manifest.json"]
+        assert set(digests) == {"counts", *read}
+        for name in read:
+            assert digests[name] == nbio.file_digest(copy / name), name
+        A = nbio.read_matrix(copy / "A.csv")
+        A[0, 0] += 0.01
+        nbio.write_matrix(copy / "A.csv", A)
+        second = infer_flagless(sim_dir, copy, tmp_path / "se_second")
+        edited = nbio.read_json(second / "manifest.json")["input_digests"]
+        assert edited["A.csv"] == nbio.file_digest(copy / "A.csv") != digests["A.csv"]
+        assert {k: v for k, v in edited.items() if k != "A.csv"} == \
+            {k: v for k, v in digests.items() if k != "A.csv"}
+
+    def test_manifest_records_a_converged_fit(self, fit_dir, infer_dir):
+        assert nbio.read_json(fit_dir / "manifest.json")["convergence"]["converged"] is True
+        manifest = nbio.read_json(infer_dir / "manifest.json")
+        assert manifest["fit_converged"] is True
+        assert not any("without converging" in message for message in manifest["warnings"])
+
+    def test_fit_that_did_not_converge_is_flagged(self, sim_dir, tmp_path):
+        fit_dir = fit_with(sim_dir, tmp_path / "fit_one_step", "--max-iter", "1")
+        assert nbio.read_json(fit_dir / "manifest.json")["convergence"]["converged"] is False
+        with pytest.warns(UserWarning, match="stopped at iteration 1 without converging"):
+            out = infer_flagless(sim_dir, fit_dir, tmp_path / "se_one_step")
+        manifest = nbio.read_json(out / "manifest.json")
+        assert manifest["fit_converged"] is False
+        assert any("stopped at iteration 1 without" in message for message in manifest["warnings"])
+
+    def test_directory_without_manifest_has_unknown_convergence(self, sim_dir, tmp_path):
+        out = infer_flagless(sim_dir, sim_dir / "truth", tmp_path / "se_truth")
+        manifest = nbio.read_json(out / "manifest.json")
+        assert manifest["fit_converged"] is None
+        assert "manifest.json" not in manifest["input_digests"]
+
 
 class TestEvaluate:
     def test_self_evaluation_is_exact(self, sim_dir, tmp_path):

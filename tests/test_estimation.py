@@ -92,6 +92,18 @@ class TestInitialization:
         assert np.abs(truth.cov.Z.T @ params.A).max() < 1e-9
         assert np.abs(truth.cov.X.T @ params.B).max() < 1e-9
 
+    def test_closed_form_start_leaves_dispersions_at_zero(self, small_instance, monkeypatch):
+        # the start runs no dispersion step: S, T and omega are the exact zeros
+        def no_dispersion_pass(*args, **kwargs):
+            raise AssertionError("initial_params ran a dispersion pass")
+
+        monkeypatch.setattr(nb, "dispersion_sums", no_dispersion_pass)
+        Y, truth = small_instance
+        params = est.initial_params(Y, truth.cov, 1)
+        assert np.array_equal(params.S, np.zeros(Y.I))
+        assert np.array_equal(params.T, np.zeros(Y.J))
+        assert params.omega == 0.0
+
 
 class TestBoundedFisherStep:
     def test_stationary_point_unchanged(self):
@@ -529,6 +541,19 @@ class TestFit:
         np.testing.assert_allclose(result.params.A, A_opt, atol=2e-5)
         np.testing.assert_allclose(result.params.B, B_opt, atol=2e-5)
         np.testing.assert_allclose(result.params.C, C_opt, atol=2e-5)
+
+    def test_builds_one_fit_state(self, small_instance, monkeypatch):
+        calls = []
+        make_state = est.make_state
+
+        def counted_make_state(*args, **kwargs):
+            calls.append(1)
+            return make_state(*args, **kwargs)
+
+        monkeypatch.setattr(est, "make_state", counted_make_state)
+        Y, truth = small_instance
+        est.fit(Y, truth.cov, 1, config=FitConfig(max_iter=3))
+        assert len(calls) == 1
 
     def test_truth_init_accepted(self, small_instance):
         Y, truth = small_instance
