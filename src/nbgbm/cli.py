@@ -51,14 +51,17 @@ def _prior_config(settings):
     return PriorConfig(**{name: float(settings[name]) for name in PRIOR_FIELDS})
 
 
-def _fit_prior(fit_dir, counts):
+def _fit_prior(fit_dir, counts, digests):
     """(prior, converged) of the fit in `fit_dir`, read from its manifest,
-    after checking that `counts` hash to its input_digests.counts.
+    after checking that the counts file `counts` hashes to its
+    input_digests.counts.
 
-    Standard errors are taken at the MAP estimate, so they hold only under
-    that prior and for those counts; a fit that did not converge raises a
-    warning.  A directory without a manifest (simulate's truth/) is not
-    checked and gets the default prior and converged None."""
+    `digests` maps each file read so far to its SHA-256 (io.read_bytes); it
+    holds `counts` and receives the manifest.  Standard errors are taken at
+    the MAP estimate, so they hold only under that prior and for those
+    counts; a fit that did not converge raises a warning.  A directory
+    without a manifest (simulate's truth/) is not checked and gets the
+    default prior and converged None."""
     from . import io
     from .model import PriorConfig
 
@@ -66,7 +69,7 @@ def _fit_prior(fit_dir, counts):
     if not os.path.exists(path):
         return PriorConfig(), None
     try:
-        manifest = io.read_json(path)
+        manifest = io.read_json(path, digests)
         prior = _prior_config(manifest["config"])
         fitted = manifest["input_digests"]["counts"]
         converged = bool(manifest["convergence"]["converged"])
@@ -76,7 +79,7 @@ def _fit_prior(fit_dir, counts):
                          "the digest of its counts and its convergence") from err
     except (TypeError, ValueError, DomainError) as err:
         raise InputError(f"{path}: invalid fit manifest ({err})") from err
-    if io.file_digest(counts) != fitted:
+    if digests[counts] != fitted:
         raise InputError(f"{counts} are not the counts of the fit in {fit_dir}: their SHA-256 "
                          f"differs from input_digests.counts in {path}")
     if not converged:
@@ -178,11 +181,14 @@ def cmd_fit(args) -> int:
     from .model import DataMatrix, FitConfig
 
     t0 = time.time()
+    digests = {}
     with _recorded_warnings() as raised:
-        counts = io.read_matrix(args.counts)
+        counts = io.read_matrix(args.counts, digests=digests)
         Y = DataMatrix(counts)
-        X = io.read_matrix(args.row_covariates) if args.row_covariates else np.ones((Y.I, 1))
-        Z = io.read_matrix(args.col_covariates) if args.col_covariates else np.ones((Y.J, 1))
+        X = (io.read_matrix(args.row_covariates, digests=digests) if args.row_covariates
+             else np.ones((Y.I, 1)))
+        Z = (io.read_matrix(args.col_covariates, digests=digests) if args.col_covariates
+             else np.ones((Y.J, 1)))
         if X.shape[0] != Y.I:
             raise InputError(f"row covariates {args.row_covariates} have {X.shape[0]} rows, "
                              f"counts {args.counts} have {Y.I}")
@@ -204,8 +210,9 @@ def cmd_fit(args) -> int:
         config={**vars(config), "standardize": not args.no_standardize, **vars(prior),
                 "latent": args.latent},
         seed=args.seed,
-        inputs={"counts": args.counts, "row_covariates": args.row_covariates,
-                "col_covariates": args.col_covariates},
+        input_digests={name: digests[path] for name, path in
+                       (("counts", args.counts), ("row_covariates", args.row_covariates),
+                        ("col_covariates", args.col_covariates)) if path},
         wall_time=time.time() - t0,
         convergence={"converged": result.converged, "iterations": result.iterations,
                      "final_log_posterior": result.trace[-1],
@@ -229,14 +236,15 @@ def cmd_infer(args) -> int:
     from .model import CovariateSet, DataMatrix
 
     t0 = time.time()
+    digests = {}                 # path -> SHA-256 of the bytes read and parsed
     with _recorded_warnings() as raised:
-        prior, converged = _fit_prior(args.fit_dir, args.counts)
-        counts = io.read_matrix(args.counts)
+        counts = io.read_matrix(args.counts, digests=digests)
+        prior, converged = _fit_prior(args.fit_dir, args.counts, digests)
         Y = DataMatrix(counts)
-        params = io.read_params(args.fit_dir)
+        params = io.read_params(args.fit_dir, digests)
         wald_columns = [_wald_column(spec, params) for spec in args.test]
-        X = io.read_matrix(os.path.join(args.fit_dir, "X.csv"))
-        Z = io.read_matrix(os.path.join(args.fit_dir, "Z.csv"))
+        X = io.read_matrix(os.path.join(args.fit_dir, "X.csv"), digests=digests)
+        Z = io.read_matrix(os.path.join(args.fit_dir, "Z.csv"), digests=digests)
         cov = CovariateSet(X, Z)
         result = inference.standard_errors(Y, params, cov, prior)
         os.makedirs(args.out, exist_ok=True)
@@ -257,12 +265,14 @@ def cmd_infer(args) -> int:
             for name, block in oracle.items():
                 io.write_matrix(os.path.join(args.out, f"oracle_var_{name}.csv"), np.sqrt(block))
     fit_files = [f"{block}.csv" for block in io.PARAM_FILES] + ["X.csv", "Z.csv", "manifest.json"]
+    fit_paths = {name: os.path.join(args.fit_dir, name) for name in fit_files}
     manifest = io.build_manifest(
         command="infer",
         config={"level": args.level, "tests": args.test, **vars(prior)},
         seed=None,
-        inputs={"counts": args.counts,
-                **{name: os.path.join(args.fit_dir, name) for name in fit_files}},
+        input_digests={"counts": digests[args.counts],
+                       **{name: digests[path] for name, path in fit_paths.items()
+                          if path in digests}},
         wall_time=time.time() - t0,
         version=__version__,
     )
@@ -297,7 +307,7 @@ def cmd_simulate(args) -> int:
         config={"scheme": args.scheme, "dims": list(dims), "replicate": args.replicate,
                 "covariate_clamp_events": truth.clamp_events},
         seed=args.seed,
-        inputs={},
+        input_digests={},
         wall_time=time.time() - t0,
         version=__version__,
     )

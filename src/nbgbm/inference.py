@@ -11,9 +11,11 @@ Three ingredients:
    eliminations of the constraints solve it: one for the factor with more
    rows on its block-diagonal Fisher information, one for the other on the
    Schur complement that remains.  The Schur complement is streamed into
-   one min(I, J) M square buffer in row blocks of the cross information,
-   factored and inverted there in place, so the cost is
-   O(I J^2 M^3 + J^3 M^3) and the memory one such buffer plus row blocks.
+   one packed lower triangle (rectangular full packed storage, n (n + 1) / 2
+   doubles for n = min(I, J) M) in row blocks of the cross information,
+   which are built from their Kronecker factors, and is factored and
+   inverted there in place, so the cost is O(I J^2 M^3 + J^3 M^3) and the
+   memory that triangle plus row blocks.
 3. Delta propagation: the extra variance of A, B (from U, V), of C (from
    A, B), and of S, T (from A, B, U, V), obtained by differentiating each
    block's one-step Fisher-scoring map through the source block and
@@ -24,14 +26,15 @@ Three ingredients:
    form; coef_eta_jacobian and dispersion_jacobian_* build the dense
    Jacobians only as analytic references.
 
-InferencePieces holds the four I x J arrays of the NB workspace (W, E, mu,
-r) and otherwise only per-row, per-column and coefficient-sized blocks.
-Every other I x J quantity (the dispersion derivatives, the derivatives
-dWM and dEM of W and E in the linear predictor, the propagation weights)
-is formed one row chunk of at most nb.CHUNK_ELEMENTS entries at a time
-and contracted at once: each stage derives a chunk's weights once and
-feeds both twins from them, summing over the chunk's rows for A, C from
-A and T, and over its columns for B, C from B and S.
+InferencePieces stores two I x J arrays of the NB workspace, mu and E, and
+otherwise only per-row, per-column and coefficient-sized blocks.  Every
+other I x J quantity (W and r, rebuilt from mu and the dispersion offsets
+bit for bit; the dispersion derivatives; the derivatives dWM and dEM of W
+and E in the linear predictor; the propagation weights) is formed one row
+chunk of at most nb.CHUNK_ELEMENTS entries at a time and contracted at
+once: each stage derives a chunk's weights once and feeds both twins from
+them, summing over the chunk's rows for A, C from A and T, and over its
+columns for B, C from B and S.
 
 InferencePieces.transposed() gives the pieces of the problem for Y' (X
 and Z, A and B, U and V, S and T swapped, C turned into C'); the joint
@@ -51,28 +54,31 @@ from scipy.linalg import blas, lapack
 from scipy.special import ndtr, ndtri
 
 from . import nb
-from .estimation import _fisher_c_from_blocks, _row_fisher_blocks, fill_workspace
+from .estimation import _fisher_c_from_blocks, _row_fisher_blocks
 from .exceptions import DomainError, RankError, ShapeError, SizeGuardError
 from .model import CovariateSet, GbmParams, PriorConfig, linear_predictor
 
 FULL_FISHER_GUARD = 2000
-ROW_BLOCK_BYTES = 1 << 20   # bytes of one row block of Fuv in the joint (U, V) solve
+ROW_BLOCK_BYTES = 1 << 20   # bytes of one row block of R Fuv or Cu Fuv in the joint (U, V) solve
 
 
 @dataclass
 class InferencePieces:
     """The NB workspace of the fitted parameters, scores and conditional inverses.
 
-    W, E, mu and r are the four I x J workspace arrays; every other field
+    mu and E are the two stored I x J workspace arrays.  W and r are
+    rebuilt from mu and the dispersion offsets S, T, omega one row chunk at
+    a time (see _weights), bit for bit the workspace's; every other field
     is a per-row, per-column or coefficient-sized block.  The derivatives
-    dWM and dEM of W and E in the linear predictor are derived from the
-    workspace (see _eta_derivatives), not stored.
+    dWM and dEM of W and E in the linear predictor are derived the same
+    way (see _eta_derivatives).
     """
 
-    W: np.ndarray
-    E: np.ndarray
     mu: np.ndarray
-    r: np.ndarray
+    E: np.ndarray
+    S: np.ndarray            # length I row log-dispersion offsets
+    T: np.ndarray            # length J
+    omega: float
     gradA: np.ndarray        # J x K likelihood score rows
     gradB: np.ndarray        # I x L
     gradC: np.ndarray        # K x L
@@ -89,6 +95,16 @@ class InferencePieces:
     invFt: np.ndarray        # length J
 
     @property
+    def W(self) -> np.ndarray:
+        """The Fisher weights, the whole I x J array (for references)."""
+        return _weights(self)[0]
+
+    @property
+    def r(self) -> np.ndarray:
+        """The inverse dispersions, the whole I x J array (for references)."""
+        return _weights(self)[1]
+
+    @property
     def dWM(self) -> np.ndarray:
         """d w_ij / d linpred_ij, the whole I x J array (for references)."""
         return _eta_derivatives(self)[0]
@@ -102,7 +118,7 @@ class InferencePieces:
         """The pieces for Y', sharing the arrays; invFc goes to vec(C') order."""
         K, L = self.gradC.shape
         return InferencePieces(
-            W=self.W.T, E=self.E.T, mu=self.mu.T, r=self.r.T,
+            mu=self.mu.T, E=self.E.T, S=self.T, T=self.S, omega=self.omega,
             gradA=self.gradB, gradB=self.gradA, gradC=self.gradC.T,
             gradS=self.gradT, gradT=self.gradS, Fu=self.Fv, Fv=self.Fu,
             invFa=self.invFb, invFb=self.invFa,
@@ -111,13 +127,24 @@ class InferencePieces:
         )
 
 
+def _weights(pieces: InferencePieces, rows: slice = slice(None)):
+    """Rows `rows` of W = r mu / (r + mu) and of r = exp(-(s_i + t_j + omega)),
+    by the operations of nb.inverse_dispersions and nb.weights_and_scores,
+    so bit for bit the arrays of the workspace."""
+    r = nb.inverse_dispersions(pieces.S[rows], pieces.T, pieces.omega)[0]
+    mu = pieces.mu[rows]
+    W = np.multiply(r, mu)
+    W /= r + mu
+    return W, r
+
+
 def _eta_derivatives(pieces: InferencePieces, rows: slice = slice(None)):
     """Rows `rows` of dWM = d w / d linpred = W^2 / mu = mu r^2 / (r + mu)^2
     and dEM = d e / d linpred = -W (1 + E / r) = -mu r (r + y) / (r + mu)^2."""
-    W = pieces.W[rows]
+    W, r = _weights(pieces, rows)
     dWM = W * W
     dWM /= pieces.mu[rows]
-    dEM = pieces.E[rows] / pieces.r[rows]
+    dEM = pieces.E[rows] / r
     dEM += 1.0
     dEM *= W
     np.negative(dEM, out=dEM)
@@ -125,21 +152,37 @@ def _eta_derivatives(pieces: InferencePieces, rows: slice = slice(None)):
 
 
 def preprocess(Y, params: GbmParams, cov: CovariateSet, prior: PriorConfig) -> InferencePieces:
-    """One pass computing every reusable quantity of the inference algorithm."""
+    """One pass computing every reusable quantity of the inference algorithm.
+
+    mu and E are written one row chunk at a time; each chunk's W and r feed
+    the Fisher blocks of A, B, U, V and the dispersion sums at once, and
+    are then dropped."""
     values = Y.values if hasattr(Y, "values") else np.asarray(Y)
-    work = fill_workspace(nb.NbWorkspace.empty(values.shape), values, params, cov)
-    W, E = work.W, work.E
-    col_sums, row_sums = nb.dispersion_sums(values, work.mu, work.r)
+    I, J = values.shape
+    X, Z, M = cov.X, cov.Z, params.M
+    UD, VD = params.U * params.D, params.V * params.D
+    mu, E = np.empty((I, J)), np.empty((I, J))
+    Fa, Fv = np.zeros((J, cov.K, cov.K)), np.zeros((J, M, M))
+    Fb, Fu = np.empty((I, cov.L, cov.L)), np.empty((I, M, M))
+    sums = nb.empty_dispersion_sums(I, J)
+    for rows in nb.row_chunks(I, J):
+        nb.means(linear_predictor(params, cov, rows), out=mu[rows])
+        r = nb.inverse_dispersions(params.S[rows], params.T, params.omega)[0]
+        W = nb.weights_and_scores(values[rows], mu[rows], r, out=(None, E[rows]))[0]
+        Fa += _row_fisher_blocks(W, X[rows])
+        Fv += _row_fisher_blocks(W, UD[rows])
+        Fb[rows] = _row_fisher_blocks(W.T, Z)
+        Fu[rows] = _row_fisher_blocks(W.T, VD)
+        nb.add_dispersion_sums(sums, rows, values[rows], mu[rows], r)
+        del W, r                                               # before the next chunk
+    col_sums, row_sums = sums
     gradS = -prior.lambda_s * (params.S - prior.m_s) + row_sums.delta
     gradT = -prior.lambda_t * (params.T - prior.m_t) + col_sums.delta
-
-    X, Z = cov.X, cov.Z
-    Fa = _row_fisher_blocks(W, X)
     invFa = np.linalg.inv(Fa + prior.lambda_a * np.eye(cov.K))
-    invFb = np.linalg.inv(_row_fisher_blocks(W.T, Z) + prior.lambda_b * np.eye(cov.L))
+    invFb = np.linalg.inv(Fb + prior.lambda_b * np.eye(cov.L))
     invFc = np.linalg.inv(_fisher_c_from_blocks(Fa, Z) + prior.lambda_c * np.eye(cov.K * cov.L))
-    Fu = _row_fisher_blocks(W.T, params.V * params.D) + prior.lambda_u * np.eye(params.M)
-    Fv = _row_fisher_blocks(W, params.U * params.D) + prior.lambda_v * np.eye(params.M)
+    Fu += prior.lambda_u * np.eye(M)
+    Fv += prior.lambda_v * np.eye(M)
 
     def observed_inv(lam, second_deriv_sums, label):
         denom = lam - second_deriv_sums
@@ -155,7 +198,7 @@ def preprocess(Y, params: GbmParams, cov: CovariateSet, prior: PriorConfig) -> I
     invFs = observed_inv(prior.lambda_s, row_sums.delta_prime, "S")
     invFt = observed_inv(prior.lambda_t, col_sums.delta_prime, "T")
     return InferencePieces(
-        W=W, E=E, mu=work.mu, r=work.r,
+        mu=mu, E=E, S=params.S, T=params.T, omega=params.omega,
         gradA=E.T @ X, gradB=E @ Z, gradC=X.T @ E @ Z,
         gradS=gradS, gradT=gradT,
         Fu=Fu, Fv=Fv, invFa=invFa, invFb=invFb, invFc=invFc,
@@ -176,16 +219,21 @@ class ConstraintJacobians:
     Jv: np.ndarray   # (M L + M^2) x (J M)
 
 
-def _factor_jacobian(design: np.ndarray, factor: np.ndarray) -> np.ndarray:
+def _factor_jacobian(design: np.ndarray, factor: np.ndarray, independent=False) -> np.ndarray:
+    """Jacobian of the constraints on one factor, columns ordered like
+    vec(factor'): the rows (k, m) of factor' design = 0, then the rows (a, m)
+    of factor' factor = I, all M^2 of them or, when `independent`, only
+    a <= m (rows (a, m) and (m, a) are identical)."""
     n, K = design.shape
     M = factor.shape[1]
-    eye = np.eye(M)
-    top = np.einsum("ik,mn->kmin", design, eye).reshape(K * M, n * M)
-    bot = (
-        np.einsum("ia,mn->amin", factor, eye)
-        + np.einsum("an,im->amin", eye, factor)
-    ).reshape(M * M, n * M)
-    return np.vstack([top, bot])
+    a, m = np.triu_indices(M) if independent else np.divmod(np.arange(M * M), M)
+    jac = np.zeros((K * M + a.size, n, M))
+    for col in range(M):
+        jac[col:K * M:M, :, col] = design.T
+    pair = K * M + np.arange(a.size)
+    jac[pair, :, m] += factor[:, a].T
+    jac[pair, :, a] += factor[:, m].T
+    return jac.reshape(-1, n * M)
 
 
 def constraint_jacobians(params: GbmParams, cov: CovariateSet) -> ConstraintJacobians:
@@ -201,7 +249,9 @@ def latent_cross_information(pieces: InferencePieces, params: GbmParams,
                              rows: slice = slice(None)) -> np.ndarray:
     """IM x JM cross information; block (i, j) is w_ij (D V_j)(D U_i)'.
 
-    `rows` selects a slice of i and returns only those block rows.
+    `rows` selects a slice of i and returns only those block rows.  Dense
+    reference only: the joint solve builds the rows it needs from their
+    Kronecker factors (_factor_rows).
     """
     W = pieces.W[rows]
     DU = (params.U * params.D)[rows]
@@ -213,17 +263,21 @@ def latent_cross_information(pieces: InferencePieces, params: GbmParams,
     return out.reshape(n * M, J * M)
 
 
-def _inverse_cholesky(mat, label, overwrite=False):
-    """L^-1 (lower triangular, other triangle zero) for mat = L L' symmetric
-    positive definite, in mat's own buffer when overwrite is set and mat is a
-    Fortran-ordered float array.  RankError when the factorization fails or
-    its smallest squared pivot is at most 1e-12 of the largest."""
-    factor, info = lapack.dpotrf(mat, lower=1, clean=1, overwrite_a=overwrite)
-    pivots = np.diag(factor) ** 2
+def _check_pivots(diagonal, info, label):
+    """RankError when a Cholesky factorization failed or the smallest squared
+    pivot on its diagonal is at most 1e-12 of the largest."""
+    pivots = diagonal ** 2
     if info != 0 or not np.all(np.isfinite(pivots)):
         raise RankError(f"{label} is not positive definite")
     if pivots.min() <= 1e-12 * pivots.max():
         raise RankError(f"{label} is numerically singular")
+
+
+def _inverse_cholesky(mat, label):
+    """L^-1 (lower triangular, other triangle zero) for mat = L L' symmetric
+    positive definite; RankError as in _check_pivots."""
+    factor, info = lapack.dpotrf(mat, lower=1, clean=1)
+    _check_pivots(np.diag(factor), info, label)
     inverse, _ = lapack.dtrtri(factor, lower=1, overwrite_c=1)
     return inverse
 
@@ -232,24 +286,109 @@ def _squares(a, axis):
     return np.einsum("ij,ij->j" if axis == 0 else "ij,ij->i", a, a)
 
 
+# A symmetric n x n matrix, n = 2k, in rectangular full packed (RFP) storage
+# with TRANSR = 'T', lower (LAPACK; Gustavson, Wasniewski, Dongarra and
+# Langou, ACM TOMS 37(2), 2010): one k x (n + 1) Fortran array whose columns
+# [:k] hold the trailing block A22 (lower triangle), [1:k+1] the leading
+# block A11 transposed (upper triangle) and [k+1:] A21'.  The two triangles
+# share their k x k square without overlapping, and each of the three views
+# is Fortran-contiguous, so LAPACK and BLAS work on them in place.
+
+def _rfp_blocks(rfp):
+    """The views (A22 lower, A11' upper, A21') of an RFP array."""
+    k = rfp.shape[0]
+    return rfp[:, :k], rfp[:, 1:k + 1], rfp[:, k + 1:]
+
+
+def _packed_inverse_cholesky(rfp, label):
+    """Overwrite the RFP array of a symmetric positive definite S = L L' with
+    L^-1 in the same layout; RankError as in _check_pivots.
+
+    With L = [[L11, 0], [L21, L22]], L^-1 = [[L11^-1, 0], [X21, L22^-1]] and
+    X21 = -L22^-1 L21 L11^-1: two triangular inverses and two triangular
+    products on the blocks."""
+    k = rfp.shape[0]
+    _, info = lapack.dpftrf(2 * k, rfp.ravel(order="F"), transr="T", uplo="L", overwrite_a=1)
+    low, up, off = _rfp_blocks(rfp)
+    _check_pivots(np.concatenate([np.diag(up), np.diag(low)]), info, label)
+    lapack.dtrtri(up, lower=0, overwrite_c=1)                  # (L11^-1)'
+    lapack.dtrtri(low, lower=1, overwrite_c=1)                 # L22^-1
+    blas.dtrmm(-1.0, up, off, lower=0, overwrite_b=1)          # -(L11^-1)' L21'
+    blas.dtrmm(1.0, low, off, side=1, lower=1, trans_a=1, overwrite_b=1)   # X21'
+
+
+def _apply_inverse_factor(rfp, top, bottom, transpose=False):
+    """Overwrite y = [top; bottom], two Fortran-ordered k x p halves, with
+    L^-1 y (L^-T y when `transpose`), L^-1 in RFP storage from
+    _packed_inverse_cholesky."""
+    low, up, off = _rfp_blocks(rfp)
+    if transpose:       # [L11^-T y1 + X21' y2; L22^-T y2]
+        blas.dtrmm(1.0, up, top, lower=0, overwrite_b=1)
+        blas.dgemm(1.0, off, bottom, beta=1.0, c=top, overwrite_c=1)
+        blas.dtrmm(1.0, low, bottom, lower=1, trans_a=1, overwrite_b=1)
+    else:               # [L11^-1 y1; X21 y1 + L22^-1 y2]
+        blas.dtrmm(1.0, low, bottom, lower=1, overwrite_b=1)
+        blas.dgemm(1.0, off, top, beta=1.0, c=bottom, trans_a=1, overwrite_c=1)
+        blas.dtrmm(1.0, up, top, lower=0, trans_a=1, overwrite_b=1)
+
+
+def _packed_inverse_diagonal(rfp):
+    """diag(S^-1) = the squared column norms of L^-1, from the RFP array of
+    L^-1; the triangles are masked one column chunk at a time."""
+    low, up, off = _rfp_blocks(rfp)
+    k = rfp.shape[0]
+
+    def lower_column_squares(tri):
+        out = np.empty(k)
+        for cols in nb.row_chunks(k, k):
+            out[cols] = _squares(np.tril(tri[cols.start:, cols]), 0)
+        return out
+
+    return np.concatenate([lower_column_squares(up.T) + _squares(off, 1),
+                           lower_column_squares(low)])
+
+
+def _factor_rows(blocks, W, VDt, UD, outs):
+    """Rows of blocks_i Fuv_i for the rows i of W, written into `outs`.
+
+    Row i of the cross information is Fuv_i = (V D diag(w_i))' kron (D u_i)',
+    so blocks_i Fuv_i = (blocks_i (V D)' diag(w_i)) kron (D u_i)': one
+    (n M x M)(M x J') product, then an outer product.  VDt is (V D)'
+    padded with zero columns to J' = 2 J'' columns; `outs` are n M x (J' M /
+    len(outs)) arrays taking consecutive column ranges.
+    """
+    n, M = UD.shape
+    G = (blocks.reshape(n * M, M) @ VDt).reshape(n, M, -1)
+    G[:, :, :W.shape[1]] *= W[:, None, :]
+    width = G.shape[2] // len(outs)
+    for part, out in enumerate(outs):
+        out = out.reshape(n, M, width, M)
+        for q in range(M):       # one pass per q runs along j, not along a length-M axis
+            np.multiply(G[:, :, part * width:(part + 1) * width], UD[:, q, None, None],
+                        out=out[..., q])
+
+
 def joint_uv_uncertainty(pieces: InferencePieces, params: GbmParams, cov: CovariateSet):
     """Variances of vec(U') and vec(V') from the bordered joint system.
 
-    Keeps the independent constraint rows (orthonormality rows (a, m) and
-    (m, a) are identical, so only a <= m) and eliminates the constraints
-    twice (Nocedal & Wright, Numerical Optimization, 16.2): the leading
-    block of the inverse of [[A, J'], [J, 0]] is A^-1 - Z Z' with
+    Keeps the independent constraint rows (_factor_jacobian) and eliminates
+    the constraints twice (Nocedal & Wright, Numerical Optimization, 16.2):
+    the leading block of the inverse of [[A, J'], [J, 0]] is A^-1 - Z Z' with
     Z = A^-1 J' L^-T and J A^-1 J' = L L'.  First U on its block-diagonal
     Fisher information, Cu = invFu - Zu Zu'; then V on the Schur complement
     S = Fv - Fuv' Cu Fuv.  The factor with more rows is the one eliminated
     (the problem is transposed when I < J), so S is min(I, J) M square.
 
-    Fuv is never formed whole.  S is accumulated in row blocks of i into one
-    buffer as Fv - sum_b (R_b Fuv_b)'(R_b Fuv_b) + H'H, with R_i' R_i =
-    invFu_i and H = Zu' Fuv; S = L L' is factored and L inverted in place.
-    varV = diag(S^-1) - rowsum(Zv^2), and varU adds, for every row x of
-    Cu Fuv (rebuilt in a second pass over the row blocks),
-    x Cv x' = |L^-1 x'|^2 - |x Zv|^2.
+    Neither Fuv nor S is held whole.  S is kept in RFP storage (n (n + 1) / 2
+    doubles; J is padded to even with identity blocks of S that no other
+    row touches, so that each half of the storage holds whole j blocks).  It
+    is accumulated by dsfrk in row blocks of i as
+    Fv - sum_b (R_b Fuv_b)'(R_b Fuv_b) + H'H, with R_i' R_i = invFu_i,
+    Fu_i = C_i C_i' and H = Zu' Fuv = sum_i (C_i' Zu_i)'(R_i Fuv_i); the rows
+    R_i Fuv_i are built from their Kronecker factors (_factor_rows).  S = L L'
+    is factored and L inverted in place.  varV = diag(S^-1) - rowsum(Zv^2),
+    and varU adds, for every row x of Cu Fuv (rebuilt in a second pass over
+    the row blocks), x Cv x' = |L^-1 x'|^2 - |x Zv|^2.
     """
     M = params.M
     if M == 0:
@@ -258,43 +397,68 @@ def joint_uv_uncertainty(pieces: InferencePieces, params: GbmParams, cov: Covari
         varV, varU = joint_uv_uncertainty(pieces.transposed(), params.transposed(),
                                           cov.transposed())
         return varU, varV
-    I, JM = cov.I, cov.J * M
-    jac = constraint_jacobians(params, cov)
-    upper = np.ravel_multi_index(np.triu_indices(M), (M, M))   # rows (a, m), a <= m
-    Ju = jac.Ju[np.concatenate([np.arange(cov.K * M), cov.K * M + upper])]
-    Jv = jac.Jv[np.concatenate([np.arange(cov.L * M), cov.L * M + upper])]
+    I, J = cov.I, cov.J
+    half = (J + 1) // 2                                        # j blocks per RFP half
+    k = half * M
+    Ju = _factor_jacobian(cov.X, params.U, independent=True)
     Zu = np.matmul(pieces.invFu, Ju.T.reshape(I, M, -1)).reshape(I * M, -1)
     Zu = Zu @ _inverse_cholesky(Ju @ Zu, "left-factor constraint system").T
-    whiten = np.linalg.inv(np.linalg.cholesky(pieces.Fu))      # R_i' R_i = invFu_i
-    step = max(1, ROW_BLOCK_BYTES // (8 * M * JM))             # rows i per block
+    del Ju
+    chol = np.linalg.cholesky(pieces.Fu)                       # C_i
+    whiten = np.linalg.inv(chol)                               # R_i = C_i^-1
+    Zw = np.matmul(chol.transpose(0, 2, 1), Zu.reshape(I, M, -1)).reshape(I * M, -1)
+    UD = params.U * params.D
+    VDt = np.zeros((M, 2 * half))
+    VDt[:, :J] = (params.V * params.D).T
+    step = max(1, ROW_BLOCK_BYTES // (8 * M * 2 * k))          # rows i per block
     blocks = [(slice(i, min(i + step, I)), slice(i * M, min(i + step, I) * M))
               for i in range(0, I, step)]
 
-    schur = np.zeros((JM, JM), order="F")                      # lower triangle used
-    H = np.zeros((Zu.shape[1], JM))
+    rfp = np.zeros((k, 2 * k + 1), order="F")                  # S, lower, packed
+    packed = rfp.ravel(order="F")
+    H = np.zeros((Zu.shape[1], 2 * k))
+    white = np.empty((step * M, 2 * k))
     for rows, rows_m in blocks:
-        Fuv = latent_cross_information(pieces, params, rows)
-        white = np.matmul(whiten[rows], Fuv.reshape(-1, M, JM)).reshape(-1, JM)
-        schur = blas.dsyrk(-1.0, white.T, beta=1.0, c=schur, lower=1, overwrite_c=1)
-        H += Zu[rows_m].T @ Fuv
-        del Fuv, white                                         # before the next block
-    schur = blas.dsyrk(1.0, H.T, beta=1.0, c=schur, lower=1, overwrite_c=1)
-    schur.T.reshape(cov.J, M, cov.J, M)[np.arange(cov.J), :, np.arange(cov.J), :] += pieces.Fv
+        w = white[:rows_m.stop - rows_m.start]
+        _factor_rows(whiten[rows], _weights(pieces, rows)[0], VDt, UD[rows], [w])
+        lapack.dsfrk(2 * k, w.shape[0], -1.0, w.T, 1.0, packed, transr="T", uplo="L",
+                     overwrite_c=1)
+        H += Zw[rows_m].T @ w
+    del white, w, Zw                                           # the second pass needs none
+    lapack.dsfrk(2 * k, H.shape[0], 1.0, H.T, 1.0, packed, transr="T", uplo="L", overwrite_c=1)
+    a, b = np.tril_indices(M)                                  # Fv_j[a, b], a >= b
+    fv = np.empty((2 * half, a.size))
+    fv[:J] = pieces.Fv[:, a, b]
+    fv[J:] = a == b                                            # the padding block
+    first = M * np.arange(half)[:, None]
+    rfp[first + b, first + a + 1] += fv[:half]                 # A11 transposed
+    rfp[first + a, first + b] += fv[half:]                     # A22
 
-    Linv = _inverse_cholesky(schur, "right-factor Schur complement", overwrite=True)
-    LJv = Linv @ Jv.T
-    Zv = Linv.T @ (LJv @ _inverse_cholesky(LJv.T @ LJv, "right-factor constraint system").T)
-    varV = _squares(Linv, 0) - _squares(Zv, 1)
+    _packed_inverse_cholesky(rfp, "right-factor Schur complement")
+    Jv = _factor_jacobian(cov.Z, params.V, independent=True)
+    LJv = np.zeros((2, Jv.shape[0], k))                        # Jv' in two k-row halves
+    LJv[0], LJv[1, :, :J * M - k] = Jv[:, :k], Jv[:, k:]
+    del Jv
+    _apply_inverse_factor(rfp, LJv[0].T, LJv[1].T)             # L^-1 Jv'
+    Lc = _inverse_cholesky(LJv[0] @ LJv[0].T + LJv[1] @ LJv[1].T,
+                           "right-factor constraint system")
+    Zv = [(Lc @ part).T for part in LJv]                       # Fortran-ordered halves
+    del LJv
+    _apply_inverse_factor(rfp, *Zv, transpose=True)
+    varV = (_packed_inverse_diagonal(rfp)
+            - np.concatenate([_squares(part, 1) for part in Zv]))[:J * M]
 
     varU = np.einsum("imm->im", pieces.invFu).ravel() - _squares(Zu, 1)
+    halves = np.empty((2, step * M, k))
     for rows, rows_m in blocks:
-        Fuv = latent_cross_information(pieces, params, rows)
-        x = np.matmul(pieces.invFu[rows], Fuv.reshape(-1, M, JM)).reshape(-1, JM)
-        x -= Zu[rows_m] @ H                                    # rows of Cu Fuv
-        xz = x @ Zv
-        lx = blas.dtrmm(1.0, Linv, x.T, lower=1, overwrite_b=1)   # L^-1 x'
-        varU[rows_m] += _squares(lx, 0) - _squares(xz, 1)
-        del Fuv, x, xz, lx                                     # before the next block
+        x = halves[:, :rows_m.stop - rows_m.start]
+        _factor_rows(pieces.invFu[rows], _weights(pieces, rows)[0], VDt, UD[rows], x)
+        for part, h in zip(x, (H[:, :k], H[:, k:])):          # rows of Cu Fuv
+            blas.dgemm(-1.0, h, Zu[rows_m], beta=1.0, c=part.T, trans_a=1, trans_b=1,
+                       overwrite_c=1)
+        xz = x[0] @ Zv[0] + x[1] @ Zv[1]
+        _apply_inverse_factor(rfp, x[0].T, x[1].T)             # rows of (L^-1 x')'
+        varU[rows_m] += _squares(x[0], 1) + _squares(x[1], 1) - _squares(xz, 1)
     if np.any(varU <= 0) or np.any(varV <= 0):
         warnings.warn("non-positive joint factor variance; inference may be unreliable")
     return varU, varV
@@ -510,8 +674,8 @@ def propagate_to_dispersions(pieces: InferencePieces, params: GbmParams, cov: Co
     var_s = {name: np.empty(cov.I) for name in "ABUV"}
     sums_t = {name: 0.0 for name in "ABUV"}
     for rows in nb.row_chunks(cov.I, cov.J):
-        Q, P = _score_sensitivities(pieces.W[rows], pieces.E[rows], pieces.mu[rows],
-                                    pieces.r[rows])
+        W, r = _weights(pieces, rows)
+        Q, P = _score_sensitivities(W, pieces.E[rows], pieces.mu[rows], r)
         row_factors = {"A": X[rows], "V": UD[rows]}
         row_variances = {"B": varB[rows], "U": varU[rows]}
         R_s = _dispersion_response(Q, P, pieces.invFs[rows], pieces.gradS[rows])

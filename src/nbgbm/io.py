@@ -20,10 +20,22 @@ from .exceptions import InputError
 FLOAT_FMT = "%.17g"
 
 
-def read_matrix(path, allow_empty=False) -> np.ndarray:
-    """Read a delimited numeric matrix, detecting delimiter and header."""
-    with open(path, "r") as fh:
-        lines = [ln for ln in (raw.strip() for raw in fh) if ln]
+def read_bytes(path, digests=None) -> bytes:
+    """The contents of the file at `path`.  When `digests` is a dict, the
+    SHA-256 of exactly these bytes is stored in it under `path`, so a file
+    that is parsed and digested is read once."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if digests is not None:
+        digests[path] = hashlib.sha256(data).hexdigest()
+    return data
+
+
+def read_matrix(path, allow_empty=False, digests=None) -> np.ndarray:
+    """Read a delimited numeric matrix, detecting delimiter and header
+    (`digests` as in read_bytes)."""
+    text = read_bytes(path, digests).decode()
+    lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
     if not lines:
         if allow_empty:
             return np.zeros((0, 0))
@@ -85,15 +97,17 @@ def file_digest(path) -> str:
     return h.hexdigest()
 
 
-def write_json(path, payload):
+def write_json(path, payload, indent=2):
+    """Write payload as JSON with sorted keys; indent=None writes it compact,
+    through the C encoder that json.dump never uses."""
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=_jsonify)
+        fh.write(json.dumps(payload, indent=indent, sort_keys=True, default=_jsonify))
         fh.write("\n")
 
 
-def read_json(path):
-    with open(path) as fh:
-        return json.load(fh)
+def read_json(path, digests=None):
+    """Parse the JSON file at `path` (`digests` as in read_bytes)."""
+    return json.loads(read_bytes(path, digests))
 
 
 def _jsonify(obj):
@@ -104,14 +118,14 @@ def _jsonify(obj):
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
-def build_manifest(command, config, seed, inputs, wall_time, version, convergence=None):
-    """Run manifest emitted next to every command's outputs."""
+def build_manifest(command, config, seed, input_digests, wall_time, version, convergence=None):
+    """Run manifest emitted next to every command's outputs; `input_digests`
+    maps each input's name to the SHA-256 of the bytes that were read."""
     return {
         "command": command,
         "config": config,
         "seed": seed,
-        "input_digests": {name: file_digest(path) for name, path in inputs.items()
-                          if path and os.path.exists(path)},
+        "input_digests": input_digests,
         "software_version": version,
         "wall_time_seconds": wall_time,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
@@ -129,18 +143,19 @@ def write_params(outdir, params):
     for name, block in params.blocks().items():
         write_matrix(os.path.join(outdir, f"{name}.csv"), block)
         combined[name] = np.atleast_2d(block)
-    write_json(os.path.join(outdir, "params.json"), combined)
+    write_json(os.path.join(outdir, "params.json"), combined, indent=None)
 
 
-def read_params(indir):
-    """Reconstruct a parameter state from a fit directory."""
+def read_params(indir, digests=None):
+    """Reconstruct a parameter state from a fit directory (`digests` as in
+    read_bytes)."""
     from .model import GbmParams
 
     def load(name):
         path = os.path.join(indir, f"{name}.csv")
         if not os.path.exists(path):
             raise InputError(f"missing parameter block file {path}")
-        return read_matrix(path, allow_empty=name in ("D", "U", "V"))
+        return read_matrix(path, allow_empty=name in ("D", "U", "V"), digests=digests)
 
     blocks = {name: load(name) for name in PARAM_FILES}
     M = blocks["D"].size

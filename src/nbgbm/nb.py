@@ -195,9 +195,12 @@ class NbWorkspace:
         return cls(*(np.empty(shape) for _ in range(4)))
 
 
-def _clipped_exp(expo, out=None):
-    """exp of the exponents clipped to +-700, and the number clipped."""
-    if -EXP_CLIP <= expo.min() and expo.max() <= EXP_CLIP:
+def _clipped_exp(expo, out=None, low=None, high=None):
+    """exp of the exponents clipped to +-700, and the number clipped.
+    `low` and `high` are expo.min() and expo.max() when the caller has them."""
+    if low is None:
+        low, high = expo.min(), expo.max()
+    if -EXP_CLIP <= low and high <= EXP_CLIP:
         return np.exp(expo, out=out), 0
     clamped = int(np.count_nonzero(np.abs(expo) > EXP_CLIP))
     return np.exp(np.clip(expo, -EXP_CLIP, EXP_CLIP), out=out), clamped
@@ -205,10 +208,14 @@ def _clipped_exp(expo, out=None):
 
 def means(linpred, out=None):
     """mu_ij = exp(linpred_ij); exponents clipped to +-700.  Written into
-    `out` when given, as by the other workspace functions."""
-    if not np.all(np.isfinite(linpred)):
+    `out` when given, as by the other workspace functions.
+
+    One min/max pair both checks and clips: NaN and +-inf propagate to
+    the minimum or the maximum, so a finite pair means finite entries."""
+    low, high = linpred.min(), linpred.max()
+    if not (np.isfinite(low) and np.isfinite(high)):
         raise DomainError("linear predictor contains non-finite entries")
-    return _clipped_exp(linpred, out)
+    return _clipped_exp(linpred, out, low, high)
 
 
 def inverse_dispersions(S, T, omega, out=None):
@@ -308,16 +315,27 @@ def dispersion_sums(y, mu, r):
     The derivatives are computed one row chunk at a time (row_chunks), with
     the counts converted to float per chunk, so no I x J delta is formed.
     """
-    I, J = np.shape(mu)
-    cols = DispersionDerivs(np.zeros(J), np.zeros(J))
-    rows = DispersionDerivs(np.empty(I), np.empty(I))
-    for chunk in row_chunks(I, J):
-        part = dispersion_derivatives(y[chunk], mu[chunk], r[chunk])
-        cols.delta += part.delta.sum(axis=0)
-        cols.delta_prime += part.delta_prime.sum(axis=0)
-        rows.delta[chunk] = part.delta.sum(axis=1)
-        rows.delta_prime[chunk] = part.delta_prime.sum(axis=1)
-    return cols, rows
+    sums = empty_dispersion_sums(*np.shape(mu))
+    for chunk in row_chunks(*np.shape(mu)):
+        add_dispersion_sums(sums, chunk, y[chunk], mu[chunk], r[chunk])
+    return sums
+
+
+def empty_dispersion_sums(n_rows, n_cols):
+    """The (column sums, row sums) pair of dispersion_sums before any chunk."""
+    return (DispersionDerivs(np.zeros(n_cols), np.zeros(n_cols)),
+            DispersionDerivs(np.empty(n_rows), np.empty(n_rows)))
+
+
+def add_dispersion_sums(sums, chunk, y, mu, r):
+    """Add the derivatives of the rows `chunk`, given their y, mu and r, to
+    the column sums sums[0] and write their row sums into sums[1]."""
+    cols, rows = sums
+    part = dispersion_derivatives(y, mu, r)
+    cols.delta += part.delta.sum(axis=0)
+    cols.delta_prime += part.delta_prime.sum(axis=0)
+    rows.delta[chunk] = part.delta.sum(axis=1)
+    rows.delta_prime[chunk] = part.delta_prime.sum(axis=1)
 
 
 def nb_sample(mu, r, rng):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import pathlib
@@ -161,6 +162,16 @@ class TestFit:
         again = nbio.read_params(reread_dir)
         for name, block in params.blocks().items():
             np.testing.assert_array_equal(block, again.blocks()[name])
+
+    def test_params_json_is_compact_and_holds_the_blocks(self, fit_dir):
+        text = (fit_dir / "params.json").read_text()
+        assert text.endswith("}\n") and "\n" not in text[:-1]
+        combined = json.loads(text)
+        params = nbio.read_params(fit_dir)
+        assert set(combined) == set(params.blocks())
+        for name, block in params.blocks().items():
+            np.testing.assert_array_equal(np.atleast_2d(block), np.array(combined[name]),
+                                          err_msg=name)
 
     def test_intercept_only_when_covariates_omitted(self, sim_dir, tmp_path):
         out = tmp_path / "fit0"
@@ -326,6 +337,25 @@ class TestInfer:
         assert edited["A.csv"] == nbio.file_digest(copy / "A.csv") != digests["A.csv"]
         assert {k: v for k, v in edited.items() if k != "A.csv"} == \
             {k: v for k, v in digests.items() if k != "A.csv"}
+
+    def test_counts_are_opened_once_and_digested_as_parsed(self, sim_dir, fit_dir, tmp_path,
+                                                          monkeypatch):
+        import builtins
+
+        counts = str(sim_dir / "Y.csv")
+        opened = []
+        real_open = builtins.open
+
+        def counting_open(file, *args, **kwargs):
+            opened.append(str(file))
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", counting_open)
+        out = infer_flagless(sim_dir, fit_dir, tmp_path / "se")
+        monkeypatch.undo()
+        assert opened.count(counts) == 1
+        digest = hashlib.sha256(pathlib.Path(counts).read_bytes()).hexdigest()
+        assert nbio.read_json(out / "manifest.json")["input_digests"]["counts"] == digest
 
     def test_manifest_records_a_converged_fit(self, fit_dir, infer_dir):
         assert nbio.read_json(fit_dir / "manifest.json")["convergence"]["converged"] is True

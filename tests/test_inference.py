@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg import lapack
 from scipy.stats import norm
 
 from nbgbm import estimation as est
@@ -87,6 +88,15 @@ class TestConstraintJacobians:
             analytic = jac.Ju @ direction.ravel()
             np.testing.assert_allclose(analytic, fd, rtol=1e-6, atol=1e-8)
 
+    @pytest.mark.parametrize("M", [1, 2, 3])
+    def test_independent_rows_are_the_upper_orthonormality_rows(self, M):
+        rng = np.random.default_rng(M)
+        X, U = rng.normal(size=(9, 2)), rng.normal(size=(9, M))
+        full = inf._factor_jacobian(X, U)
+        upper = np.ravel_multi_index(np.triu_indices(M), (M, M))
+        np.testing.assert_array_equal(inf._factor_jacobian(X, U, independent=True),
+                                      full[np.concatenate([np.arange(2 * M), 2 * M + upper])])
+
     def test_requires_latent_factors(self, fitted):
         Y, truth, result, prior, pieces = fitted
         params = GbmParams.zeros(truth.cov.I, truth.cov.J, 2, 2, 0)
@@ -120,6 +130,85 @@ class TestJointUv:
         oU, oV = inf.joint_uv_dense_oracle(pieces, result.params, truth.cov)
         np.testing.assert_allclose(varU, oU, rtol=1e-8)
         np.testing.assert_allclose(varV, oV, rtol=1e-8)
+
+    # odd J pads the packed Schur complement with an identity block; odd J M
+    # gives an odd order before padding; I < J runs on the transposed problem
+    @pytest.mark.parametrize("dims", [(13, 7, 2, 2, 1), (13, 7, 2, 2, 2), (13, 7, 2, 2, 3),
+                                      (11, 9, 2, 2, 3), (9, 13, 2, 2, 1), (7, 11, 2, 1, 2),
+                                      (6, 3, 1, 1, 2), (6, 3, 1, 1, 1)])
+    def test_packed_solve_matches_dense_bordered_inverse(self, dims):
+        Y, truth = simulate_dataset(SimScheme(dims=dims, seed=50 + dims[4]))
+        params, cov = truth.params0, truth.cov
+        pieces = inf.preprocess(Y, params, cov, PriorConfig())
+        varU, varV = inf.joint_uv_uncertainty(pieces, params, cov)
+        oU, oV = inf.joint_uv_dense_oracle(pieces, params, cov)
+        np.testing.assert_allclose(varU, oU, rtol=1e-8)
+        np.testing.assert_allclose(varV, oV, rtol=1e-8)
+
+    def test_row_blocks_of_one_row_agree(self, monkeypatch):
+        Y, truth = simulate_dataset(SimScheme(dims=(13, 7, 2, 2, 3), seed=53))
+        params, cov = truth.params0, truth.cov
+        pieces = inf.preprocess(Y, params, cov, PriorConfig())
+        whole = inf.joint_uv_uncertainty(pieces, params, cov)
+        monkeypatch.setattr(inf, "ROW_BLOCK_BYTES", 1)
+        for got, want in zip(inf.joint_uv_uncertainty(pieces, params, cov), whole):
+            np.testing.assert_allclose(got, want, rtol=1e-12)
+
+    @pytest.mark.parametrize("n_blocks", [1, 2])
+    def test_factor_rows_are_rows_of_the_cross_information(self, n_blocks):
+        Y, truth = simulate_dataset(SimScheme(dims=(10, 5, 2, 2, 2), seed=3))
+        params, cov = truth.params0, truth.cov
+        pieces = inf.preprocess(Y, params, cov, PriorConfig())
+        rows, M, J = slice(2, 6), params.M, cov.J
+        blocks = np.random.default_rng(4).normal(size=(4, M, M))
+        VDt = np.zeros((M, J + 1))                               # one padding column
+        VDt[:, :J] = (params.V * params.D).T
+        outs = np.empty((n_blocks, 4 * M, (J + 1) * M // n_blocks))
+        inf._factor_rows(blocks, pieces.W[rows], VDt, (params.U * params.D)[rows], outs)
+        Fuv = inf.latent_cross_information(pieces, params, rows).reshape(4, M, J * M)
+        want = np.matmul(blocks, Fuv).reshape(4 * M, J * M)
+        got = np.hstack(list(outs))
+        np.testing.assert_allclose(got[:, :J * M], want, rtol=1e-12, atol=1e-12 * abs(want).max())
+        np.testing.assert_array_equal(got[:, J * M:], 0.0)
+
+    def test_packed_factor_inverse_matches_dense(self):
+        rng = np.random.default_rng(8)
+        n = 10
+        Q = rng.normal(size=(n, n))
+        S = Q @ Q.T + n * np.eye(n)
+        Linv = np.linalg.inv(np.linalg.cholesky(S))
+        packed, _ = lapack.dtrttf(S, transr="T", uplo="L")
+        rfp = packed.reshape(n // 2, n + 1, order="F")
+        inf._packed_inverse_cholesky(rfp, "test matrix")
+        np.testing.assert_allclose(inf._packed_inverse_diagonal(rfp), np.diag(np.linalg.inv(S)),
+                                   rtol=1e-12)
+        y = rng.normal(size=(n, 3))
+        for transpose, op in ((False, Linv), (True, Linv.T)):
+            top, bottom = np.asfortranarray(y[:n // 2]), np.asfortranarray(y[n // 2:])
+            inf._apply_inverse_factor(rfp, top, bottom, transpose=transpose)
+            np.testing.assert_allclose(np.vstack([top, bottom]), op @ y, rtol=1e-11, atol=1e-13)
+
+    def test_packed_factor_of_singular_matrix_raises_rank_error(self):
+        rfp = np.zeros((2, 5), order="F")
+        lapack.dsfrk(4, 1, 1.0, np.ones((4, 1)), 0.0, rfp.ravel(order="F"),
+                     transr="T", uplo="L", overwrite_c=1)
+        with pytest.raises(RankError):
+            inf._packed_inverse_cholesky(rfp, "rank-one matrix")
+
+    def test_memory_holds_one_packed_schur_buffer(self):
+        # the packed triangle (JM (JM + 1) / 2 doubles) plus row blocks of 1 MB
+        Y, truth = simulate_dataset(SimScheme(dims=(300, 300, 2, 2, 3), seed=2))
+        params, cov, prior = truth.params0, truth.cov, PriorConfig()
+        pieces = inf.preprocess(Y, params, cov, prior)
+        JM = cov.J * params.M
+        tracemalloc.start()
+        try:
+            inf.joint_uv_uncertainty(pieces, params, cov)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        packed = JM * (JM + 1) // 2 * 8
+        assert peak <= packed + 3 * 2 ** 20, (peak - packed) / 2 ** 20
 
     def test_memory_holds_one_schur_buffer(self):
         # the dense route held about seven JM x JM / IM x JM arrays at once
@@ -357,6 +446,26 @@ class TestTransposition:
                                        atol=1e-12 * np.abs(want).max(initial=0.0),
                                        err_msg=name)
 
+    def test_rebuilt_weights_equal_the_workspace(self, small_fit, monkeypatch):
+        # W and r are rebuilt per chunk from mu and S, T, omega: bit for bit
+        # the arrays of the whole-array workspace, as are the stored mu and E
+        monkeypatch.setattr(nb, "CHUNK_ELEMENTS", 75)
+        Y, truth, result = small_fit
+        params, cov = result.params, truth.cov
+        work = est.fill_workspace(nb.NbWorkspace.empty(Y.values.shape), Y.values, params, cov)
+        pieces = inf.preprocess(Y, params, cov, ASYMMETRIC_PRIOR)
+        np.testing.assert_array_equal(pieces.mu, work.mu)
+        np.testing.assert_array_equal(pieces.E, work.E)
+        np.testing.assert_array_equal(pieces.W, work.W)
+        np.testing.assert_array_equal(pieces.r, work.r)
+        for rows in nb.row_chunks(*Y.values.shape):
+            W, r = inf._weights(pieces, rows)
+            np.testing.assert_array_equal(W, work.W[rows])
+            np.testing.assert_array_equal(r, work.r[rows])
+        W, r = inf._weights(pieces.transposed(), slice(3, 9))
+        np.testing.assert_array_equal(W, work.W[:, 3:9].T)
+        np.testing.assert_array_equal(r, work.r[:, 3:9].T)
+
     def test_derived_eta_derivatives(self, small_fit):
         Y, truth, result = small_fit
         pieces = inf.preprocess(Y, result.params, truth.cov, ASYMMETRIC_PRIOR)
@@ -371,8 +480,9 @@ class TestTransposition:
 
 
 class TestChunkedMemory:
-    """preprocess and standard_errors hold the four I x J workspace arrays
-    whole and every other I x J quantity one row chunk at a time."""
+    """preprocess and standard_errors hold the two stored I x J workspace
+    arrays (mu, E) whole and every other I x J quantity one row chunk at a
+    time."""
 
     @pytest.fixture
     def case(self, monkeypatch):
@@ -406,6 +516,13 @@ class TestChunkedMemory:
         peak = self.peak(lambda: inf.standard_errors(Y, params, cov, prior))
         assert peak <= JM ** 2 * 8 + 6 * cov.I * cov.J * 8, \
             (peak - JM ** 2 * 8) / (cov.I * cov.J * 8)
+
+    def test_standard_errors_hold_two_workspace_arrays_and_the_packed_buffer(self, case):
+        Y, params, cov, prior = case
+        JM = min(cov.I, cov.J) * params.M
+        packed = JM * (JM + 1) // 2 * 8
+        peak = self.peak(lambda: inf.standard_errors(Y, params, cov, prior))
+        assert peak <= packed + 3 * cov.I * cov.J * 8, (peak - packed) / (cov.I * cov.J * 8)
 
 
 class TestStandardErrors:

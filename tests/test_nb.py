@@ -190,6 +190,24 @@ class TestWorkspace:
         assert np.isfinite(work.mu).all()
 
 
+class TestMeans:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_linear_predictor_raises(self, bad):
+        linpred = np.zeros((3, 4))
+        linpred[1, 2] = bad
+        with pytest.raises(DomainError):
+            nb.means(linpred)
+
+    def test_clamp_counts(self):
+        linpred = np.array([[800.0, -900.0, 700.0], [-700.0, 0.5, 701.0]])
+        mu, clamped = nb.means(linpred)
+        assert clamped == 3
+        np.testing.assert_array_equal(mu, np.exp(np.clip(linpred, -700.0, 700.0)))
+        out = np.empty_like(linpred)
+        assert nb.means(linpred[:, 1:], out=out[:, 1:])[1] == 2
+        assert nb.means(np.full((2, 2), 3.0))[1] == 0
+
+
 class TestDispersionDerivatives:
     def test_poisson_limit_zero_score(self):
         mu = np.full((1, 1), 3.0)
