@@ -204,7 +204,7 @@ def cmd_fit(args) -> int:
     io.write_params(args.out, result.params)
     io.write_matrix(os.path.join(args.out, "X.csv"), cov.X)
     io.write_matrix(os.path.join(args.out, "Z.csv"), cov.Z)
-    io.write_vector(os.path.join(args.out, "trace.csv"), np.asarray(result.trace))
+    io.write_matrix(os.path.join(args.out, "trace.csv"), np.asarray(result.trace)[:, None])
     manifest = io.build_manifest(
         command="fit",
         config={**vars(config), "standardize": not args.no_standardize, **vars(prior),

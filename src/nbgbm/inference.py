@@ -23,8 +23,9 @@ Three ingredients:
    that the C edges contract with the per-row conditional inverse blocks).
    The U, V -> A, B and -> S, T Jacobians factor into data-sized (I x J)
    weights and small designs, so the contractions are taken in factored
-   form; coef_eta_jacobian and dispersion_jacobian_* build the dense
-   Jacobians only as analytic references.
+   form and those Jacobians are not formed.  The dense Jacobians, and the
+   bordered (U, V) inverse by direct inversion, are analytic references in
+   the tests (tests/oracles.py).
 
 InferencePieces stores two I x J arrays of the NB workspace, mu and E, and
 otherwise only per-row, per-column and coefficient-sized blocks.  Every
@@ -38,7 +39,8 @@ columns for B, C from B and S.
 
 InferencePieces.transposed() gives the pieces of the problem for Y' (X
 and Z, A and B, U and V, S and T swapped, C turned into C'); the joint
-stage and the analytic references compute B, V and T quantities on it.
+stage (for I < J), the propagations and the references compute B, V and
+T quantities on it.
 
 No standard errors are produced for D or the global log-dispersion.
 """
@@ -474,21 +476,10 @@ def _coef_eta_base(pieces: InferencePieces) -> np.ndarray:
 
 
 def _coef_eta_weight(dWM, dEM, design, base) -> np.ndarray:
-    """Weights dEM_ij - dWM_ij x_i' invFa_j gradA_j of coef_eta_jacobian,
-    for the rows of design (X) and base (_coef_eta_base) given."""
+    """Weights dEM_ij - dWM_ij x_i' invFa_j gradA_j of the A-row Jacobian
+    d a_j / d eta_ij = invFa_j x_i weight_ij, for the rows of design (X)
+    and base (_coef_eta_base) given."""
     return dEM - dWM * (design @ base.T)
-
-
-def coef_eta_jacobian(pieces: InferencePieces, cov: CovariateSet) -> np.ndarray:
-    """J x K x I derivatives d a_j / d eta_ij of the one-step A-row estimators,
-    invFa_j x_i (dEM_ij - dWM_ij x_i' invFa_j gradA_j).
-
-    eta_ij moves with u_im by (V D)_jm and with v_jm by (U D)_im.  Pass the
-    transposed pieces and covariates for B.  Analytic reference only: the
-    standard errors contract it without forming it.
-    """
-    weight = _coef_eta_weight(*_eta_derivatives(pieces), cov.X, _coef_eta_base(pieces))
-    return np.einsum("jkl,il,ij->jki", pieces.invFa, cov.X, weight, optimize=True)
 
 
 def _coef_variances(invF, spread, sums, var_other):
@@ -506,7 +497,8 @@ def propagate_uv_to_ab(pieces: InferencePieces, params: GbmParams, cov: Covariat
     """Extra variances of A and B due to uncertainty in the latent factors,
     as flat vectors in vec(A') / vec(B') order.
 
-    Diagonal contractions of coef_eta_jacobian Q: sum_i Q_jki^2 t_ji is the
+    Diagonal contractions of the Jacobian Q_jki = d a_j / d eta_ij
+    (_coef_eta_weight), which is never formed: sum_i Q_jki^2 t_ji is the
     diagonal of invFa_j X' diag(weight_.j^2 t_j.) X invFa_j with
     t = varU (V D)^2', and Q_j (U D) is invFa_j X' diag(weight_.j) U D;
     B is the same on the transposed problem.  The sums over i (A) and over
@@ -541,7 +533,8 @@ def propagate_uv_to_ab(pieces: InferencePieces, params: GbmParams, cov: Covariat
 
 def _interaction_weight(pieces: InferencePieces, cov: CovariateSet, rows: slice = slice(None)):
     """Rows `rows` of the I x J weight dEM - dWM * (X C1 Z'), C1 = invFc vec(gradC),
-    whose blocks X' diag(weight_.j) X are H_j - G_j of interaction_jacobian_from_a."""
+    whose blocks X' diag(weight_.j) X are the score-minus-Fisher terms H_j - G_j
+    of the vec(C) Jacobian blocks invFc (z_j kron (H_j - G_j)) in the rows of A."""
     C1 = (pieces.invFc @ pieces.gradC.ravel(order="F")).reshape(cov.K, cov.L, order="F")
     dWM, dEM = _eta_derivatives(pieces, rows)
     return dEM - dWM * (cov.X[rows] @ C1 @ cov.Z.T)
@@ -554,24 +547,11 @@ def _interaction_jacobian(invFc, HG, other_design):
     return invFc @ kron
 
 
-def interaction_jacobian_from_a(pieces: InferencePieces, cov: CovariateSet) -> np.ndarray:
-    """J x KL x K derivatives of the one-step vec(C) estimator in the rows of A.
-
-    Block j is invFc (z_j kron (H_j - G_j)): H_j = X' diag(dEM_j) X from the
-    score, G_j = X' diag(dWM_j * (X C1 Z')_j) X from the Fisher information,
-    C1 = invFc vec(gradC).  For B pass the transposed problem (vec(C') order).
-    Analytic reference only: the standard errors build the blocks by chunks.
-    """
-    HG = _row_fisher_blocks(_interaction_weight(pieces, cov), cov.X)
-    return _interaction_jacobian(pieces.invFc, HG, cov.Z)
-
-
 def _interaction_variance(jac, invF, var):
     """Extra variance of vec(C) from the rows of A (or B), given their vec(C)
     Jacobian blocks `jac` and conditional inverses `invF` (see propagate_ab_to_c)."""
-    out = np.einsum("jck,jkl,jcl->c", jac, invF, jac, optimize=True)
     extra = np.maximum(var.reshape(invF.shape[:2]) - np.einsum("jkk->jk", invF), 0.0)
-    return out + np.einsum("jck,jk->c", jac ** 2, extra, optimize=True)
+    return np.einsum("jck,jck->c", jac @ invF, jac) + np.einsum("jck,jk->c", jac ** 2, extra)
 
 
 def propagate_ab_to_c(pieces: InferencePieces, cov: CovariateSet, varA, varB):
@@ -615,24 +595,6 @@ def _dispersion_response(Q, P, invF, grad):
     offset estimates to the linear predictor, through which both dispersion
     Jacobians factor."""
     return (-invF ** 2 * grad)[:, None] * (Q - P) + invF[:, None] * Q
-
-
-def dispersion_jacobian_same_axis(Q, P, scaled_other, invF, gradv):
-    """d (one-step offset estimate) / d (same-axis factor row), all rows.
-
-    Q, P are n x J; scaled_other is the J x M other-axis factor times D.
-    Returns n x M: row i holds the sensitivities to factor row i.
-    """
-    return _dispersion_response(Q, P, invF, gradv) @ scaled_other
-
-
-def dispersion_jacobian_other_axis(Q, P, scaled_same, invF, gradv):
-    """d (one-step offset estimate) / d (every other-axis factor entry).
-
-    scaled_same is the n x M same-axis factor times D.  Returns n x J x M.
-    Analytic reference only: the standard errors contract it without forming it.
-    """
-    return _dispersion_response(Q, P, invF, gradv)[:, :, None] * scaled_same[:, None, :]
 
 
 def _response_sums(R, factors, variances):
@@ -861,30 +823,3 @@ def full_fisher_variances(Y, params: GbmParams, cov: CovariateSet,
         "U": out["U"].reshape(I, M) if M else np.zeros((I, 0)),
         "V": out["V"].reshape(J, M) if M else np.zeros((J, 0)),
     }
-
-
-def joint_uv_dense_oracle(pieces: InferencePieces, params: GbmParams, cov: CovariateSet):
-    """Diagonal of the inverse bordered (U, V) system by direct dense inversion."""
-    M = params.M
-    I, J = cov.I, cov.J
-    jac = constraint_jacobians(params, cov)
-    Fuv = latent_cross_information(pieces, params)
-    Fu_full = np.zeros((I * M, I * M))
-    for i in range(I):
-        Fu_full[i * M:(i + 1) * M, i * M:(i + 1) * M] = pieces.Fu[i]
-    Fv_full = np.zeros((J * M, J * M))
-    for j in range(J):
-        Fv_full[j * M:(j + 1) * M, j * M:(j + 1) * M] = pieces.Fv[j]
-    nu, nv = jac.Ju.shape[0], jac.Jv.shape[0]
-    n = I * M + J * M + nu + nv
-    big = np.zeros((n, n))
-    big[:I * M, :I * M] = Fu_full
-    big[:I * M, I * M:I * M + J * M] = Fuv
-    big[I * M:I * M + J * M, :I * M] = Fuv.T
-    big[I * M:I * M + J * M, I * M:I * M + J * M] = Fv_full
-    big[:I * M, I * M + J * M:I * M + J * M + nu] = jac.Ju.T
-    big[I * M + J * M:I * M + J * M + nu, :I * M] = jac.Ju
-    big[I * M:I * M + J * M, I * M + J * M + nu:] = jac.Jv.T
-    big[I * M + J * M + nu:, I * M:I * M + J * M] = jac.Jv
-    diag = np.diag(np.linalg.pinv(big, rcond=1e-12))
-    return diag[:I * M], diag[I * M:I * M + J * M]

@@ -85,10 +85,6 @@ def write_matrix(path, mat, header=None):
         fh.writelines(row_format % tuple(row) for row in mat.tolist())
 
 
-def write_vector(path, vec, header=None):
-    write_matrix(path, np.asarray(vec, dtype=np.float64).reshape(-1, 1), header=header)
-
-
 def file_digest(path) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:

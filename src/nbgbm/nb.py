@@ -104,11 +104,6 @@ def _scalar_or_array(out):
     return out if out.ndim else float(out)
 
 
-def trigamma(x):
-    """Trigamma function psi'(x) for x > 0, elementwise (see `_psi_trigamma`)."""
-    return _scalar_or_array(_psi_trigamma(np.asarray(x, dtype=np.float64))[1])
-
-
 def _psi_differences(y, r):
     """psi(y + r) - psi(r) and psi'(y + r) - psi'(r), elementwise.
 

@@ -31,6 +31,7 @@ from nbgbm.simulate import (
     simulate_dataset,
 )
 
+import oracles
 from test_metrics import naive_lrse, naive_wma, naive_wmad
 
 
@@ -262,7 +263,7 @@ def test_criterion_04_joint_uv_oracle():
         prior = PriorConfig()
         pieces = inf.preprocess(Y, result.params, truth.cov, prior)
         varU, varV = inf.joint_uv_uncertainty(pieces, result.params, truth.cov)
-        oU, oV = inf.joint_uv_dense_oracle(pieces, result.params, truth.cov)
+        oU, oV = oracles.joint_uv_dense_oracle(pieces, result.params, truth.cov)
         worst = max(worst,
                     np.abs(varU / oU - 1.0).max(),
                     np.abs(varV / oV - 1.0).max())
@@ -331,22 +332,22 @@ def test_criterion_05_delta_propagation_jacobians():
 
     Q, P = inf._score_sensitivities(pieces.W, pieces.E, pieces.mu, pieces.r)
     VD, UD = params.V * params.D, params.U * params.D
-    dS_U = inf.dispersion_jacobian_same_axis(Q, P, VD, pieces.invFs, pieces.gradS)
-    dS_V = inf.dispersion_jacobian_other_axis(Q, P, UD, pieces.invFs, pieces.gradS)
-    dS_A = inf.dispersion_jacobian_other_axis(Q, P, cov.X, pieces.invFs, pieces.gradS)
-    dS_B = inf.dispersion_jacobian_same_axis(Q, P, cov.Z, pieces.invFs, pieces.gradS)
+    dS_U = oracles.dispersion_jacobian_same_axis(Q, P, VD, pieces.invFs, pieces.gradS)
+    dS_V = oracles.dispersion_jacobian_other_axis(Q, P, UD, pieces.invFs, pieces.gradS)
+    dS_A = oracles.dispersion_jacobian_other_axis(Q, P, cov.X, pieces.invFs, pieces.gradS)
+    dS_B = oracles.dispersion_jacobian_same_axis(Q, P, cov.Z, pieces.invFs, pieces.gradS)
     Qt, Pt = Q.T, P.T
-    dT_V = inf.dispersion_jacobian_same_axis(Qt, Pt, UD, pieces.invFt, pieces.gradT)
-    dT_U = inf.dispersion_jacobian_other_axis(Qt, Pt, VD, pieces.invFt, pieces.gradT)
+    dT_V = oracles.dispersion_jacobian_same_axis(Qt, Pt, UD, pieces.invFt, pieces.gradT)
+    dT_U = oracles.dispersion_jacobian_other_axis(Qt, Pt, VD, pieces.invFt, pieces.gradT)
     # A rows share the transposed data's row index, B rows its column index
-    dT_A = inf.dispersion_jacobian_same_axis(Qt, Pt, cov.X, pieces.invFt, pieces.gradT)
-    dT_B = inf.dispersion_jacobian_other_axis(Qt, Pt, cov.Z, pieces.invFt, pieces.gradT)
+    dT_A = oracles.dispersion_jacobian_same_axis(Qt, Pt, cov.X, pieces.invFt, pieces.gradT)
+    dT_B = oracles.dispersion_jacobian_other_axis(Qt, Pt, cov.Z, pieces.invFt, pieces.gradT)
     # B edges are A edges of the transposed problem; its C is C'
     flipped, cov_t = pieces.transposed(), cov.transposed()
-    dA_eta = inf.coef_eta_jacobian(pieces, cov)
-    dB_eta = inf.coef_eta_jacobian(flipped, cov_t)
-    dC_A = inf.interaction_jacobian_from_a(pieces, cov)
-    dC_B = inf.interaction_jacobian_from_a(flipped, cov_t)
+    dA_eta = oracles.coef_eta_jacobian(pieces, cov)
+    dB_eta = oracles.coef_eta_jacobian(flipped, cov_t)
+    dC_A = oracles.interaction_jacobian_from_a(pieces, cov)
+    dC_B = oracles.interaction_jacobian_from_a(flipped, cov_t)
 
     for _ in range(20):
         i, j = int(rng.integers(I)), int(rng.integers(J))

@@ -414,6 +414,23 @@ class TestEvaluate:
         expected = relative_mse(np.exp(est.T), np.exp(truth.T))
         assert report["relative_mse"]["T"] == pytest.approx(expected, rel=1e-12)
 
+    def test_round_trip_without_latent_factors(self, tmp_path):
+        sim, fit, se, report_path = (tmp_path / name for name in ("sim", "fit", "se", "r.json"))
+        assert run(["simulate", "--dims", "40x12x2x2x0", "--seed", "7", "--out", sim]) == 0
+        assert run(["fit", "--counts", sim / "Y.csv", "--row-covariates", sim / "X.csv",
+                    "--col-covariates", sim / "Z.csv", "--latent", 0, "--out", fit]) == 0
+        assert run(["infer", "--counts", sim / "Y.csv", "--fit-dir", fit, "--out", se,
+                    "--test", "B:2"]) == 0
+        assert run(["evaluate", "--fit-dir", fit, "--truth-dir", sim / "truth",
+                    "--se-dir", se, "--out", report_path]) == 0
+        for name in "UV":
+            assert nbio.read_matrix(se / f"se_{name}.csv", allow_empty=True).size == 0
+        params = nbio.read_params(fit)
+        assert (params.U.shape, params.V.shape, params.D.shape) == ((40, 0), (12, 0), (0,))
+        report = nbio.read_json(report_path)
+        for section in ("relative_mse", "coverage"):
+            assert not {"D", "U", "V"} & set(report[section]), section
+
     def test_shape_mismatch_is_input_error(self, sim_dir, tmp_path):
         other = tmp_path / "othersim"
         run(["simulate", "--dims", "40x12x2x2x2", "--seed", "1", "--out", other])

@@ -13,6 +13,7 @@ from nbgbm.exceptions import DomainError, RankError, ShapeError, SizeGuardError
 from nbgbm.model import CovariateSet, DataMatrix, GbmParams, PriorConfig, linear_predictor
 from nbgbm.simulate import SimScheme, simulate_dataset
 
+import oracles
 from conftest import ASYMMETRIC_PRIOR, random_constrained_params
 
 
@@ -113,7 +114,7 @@ class TestJointUv:
         prior = PriorConfig()
         pieces = inf.preprocess(Y, result.params, truth.cov, prior)
         varU, varV = inf.joint_uv_uncertainty(pieces, result.params, truth.cov)
-        oU, oV = inf.joint_uv_dense_oracle(pieces, result.params, truth.cov)
+        oU, oV = oracles.joint_uv_dense_oracle(pieces, result.params, truth.cov)
         np.testing.assert_allclose(varU, oU, rtol=1e-8)
         np.testing.assert_allclose(varV, oV, rtol=1e-8)
         assert np.all(varU > 0) and np.all(varV > 0)
@@ -127,7 +128,7 @@ class TestJointUv:
         prior = PriorConfig()
         pieces = inf.preprocess(Y, result.params, truth.cov, prior)
         varU, varV = inf.joint_uv_uncertainty(pieces, result.params, truth.cov)
-        oU, oV = inf.joint_uv_dense_oracle(pieces, result.params, truth.cov)
+        oU, oV = oracles.joint_uv_dense_oracle(pieces, result.params, truth.cov)
         np.testing.assert_allclose(varU, oU, rtol=1e-8)
         np.testing.assert_allclose(varV, oV, rtol=1e-8)
 
@@ -141,7 +142,7 @@ class TestJointUv:
         params, cov = truth.params0, truth.cov
         pieces = inf.preprocess(Y, params, cov, PriorConfig())
         varU, varV = inf.joint_uv_uncertainty(pieces, params, cov)
-        oU, oV = inf.joint_uv_dense_oracle(pieces, params, cov)
+        oU, oV = oracles.joint_uv_dense_oracle(pieces, params, cov)
         np.testing.assert_allclose(varU, oU, rtol=1e-8)
         np.testing.assert_allclose(varV, oV, rtol=1e-8)
 
@@ -365,8 +366,8 @@ class TestStreamedContractions:
         pieces, params, cov, var = case
         UD, VD = params.U * params.D, params.V * params.D
         varU, varV = var["U"].reshape(cov.I, -1), var["V"].reshape(cov.J, -1)
-        QA = inf.coef_eta_jacobian(pieces, cov)                          # J x K x I
-        QB = inf.coef_eta_jacobian(pieces.transposed(), cov.transposed())  # I x L x J
+        QA = oracles.coef_eta_jacobian(pieces, cov)                          # J x K x I
+        QB = oracles.coef_eta_jacobian(pieces.transposed(), cov.transposed())  # I x L x J
         want = [
             np.einsum("jki,ji->jk", QA ** 2, VD ** 2 @ varU.T).ravel(),
             np.einsum("jkm,jm->jk", (QA @ UD) ** 2, varV).ravel(),
@@ -383,7 +384,7 @@ class TestStreamedContractions:
         want = []
         for flipped, design, n, v in ((pieces, cov, cov.J, var["A"]),
                                       (pieces.transposed(), cov.transposed(), cov.I, var["B"])):
-            jac = inf.interaction_jacobian_from_a(flipped, design)
+            jac = oracles.interaction_jacobian_from_a(flipped, design)
             extra = np.maximum(v.reshape(n, -1) - np.einsum("jkk->jk", flipped.invFa), 0.0)
             want.append(np.einsum("jck,jkl,jcl->c", jac, flipped.invFa, jac)
                         + np.einsum("jck,jk->c", jac ** 2, extra))
@@ -400,9 +401,9 @@ class TestStreamedContractions:
         vU, vV = var["U"].reshape(cov.I, -1), var["V"].reshape(cov.J, -1)
 
         def contract(Q, P, invF, grad, same, other):
-            out = {n: np.einsum("im,im->i", inf.dispersion_jacobian_same_axis(
+            out = {n: np.einsum("im,im->i", oracles.dispersion_jacobian_same_axis(
                 Q, P, s, invF, grad) ** 2, v) for n, (s, v) in same.items()}
-            out.update({n: np.einsum("ijm,jm->i", inf.dispersion_jacobian_other_axis(
+            out.update({n: np.einsum("ijm,jm->i", oracles.dispersion_jacobian_other_axis(
                 Q, P, s, invF, grad) ** 2, v) for n, (s, v) in other.items()})
             return out
 
@@ -620,7 +621,7 @@ class TestFullFisherOracle:
         prior = PriorConfig()
         pieces = inf.preprocess(Y, result.params, truth.cov, prior)
         varU, varV = inf.joint_uv_uncertainty(pieces, result.params, truth.cov)
-        oU, oV = inf.joint_uv_dense_oracle(pieces, result.params, truth.cov)
+        oU, oV = oracles.joint_uv_dense_oracle(pieces, result.params, truth.cov)
         np.testing.assert_allclose(varU, oU, rtol=1e-6)
         np.testing.assert_allclose(varV, oV, rtol=1e-6)
 
