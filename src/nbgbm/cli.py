@@ -1,7 +1,8 @@
 """Command line surface: fit, infer, simulate, evaluate, score.
 
-Every command writes a manifest.json recording the configuration, seed,
-input digests, and software version, so seeded runs are reproducible.
+fit, infer and simulate write a manifest.json recording the configuration,
+seed, input digests, software version and warnings, so seeded runs are
+reproducible; evaluate and score write a JSON report.
 Exit codes: 0 success (including non-converged fits, which are flagged in
 the manifest), 2 usage errors, 3 input/parse errors, 4 numeric failures.
 
@@ -100,19 +101,28 @@ def _wald_column(spec, params):
 
 
 @contextlib.contextmanager
-def _recorded_warnings():
-    """Yield a list that receives the messages of the warnings raised inside.
+def _manifest(out_dir, command, seed):
+    """Yield the manifest of a command writing into `out_dir`, and write it
+    there as manifest.json when the command succeeds.
 
-    The warnings are re-emitted on exit, so stderr shows what it would have
-    shown without the recording."""
-    messages = []
+    The command adds its `config` and, as needed, `input_digests` and
+    `convergence`; the wall time, the timestamp and the messages of the
+    warnings raised inside are added on exit.  The warnings are re-emitted,
+    so stderr shows what it would have shown without the recording."""
+    from . import io
+
+    t0 = time.time()
+    manifest = {"command": command, "seed": seed, "software_version": __version__,
+                "input_digests": {}, "convergence": None}
     try:
         with warnings.catch_warnings(record=True) as caught:
-            yield messages
+            yield manifest
     finally:
         for w in caught:
             warnings.warn_explicit(w.message, w.category, w.filename, w.lineno, source=w.source)
-            messages.append(str(w.message))
+    manifest.update(warnings=[str(w.message) for w in caught], wall_time_seconds=time.time() - t0,
+                    timestamp=time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()))
+    io.write_json(os.path.join(out_dir, "manifest.json"), manifest)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -180,9 +190,8 @@ def cmd_fit(args) -> int:
     from . import estimation, io
     from .model import DataMatrix, FitConfig
 
-    t0 = time.time()
     digests = {}
-    with _recorded_warnings() as raised:
+    with _manifest(args.out, "fit", args.seed) as manifest:
         counts = io.read_matrix(args.counts, digests=digests)
         Y = DataMatrix(counts)
         X = (io.read_matrix(args.row_covariates, digests=digests) if args.row_covariates
@@ -199,33 +208,26 @@ def cmd_fit(args) -> int:
         config = FitConfig(tol=args.tol, max_iter=args.max_iter, seed=args.seed)
         cov = estimation.prepare_covariates(X, Z, standardize=not args.no_standardize)
         result = estimation.fit(Y, cov, args.latent, prior, config)
-    report = result.constraints
-    os.makedirs(args.out, exist_ok=True)
-    io.write_params(args.out, result.params)
-    io.write_matrix(os.path.join(args.out, "X.csv"), cov.X)
-    io.write_matrix(os.path.join(args.out, "Z.csv"), cov.Z)
-    io.write_matrix(os.path.join(args.out, "trace.csv"), np.asarray(result.trace)[:, None])
-    manifest = io.build_manifest(
-        command="fit",
-        config={**vars(config), "standardize": not args.no_standardize, **vars(prior),
-                "latent": args.latent},
-        seed=args.seed,
-        input_digests={name: digests[path] for name, path in
-                       (("counts", args.counts), ("row_covariates", args.row_covariates),
-                        ("col_covariates", args.col_covariates)) if path},
-        wall_time=time.time() - t0,
-        convergence={"converged": result.converged, "iterations": result.iterations,
-                     "final_log_posterior": result.trace[-1],
-                     "clamp_events": result.clamp_events,
-                     "constraints_passed": report.passed,
-                     "constraint_violations": {
-                         name: getattr(report, name)
-                         for name in ("max_zta", "max_xtb", "max_xtu", "max_ztv",
-                                      "max_utu", "max_vtv")}},
-        version=__version__,
-    )
-    manifest["warnings"] = raised
-    io.write_json(os.path.join(args.out, "manifest.json"), manifest)
+        report = result.constraints
+        os.makedirs(args.out, exist_ok=True)
+        io.write_params(args.out, result.params)
+        io.write_matrix(os.path.join(args.out, "X.csv"), cov.X)
+        io.write_matrix(os.path.join(args.out, "Z.csv"), cov.Z)
+        io.write_matrix(os.path.join(args.out, "trace.csv"), np.asarray(result.trace)[:, None])
+        manifest.update(
+            config={**vars(config), "standardize": not args.no_standardize, **vars(prior),
+                    "latent": args.latent},
+            input_digests={name: digests[path] for name, path in
+                           (("counts", args.counts), ("row_covariates", args.row_covariates),
+                            ("col_covariates", args.col_covariates)) if path},
+            convergence={"converged": result.converged, "iterations": result.iterations,
+                         "final_log_posterior": result.trace[-1],
+                         "clamp_events": result.clamp_events,
+                         "constraints_passed": report.passed,
+                         "constraint_violations": {
+                             name: getattr(report, name)
+                             for name in ("max_zta", "max_xtb", "max_xtu", "max_ztv",
+                                          "max_utu", "max_vtv")}})
     return 0
 
 
@@ -235,9 +237,8 @@ def cmd_infer(args) -> int:
     from . import inference, io
     from .model import CovariateSet, DataMatrix
 
-    t0 = time.time()
     digests = {}                 # path -> SHA-256 of the bytes read and parsed
-    with _recorded_warnings() as raised:
+    with _manifest(args.out, "infer", None) as manifest:
         counts = io.read_matrix(args.counts, digests=digests)
         prior, converged = _fit_prior(args.fit_dir, args.counts, digests)
         Y = DataMatrix(counts)
@@ -264,20 +265,14 @@ def cmd_infer(args) -> int:
             oracle = inference.full_fisher_variances(Y, params, cov, prior)
             for name, block in oracle.items():
                 io.write_matrix(os.path.join(args.out, f"oracle_var_{name}.csv"), np.sqrt(block))
-    fit_files = [f"{block}.csv" for block in io.PARAM_FILES] + ["X.csv", "Z.csv", "manifest.json"]
-    fit_paths = {name: os.path.join(args.fit_dir, name) for name in fit_files}
-    manifest = io.build_manifest(
-        command="infer",
-        config={"level": args.level, "tests": args.test, **vars(prior)},
-        seed=None,
-        input_digests={"counts": digests[args.counts],
-                       **{name: digests[path] for name, path in fit_paths.items()
-                          if path in digests}},
-        wall_time=time.time() - t0,
-        version=__version__,
-    )
-    manifest.update(warnings=raised, stage_seconds=result.stage_seconds, fit_converged=converged)
-    io.write_json(os.path.join(args.out, "manifest.json"), manifest)
+        fit_files = [f"{b}.csv" for b in io.PARAM_FILES] + ["X.csv", "Z.csv", "manifest.json"]
+        fit_paths = {name: os.path.join(args.fit_dir, name) for name in fit_files}
+        manifest.update(
+            config={"level": args.level, "tests": args.test, **vars(prior)},
+            input_digests={"counts": digests[args.counts],
+                           **{name: digests[path] for name, path in fit_paths.items()
+                              if path in digests}},
+            stage_seconds=result.stage_seconds, fit_converged=converged)
     return 0
 
 
@@ -285,33 +280,26 @@ def cmd_simulate(args) -> int:
     from . import io
     from .simulate import SimScheme, simulate_dataset
 
-    t0 = time.time()
-    try:
-        dims = tuple(int(tok) for tok in args.dims.lower().split("x"))
-    except ValueError:
-        raise InputError(f"--dims must look like 1000x100x4x2x3, got {args.dims!r}")
-    if len(dims) != 5:
-        raise InputError(f"--dims needs five fields IxJxKxLxM, got {args.dims!r}")
-    scheme = SimScheme.parse(args.scheme, dims, seed=args.seed)
-    Y, truth = simulate_dataset(scheme, replicate=args.replicate)
-    os.makedirs(args.out, exist_ok=True)
-    io.write_matrix(os.path.join(args.out, "Y.csv"), Y.values)
-    io.write_matrix(os.path.join(args.out, "X.csv"), truth.cov.X)
-    io.write_matrix(os.path.join(args.out, "Z.csv"), truth.cov.Z)
-    truth_dir = os.path.join(args.out, "truth")
-    io.write_params(truth_dir, truth.params0)
-    io.write_matrix(os.path.join(truth_dir, "X.csv"), truth.cov.X)
-    io.write_matrix(os.path.join(truth_dir, "Z.csv"), truth.cov.Z)
-    manifest = io.build_manifest(
-        command="simulate",
-        config={"scheme": args.scheme, "dims": list(dims), "replicate": args.replicate,
-                "covariate_clamp_events": truth.clamp_events},
-        seed=args.seed,
-        input_digests={},
-        wall_time=time.time() - t0,
-        version=__version__,
-    )
-    io.write_json(os.path.join(args.out, "manifest.json"), manifest)
+    with _manifest(args.out, "simulate", args.seed) as manifest:
+        try:
+            dims = tuple(int(tok) for tok in args.dims.lower().split("x"))
+        except ValueError:
+            raise InputError(f"--dims must look like 1000x100x4x2x3, got {args.dims!r}")
+        if len(dims) != 5:
+            raise InputError(f"--dims needs five fields IxJxKxLxM, got {args.dims!r}")
+        scheme = SimScheme.parse(args.scheme, dims, seed=args.seed)
+        Y, truth = simulate_dataset(scheme, replicate=args.replicate)
+        os.makedirs(args.out, exist_ok=True)
+        io.write_matrix(os.path.join(args.out, "Y.csv"), Y.values)
+        io.write_matrix(os.path.join(args.out, "X.csv"), truth.cov.X)
+        io.write_matrix(os.path.join(args.out, "Z.csv"), truth.cov.Z)
+        truth_dir = os.path.join(args.out, "truth")
+        io.write_params(truth_dir, truth.params0)
+        io.write_matrix(os.path.join(truth_dir, "X.csv"), truth.cov.X)
+        io.write_matrix(os.path.join(truth_dir, "Z.csv"), truth.cov.Z)
+        manifest["config"] = {"scheme": args.scheme, "dims": list(dims),
+                              "replicate": args.replicate,
+                              "covariate_clamp_events": truth.clamp_events}
     return 0
 
 
@@ -393,13 +381,10 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (InputError, FileNotFoundError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_INPUT
     except NumericError as err:
         print(f"numeric failure: {err}", file=sys.stderr)
         return EXIT_NUMERIC
-    except NbgbmError as err:
+    except (NbgbmError, FileNotFoundError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT
 

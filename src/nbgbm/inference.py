@@ -68,12 +68,12 @@ ROW_BLOCK_BYTES = 1 << 20   # bytes of one row block of R Fuv or Cu Fuv in the j
 class InferencePieces:
     """The NB workspace of the fitted parameters, scores and conditional inverses.
 
-    mu and E are the two stored I x J workspace arrays.  W and r are
-    rebuilt from mu and the dispersion offsets S, T, omega one row chunk at
-    a time (see _weights), bit for bit the workspace's; every other field
-    is a per-row, per-column or coefficient-sized block.  The derivatives
-    dWM and dEM of W and E in the linear predictor are derived the same
-    way (see _eta_derivatives).
+    mu and E are the two stored I x J workspace arrays; every other field
+    is a per-row, per-column or coefficient-sized block.  W and r, bit for
+    bit the workspace's, are rebuilt from mu and the dispersion offsets S,
+    T, omega by _weights(pieces, rows), and the derivatives dWM and dEM of
+    W and E in the linear predictor by _eta_derivatives(pieces, rows), for
+    any row slice (the whole array by default).
     """
 
     mu: np.ndarray
@@ -95,26 +95,6 @@ class InferencePieces:
     invFv: np.ndarray        # (J, M, M)
     invFs: np.ndarray        # length I
     invFt: np.ndarray        # length J
-
-    @property
-    def W(self) -> np.ndarray:
-        """The Fisher weights, the whole I x J array (for references)."""
-        return _weights(self)[0]
-
-    @property
-    def r(self) -> np.ndarray:
-        """The inverse dispersions, the whole I x J array (for references)."""
-        return _weights(self)[1]
-
-    @property
-    def dWM(self) -> np.ndarray:
-        """d w_ij / d linpred_ij, the whole I x J array (for references)."""
-        return _eta_derivatives(self)[0]
-
-    @property
-    def dEM(self) -> np.ndarray:
-        """d e_ij / d linpred_ij, the whole I x J array (for references)."""
-        return _eta_derivatives(self)[1]
 
     def transposed(self) -> "InferencePieces":
         """The pieces for Y', sharing the arrays; invFc goes to vec(C') order."""
@@ -212,15 +192,6 @@ def preprocess(Y, params: GbmParams, cov: CovariateSet, prior: PriorConfig) -> I
 # constraint Jacobians and the joint (U, V) system
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ConstraintJacobians:
-    """Jacobians of the orthogonality-to-covariates and orthonormality
-    constraints, columns ordered like vec(U') / vec(V') (factor index fastest)."""
-
-    Ju: np.ndarray   # (M K + M^2) x (I M)
-    Jv: np.ndarray   # (M L + M^2) x (J M)
-
-
 def _factor_jacobian(design: np.ndarray, factor: np.ndarray, independent=False) -> np.ndarray:
     """Jacobian of the constraints on one factor, columns ordered like
     vec(factor'): the rows (k, m) of factor' design = 0, then the rows (a, m)
@@ -238,13 +209,13 @@ def _factor_jacobian(design: np.ndarray, factor: np.ndarray, independent=False) 
     return jac.reshape(-1, n * M)
 
 
-def constraint_jacobians(params: GbmParams, cov: CovariateSet) -> ConstraintJacobians:
+def constraint_jacobians(params: GbmParams, cov: CovariateSet):
+    """(Ju, Jv): the Jacobians of the orthogonality-to-covariates and
+    orthonormality constraints, (M K + M^2) x (I M) and (M L + M^2) x (J M),
+    columns ordered like vec(U') / vec(V') (factor index fastest)."""
     if params.M == 0:
         raise ShapeError("constraint Jacobians require at least one latent factor")
-    return ConstraintJacobians(
-        Ju=_factor_jacobian(cov.X, params.U),
-        Jv=_factor_jacobian(cov.Z, params.V),
-    )
+    return _factor_jacobian(cov.X, params.U), _factor_jacobian(cov.Z, params.V)
 
 
 def latent_cross_information(pieces: InferencePieces, params: GbmParams,
@@ -255,7 +226,7 @@ def latent_cross_information(pieces: InferencePieces, params: GbmParams,
     reference only: the joint solve builds the rows it needs from their
     Kronecker factors (_factor_rows).
     """
-    W = pieces.W[rows]
+    W = _weights(pieces, rows)[0]
     DU = (params.U * params.D)[rows]
     weighted = W[:, None, :] * (params.V * params.D).T[None]      # (n, M, J)
     n, M, J = weighted.shape
@@ -798,11 +769,11 @@ def full_fisher_variances(Y, params: GbmParams, cov: CovariateSet,
                    np.zeros((Jb.shape[0], P - J * K - I * L))]),
     ]
     if M:
-        jac = constraint_jacobians(params, cov)
+        Ju, Jv = constraint_jacobians(params, cov)
         off_u = J * K + I * L + K * L + M
-        rows.append(np.hstack([np.zeros((jac.Ju.shape[0], off_u)), jac.Ju,
-                               np.zeros((jac.Ju.shape[0], J * M))]))
-        rows.append(np.hstack([np.zeros((jac.Jv.shape[0], off_u + I * M)), jac.Jv]))
+        rows.append(np.hstack([np.zeros((Ju.shape[0], off_u)), Ju,
+                               np.zeros((Ju.shape[0], J * M))]))
+        rows.append(np.hstack([np.zeros((Jv.shape[0], off_u + I * M)), Jv]))
     Jall = np.vstack(rows)
     nc = Jall.shape[0]
     bordered = np.zeros((P + nc, P + nc))

@@ -1,4 +1,4 @@
-"""Delimited-matrix and manifest I/O used by the command line tools.
+"""Delimited-matrix and JSON I/O used by the command line tools.
 
 Matrices are plain text, comma or tab delimited (auto-detected on read),
 with an optional header row; reals are serialized with 17 significant
@@ -11,7 +11,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import time
 
 import numpy as np
 
@@ -35,25 +34,27 @@ def read_matrix(path, allow_empty=False, digests=None) -> np.ndarray:
     """Read a delimited numeric matrix, detecting delimiter and header
     (`digests` as in read_bytes)."""
     text = read_bytes(path, digests).decode()
-    lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
+    # (file line number, stripped text) of the non-blank lines
+    lines = [(n, ln) for n, ln in enumerate((raw.strip() for raw in text.splitlines()), 1) if ln]
     if not lines:
         if allow_empty:
             return np.zeros((0, 0))
         raise InputError(f"{path}: empty matrix file")
-    delim = "\t" if "\t" in lines[0] else ","
+    delim = "\t" if "\t" in lines[0][1] else ","
     start = 0
     try:
-        [float(tok) for tok in lines[0].split(delim)]
+        [float(tok) for tok in lines[0][1].split(delim)]
     except ValueError:
         start = 1
     if len(lines) > start:
         try:
-            return np.loadtxt(lines[start:], delimiter=delim, ndmin=2, comments=None)
+            return np.loadtxt([ln for _, ln in lines[start:]], delimiter=delim, ndmin=2,
+                              comments=None)
         except ValueError:
             pass   # the line-by-line parse below names the offending line and column
     rows = []
     width = None
-    for lineno, ln in enumerate(lines[start:], start=start + 1):
+    for lineno, ln in lines[start:]:
         toks = ln.split(delim)
         if width is None:
             width = len(toks)
@@ -76,13 +77,15 @@ def _is_number(tok):
 
 
 def write_matrix(path, mat, header=None):
-    """Write a matrix as comma-delimited text at round-trip-exact precision."""
+    """Write a matrix as comma-delimited text at round-trip-exact precision;
+    a matrix without columns is written as an empty file."""
     mat = np.atleast_2d(np.asarray(mat, dtype=np.float64))
     row_format = ",".join([FLOAT_FMT] * mat.shape[1]) + "\n"
     with open(path, "w") as fh:
         if header:
             fh.write(",".join(header) + "\n")
-        fh.writelines(row_format % tuple(row) for row in mat.tolist())
+        if mat.shape[1]:
+            fh.writelines(row_format % tuple(row) for row in mat.tolist())
 
 
 def file_digest(path) -> str:
@@ -112,21 +115,6 @@ def _jsonify(obj):
     if isinstance(obj, (np.floating, np.integer)):
         return obj.item()
     raise TypeError(f"cannot serialize {type(obj)!r}")
-
-
-def build_manifest(command, config, seed, input_digests, wall_time, version, convergence=None):
-    """Run manifest emitted next to every command's outputs; `input_digests`
-    maps each input's name to the SHA-256 of the bytes that were read."""
-    return {
-        "command": command,
-        "config": config,
-        "seed": seed,
-        "input_digests": input_digests,
-        "software_version": version,
-        "wall_time_seconds": wall_time,
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
-        "convergence": convergence,
-    }
 
 
 PARAM_FILES = ("A", "B", "C", "D", "U", "V", "S", "T", "omega")

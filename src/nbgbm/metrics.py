@@ -47,13 +47,6 @@ def _window_sums(v: np.ndarray, k: int) -> np.ndarray:
     return cs[hi + 1] - cs[lo]
 
 
-def _window_counts(n: int, k: int) -> np.ndarray:
-    half = k // 2
-    hi = np.minimum(np.arange(n) + half, n - 1)
-    lo = np.maximum(np.arange(n) - half, 0)
-    return (hi - lo + 1).astype(np.float64)
-
-
 def weighted_moving_average(series: WeightedSeries) -> np.ndarray:
     """Per-window weighted mean of x with weights w."""
     return _window_sums(series.w * series.x, series.k) / _window_sums(series.w, series.k)
@@ -68,7 +61,7 @@ def lrse(series: WeightedSeries) -> float:
     if series.x.size < 2:
         raise DomainError("series must have at least two points")
     xbar = weighted_moving_average(series)
-    wbar = _window_sums(series.w, series.k) / _window_counts(series.x.size, series.k)
+    wbar = _window_sums(series.w, series.k) / _window_sums(np.ones(series.x.size), series.k)
     return float(np.sqrt(np.mean((series.w / wbar) ** 2 * (series.x - xbar) ** 2)))
 
 

@@ -76,7 +76,7 @@ def joint_uv_dense_oracle(pieces: InferencePieces, params: GbmParams, cov: Covar
     """Diagonal of the inverse bordered (U, V) system by direct dense inversion."""
     M = params.M
     I, J = cov.I, cov.J
-    jac = constraint_jacobians(params, cov)
+    Ju, Jv = constraint_jacobians(params, cov)
     Fuv = latent_cross_information(pieces, params)
     Fu_full = np.zeros((I * M, I * M))
     for i in range(I):
@@ -84,16 +84,16 @@ def joint_uv_dense_oracle(pieces: InferencePieces, params: GbmParams, cov: Covar
     Fv_full = np.zeros((J * M, J * M))
     for j in range(J):
         Fv_full[j * M:(j + 1) * M, j * M:(j + 1) * M] = pieces.Fv[j]
-    nu, nv = jac.Ju.shape[0], jac.Jv.shape[0]
+    nu, nv = Ju.shape[0], Jv.shape[0]
     n = I * M + J * M + nu + nv
     big = np.zeros((n, n))
     big[:I * M, :I * M] = Fu_full
     big[:I * M, I * M:I * M + J * M] = Fuv
     big[I * M:I * M + J * M, :I * M] = Fuv.T
     big[I * M:I * M + J * M, I * M:I * M + J * M] = Fv_full
-    big[:I * M, I * M + J * M:I * M + J * M + nu] = jac.Ju.T
-    big[I * M + J * M:I * M + J * M + nu, :I * M] = jac.Ju
-    big[I * M:I * M + J * M, I * M + J * M + nu:] = jac.Jv.T
-    big[I * M + J * M + nu:, I * M:I * M + J * M] = jac.Jv
+    big[:I * M, I * M + J * M:I * M + J * M + nu] = Ju.T
+    big[I * M + J * M:I * M + J * M + nu, :I * M] = Ju
+    big[I * M:I * M + J * M, I * M + J * M + nu:] = Jv.T
+    big[I * M + J * M + nu:, I * M:I * M + J * M] = Jv
     diag = np.diag(np.linalg.pinv(big, rcond=1e-12))
     return diag[:I * M], diag[I * M:I * M + J * M]

@@ -91,6 +91,7 @@ class TestSimulate:
         assert manifest["command"] == "simulate"
         assert manifest["seed"] == 7
         assert manifest["config"]["covariate_clamp_events"] == 0
+        assert manifest["warnings"] == []
 
     def test_deterministic(self, sim_dir, tmp_path):
         out2 = tmp_path / "again"
@@ -425,6 +426,10 @@ class TestEvaluate:
                     "--se-dir", se, "--out", report_path]) == 0
         for name in "UV":
             assert nbio.read_matrix(se / f"se_{name}.csv", allow_empty=True).size == 0
+        # FORMATS.md: empty blocks are empty files
+        for path in (fit / "U.csv", fit / "V.csv", fit / "D.csv", se / "se_U.csv",
+                     se / "se_V.csv"):
+            assert path.stat().st_size == 0, path
         params = nbio.read_params(fit)
         assert (params.U.shape, params.V.shape, params.D.shape) == ((40, 0), (12, 0), (0,))
         report = nbio.read_json(report_path)
@@ -499,12 +504,22 @@ class TestMatrixIo:
         out = nbio.read_matrix(path)
         np.testing.assert_array_equal(out, [[1.5, 2.0], [3.0, 4.0]])
 
-    def test_ragged_rows_rejected(self, tmp_path):
+    @pytest.mark.parametrize("text, line", [("1,2\n3\n", 2), ("1,2\n\n3\n", 3)],
+                             ids=["adjacent", "after-blank-line"])
+    def test_ragged_rows_rejected(self, tmp_path, text, line):
         path = tmp_path / "m.csv"
-        path.write_text("1,2\n3\n")
+        path.write_text(text)
         from nbgbm.exceptions import InputError
 
-        with pytest.raises(InputError, match="line 2"):
+        with pytest.raises(InputError, match=f"line {line} has"):
+            nbio.read_matrix(path)
+
+    def test_bad_token_names_its_file_line(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("a,b\n\n1,2\n\n3,x\n")
+        from nbgbm.exceptions import InputError
+
+        with pytest.raises(InputError, match="line 5, column 2"):
             nbio.read_matrix(path)
 
     def test_full_precision_round_trip(self, tmp_path):

@@ -30,10 +30,10 @@ class TestConditionalInverses:
         Y, truth, result, prior, pieces = fitted
         cov = truth.cov
         for j in range(cov.J):
-            F = cov.X.T @ (pieces.W[:, j:j + 1] * cov.X) + np.eye(cov.K)
+            F = cov.X.T @ (inf._weights(pieces)[0][:, j:j + 1] * cov.X) + np.eye(cov.K)
             np.testing.assert_allclose(pieces.invFa[j], np.linalg.inv(F), atol=1e-10)
         for i in range(cov.I):
-            F = cov.Z.T @ (pieces.W[i][:, None] * cov.Z) + np.eye(cov.L)
+            F = cov.Z.T @ (inf._weights(pieces)[0][i][:, None] * cov.Z) + np.eye(cov.L)
             np.testing.assert_allclose(pieces.invFb[i], np.linalg.inv(F), atol=1e-10)
 
     def test_orthonormal_design_halves(self):
@@ -71,7 +71,7 @@ class TestConstraintJacobians:
     def test_matches_finite_difference_of_constraints(self, fitted):
         Y, truth, result, prior, pieces = fitted
         params, cov = result.params, truth.cov
-        jac = inf.constraint_jacobians(params, cov)
+        Ju, _ = inf.constraint_jacobians(params, cov)
         M, I = params.M, cov.I
 
         def constraint_value(U):
@@ -86,7 +86,7 @@ class TestConstraintJacobians:
             direction = rng.normal(size=(I, M))
             fd = (constraint_value(params.U + h * direction)
                   - constraint_value(params.U - h * direction)) / (2 * h)
-            analytic = jac.Ju @ direction.ravel()
+            analytic = Ju @ direction.ravel()
             np.testing.assert_allclose(analytic, fd, rtol=1e-6, atol=1e-8)
 
     @pytest.mark.parametrize("M", [1, 2, 3])
@@ -165,7 +165,8 @@ class TestJointUv:
         VDt = np.zeros((M, J + 1))                               # one padding column
         VDt[:, :J] = (params.V * params.D).T
         outs = np.empty((n_blocks, 4 * M, (J + 1) * M // n_blocks))
-        inf._factor_rows(blocks, pieces.W[rows], VDt, (params.U * params.D)[rows], outs)
+        inf._factor_rows(blocks, inf._weights(pieces, rows)[0], VDt, (params.U * params.D)[rows],
+                         outs)
         Fuv = inf.latent_cross_information(pieces, params, rows).reshape(4, M, J * M)
         want = np.matmul(blocks, Fuv).reshape(4 * M, J * M)
         got = np.hstack(list(outs))
@@ -396,7 +397,8 @@ class TestStreamedContractions:
     def test_to_dispersions(self, case):
         pieces, params, cov, var = case
         UD, VD = params.U * params.D, params.V * params.D
-        Q, P = inf._score_sensitivities(pieces.W, pieces.E, pieces.mu, pieces.r)
+        W, r = inf._weights(pieces)
+        Q, P = inf._score_sensitivities(W, pieces.E, pieces.mu, r)
         vA, vB = var["A"].reshape(cov.J, -1), var["B"].reshape(cov.I, -1)
         vU, vV = var["U"].reshape(cov.I, -1), var["V"].reshape(cov.J, -1)
 
@@ -438,12 +440,15 @@ class TestTransposition:
                         lambda_d=pr.lambda_d, lambda_u=pr.lambda_v, lambda_v=pr.lambda_u,
                         lambda_s=pr.lambda_t, lambda_t=pr.lambda_s, m_s=pr.m_t, m_t=pr.m_s))
         flipped = inf.preprocess(Y, p, cov, pr).transposed()
-        # dWM and dEM are derived properties, not fields
-        for name in [f.name for f in dataclasses.fields(inf.InferencePieces)] + ["dWM", "dEM"]:
-            want = getattr(explicit, name)
+        checked = [(getattr(flipped, f.name), getattr(explicit, f.name), f.name)
+                   for f in dataclasses.fields(inf.InferencePieces)]
+        # dWM and dEM are derived from the fields, not stored
+        checked += zip(inf._eta_derivatives(flipped), inf._eta_derivatives(explicit),
+                       ("dWM", "dEM"))
+        for got, want, name in checked:
             # scores near the mode are sums that cancel: rounding is relative
             # to the field's scale there, not to the entry
-            np.testing.assert_allclose(getattr(flipped, name), want, rtol=1e-12,
+            np.testing.assert_allclose(got, want, rtol=1e-12,
                                        atol=1e-12 * np.abs(want).max(initial=0.0),
                                        err_msg=name)
 
@@ -457,8 +462,8 @@ class TestTransposition:
         pieces = inf.preprocess(Y, params, cov, ASYMMETRIC_PRIOR)
         np.testing.assert_array_equal(pieces.mu, work.mu)
         np.testing.assert_array_equal(pieces.E, work.E)
-        np.testing.assert_array_equal(pieces.W, work.W)
-        np.testing.assert_array_equal(pieces.r, work.r)
+        np.testing.assert_array_equal(inf._weights(pieces)[0], work.W)
+        np.testing.assert_array_equal(inf._weights(pieces)[1], work.r)
         for rows in nb.row_chunks(*Y.values.shape):
             W, r = inf._weights(pieces, rows)
             np.testing.assert_array_equal(W, work.W[rows])
@@ -470,14 +475,14 @@ class TestTransposition:
     def test_derived_eta_derivatives(self, small_fit):
         Y, truth, result = small_fit
         pieces = inf.preprocess(Y, result.params, truth.cov, ASYMMETRIC_PRIOR)
-        mu, r, y = pieces.mu, pieces.r, Y.values
+        mu, r, y = pieces.mu, inf._weights(pieces)[1], Y.values
         dWM = mu * r ** 2 / (r + mu) ** 2
         dEM = -mu * r * (r + y) / (r + mu) ** 2
         flipped = pieces.transposed()
-        np.testing.assert_allclose(pieces.dWM, dWM, rtol=1e-12)
-        np.testing.assert_allclose(pieces.dEM, dEM, rtol=1e-12)
-        np.testing.assert_allclose(flipped.dWM, dWM.T, rtol=1e-12)
-        np.testing.assert_allclose(flipped.dEM, dEM.T, rtol=1e-12)
+        np.testing.assert_allclose(inf._eta_derivatives(pieces)[0], dWM, rtol=1e-12)
+        np.testing.assert_allclose(inf._eta_derivatives(pieces)[1], dEM, rtol=1e-12)
+        np.testing.assert_allclose(inf._eta_derivatives(flipped)[0], dWM.T, rtol=1e-12)
+        np.testing.assert_allclose(inf._eta_derivatives(flipped)[1], dEM.T, rtol=1e-12)
 
 
 class TestChunkedMemory:
