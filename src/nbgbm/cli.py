@@ -54,15 +54,15 @@ def _prior_config(settings):
 
 def _fit_prior(fit_dir, counts, digests):
     """(prior, converged) of the fit in `fit_dir`, read from its manifest,
-    after checking that the counts file `counts` hashes to its
-    input_digests.counts.
+    after checking that the counts file `counts`, whose SHA-256 `digests`
+    holds (io.read_bytes), hashes to its input_digests.counts.
 
-    `digests` maps each file read so far to its SHA-256 (io.read_bytes); it
-    holds `counts` and receives the manifest.  Standard errors are taken at
-    the MAP estimate, so they hold only under that prior and for those
-    counts; a fit that did not converge raises a warning.  A directory
-    without a manifest (simulate's truth/) is not checked and gets the
-    default prior and converged None."""
+    Standard errors are taken at the MAP estimate, so they hold only under
+    that prior and for those counts; a fit that did not converge raises a
+    warning.  The manifest is not digested, since it holds the fit's wall
+    time; infer records what it uses of it.  A directory without a manifest
+    (simulate's truth/) is not checked and gets the default prior and
+    converged None."""
     from . import io
     from .model import PriorConfig
 
@@ -70,7 +70,7 @@ def _fit_prior(fit_dir, counts, digests):
     if not os.path.exists(path):
         return PriorConfig(), None
     try:
-        manifest = io.read_json(path, digests)
+        manifest = io.read_json(path)
         prior = _prior_config(manifest["config"])
         fitted = manifest["input_digests"]["counts"]
         converged = bool(manifest["convergence"]["converged"])
@@ -265,13 +265,10 @@ def cmd_infer(args) -> int:
             oracle = inference.full_fisher_variances(Y, params, cov, prior)
             for name, block in oracle.items():
                 io.write_matrix(os.path.join(args.out, f"oracle_var_{name}.csv"), np.sqrt(block))
-        fit_files = [f"{b}.csv" for b in io.PARAM_FILES] + ["X.csv", "Z.csv", "manifest.json"]
-        fit_paths = {name: os.path.join(args.fit_dir, name) for name in fit_files}
         manifest.update(
             config={"level": args.level, "tests": args.test, **vars(prior)},
-            input_digests={"counts": digests[args.counts],
-                           **{name: digests[path] for name, path in fit_paths.items()
-                              if path in digests}},
+            input_digests={"counts": digests.pop(args.counts),     # the rest are fit files
+                           **{os.path.basename(path): h for path, h in digests.items()}},
             stage_seconds=result.stage_seconds, fit_converged=converged)
     return 0
 

@@ -32,7 +32,7 @@ and their twins) leave the likelihood unchanged and do not touch it.
 The four workspace arrays are the only I x J arrays a fit holds besides
 the counts and their float copy.  They are allocated once by make_state
 and overwritten in place, one row chunk of at most nb.CHUNK_ELEMENTS
-entries at a time (fill_workspace); the S/T steps (nb.dispersion_sums)
+entries at a time (FitState.refresh); the S/T steps (nb.dispersion_sums)
 and log_posterior run over the same chunks, so every other I x J
 temporary is chunk-sized.
 """
@@ -83,12 +83,9 @@ def svd_of_product(P: np.ndarray, Q: np.ndarray):
     Q_P R_P Q', so the SVD of the small M x M core R_P gives the factors.
     Returns (U, d, V) with U d V' = P Q' and d descending.
     """
-    M = P.shape[1]
-    if M == 0:
-        return np.zeros((P.shape[0], 0)), np.zeros(0), np.zeros((Q.shape[0], 0))
     Qp, Rp = np.linalg.qr(P)
     Us, s, Vst = np.linalg.svd(Rp)
-    if M > 1 and np.any(np.diff(s) > -1e-10 * max(s[0], 1e-300)):
+    if P.shape[1] > 1 and np.any(np.diff(s) > -1e-10 * max(s[0], 1e-300)):
         warnings.warn("nearly repeated singular values in latent factor update")
     return Qp @ Us, s, Q @ Vst.T
 
@@ -114,27 +111,6 @@ def _capped(xi_rows: np.ndarray, rho: float) -> np.ndarray:
     return xi_rows * factor[:, None]
 
 
-def fill_workspace(work: nb.NbWorkspace, y, params: GbmParams, cov: CovariateSet,
-                   mean=True, dispersion=True) -> nb.NbWorkspace:
-    """Overwrite `work` with the NB workspace of params, one row chunk
-    (nb.row_chunks) at a time, and return it.
-
-    `mean` recomputes the linear predictor and mu, `dispersion` r; W and E
-    are recomputed either way.  work.clamped is set to the number of
-    clipped exponents among the recomputed mu and r.
-    """
-    clamped = 0
-    for rows in nb.row_chunks(*work.mu.shape):
-        mu, r = work.mu[rows], work.r[rows]
-        if mean:
-            clamped += nb.means(linear_predictor(params, cov, rows), out=mu)[1]
-        if dispersion:
-            clamped += nb.inverse_dispersions(params.S[rows], params.T, params.omega, out=r)[1]
-        nb.weights_and_scores(y[rows], mu, r, out=(work.W[rows], work.E[rows]))
-    work.clamped = clamped
-    return work
-
-
 @dataclass
 class FitState:
     """Mutable bundle passed between block updates.
@@ -155,14 +131,24 @@ class FitState:
     clamp_events: int = 0
 
     def refresh(self, mean=True, dispersion=True):
-        """Bring the workspace up to date with the parameters.
+        """Bring the workspace up to date with the parameters, in place and
+        one row chunk (nb.row_chunks) at a time.
 
         `mean` recomputes the linear predictor and mu, `dispersion` r; W and
         E are recomputed either way.  The default recomputes everything.
-        Clipped exponents of the recomputed mu or r add to clamp_events.
+        Clipped exponents of the recomputed mu or r set work.clamped and add
+        to clamp_events.
         """
-        fill_workspace(self.work, self.y, self.params, self.cov, mean, dispersion)
-        self.clamp_events += self.work.clamped
+        p, w, clamped = self.params, self.work, 0
+        for rows in nb.row_chunks(*w.mu.shape):
+            mu, r = w.mu[rows], w.r[rows]
+            if mean:
+                clamped += nb.means(linear_predictor(p, self.cov, rows), out=mu)[1]
+            if dispersion:
+                clamped += nb.inverse_dispersions(p.S[rows], p.T, p.omega, out=r)[1]
+            nb.weights_and_scores(self.y[rows], mu, r, out=(w.W[rows], w.E[rows]))
+        w.clamped = clamped
+        self.clamp_events += clamped
 
     def log_posterior(self) -> float:
         """Log-likelihood plus log-prior (normalizing constants included),
@@ -463,8 +449,6 @@ def bias_correct_dispersions(state: FitState):
 
 def finalize_factor_signs(params: GbmParams):
     """Sort singular values descending and fix the column sign convention."""
-    if params.M == 0:
-        return
     order = np.argsort(-params.D)
     params.D = params.D[order]
     params.U = params.U[:, order]

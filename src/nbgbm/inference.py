@@ -38,9 +38,9 @@ them, summing over the chunk's rows for A, C from A and T, and over its
 columns for B, C from B and S.
 
 InferencePieces.transposed() gives the pieces of the problem for Y' (X
-and Z, A and B, U and V, S and T swapped, C turned into C'); the joint
-stage (for I < J), the propagations and the references compute B, V and
-T quantities on it.
+and Z, A and B, U and V, S and T swapped, C turned into C'); only the
+joint stage (for I < J) and the references use it.  The propagations read
+the B-side blocks as they are and build B's vec(C) Jacobian in vec(C) order.
 
 No standard errors are produced for D or the global log-dispersion.
 """
@@ -441,15 +441,11 @@ def joint_uv_uncertainty(pieces: InferencePieces, params: GbmParams, cov: Covari
 # delta propagation: latent factors -> coefficients
 # ---------------------------------------------------------------------------
 
-def _coef_eta_base(pieces: InferencePieces) -> np.ndarray:
-    """J x K rows invFa_j gradA_j (pass the transposed pieces for B)."""
-    return np.einsum("jkl,jl->jk", pieces.invFa, pieces.gradA)
-
-
 def _coef_eta_weight(dWM, dEM, design, base) -> np.ndarray:
-    """Weights dEM_ij - dWM_ij x_i' invFa_j gradA_j of the A-row Jacobian
-    d a_j / d eta_ij = invFa_j x_i weight_ij, for the rows of design (X)
-    and base (_coef_eta_base) given."""
+    """Weights dEM_ij - dWM_ij x_i' base_j for the rows of design (X) given:
+    with base_j = invFa_j gradA_j, of the A-row Jacobian d a_j / d eta_ij =
+    invFa_j x_i weight_ij (B: Z and invFb_i gradB_i, derivatives transposed);
+    with base_j = C1 z_j, of the vec(C) Jacobians (propagate_ab_to_c)."""
     return dEM - dWM * (design @ base.T)
 
 
@@ -472,15 +468,16 @@ def propagate_uv_to_ab(pieces: InferencePieces, params: GbmParams, cov: Covariat
     (_coef_eta_weight), which is never formed: sum_i Q_jki^2 t_ji is the
     diagonal of invFa_j X' diag(weight_.j^2 t_j.) X invFa_j with
     t = varU (V D)^2', and Q_j (U D) is invFa_j X' diag(weight_.j) U D;
-    B is the same on the transposed problem.  The sums over i (A) and over
-    j (B) are taken one row chunk at a time.
+    B is the same with rows and columns swapped (Z, invFb, gradB, V D, U D).
+    The sums over i (A) and over j (B) are taken one row chunk at a time.
     """
     X, Z = cov.X, cov.Z
     I, J, K, L, M = cov.I, cov.J, cov.K, cov.L, params.M
     UD, VD = params.U * params.D, params.V * params.D
     UD2, VD2 = UD ** 2, VD ** 2
     varU, varV = varU.reshape(I, M), varV.reshape(J, M)
-    base_a, base_b = _coef_eta_base(pieces), _coef_eta_base(pieces.transposed())
+    base_a = np.einsum("jkl,jl->jk", pieces.invFa, pieces.gradA)
+    base_b = np.einsum("ilm,im->il", pieces.invFb, pieces.gradB)
     XUD = (X[:, :, None] * UD[:, None, :]).reshape(I, K * M)
     ZVD = (Z[:, :, None] * VD[:, None, :]).reshape(J, L * M)
     spread_a, sums_a = np.zeros((J, K, K)), np.zeros((J, K * M))
@@ -502,22 +499,6 @@ def propagate_uv_to_ab(pieces: InferencePieces, params: GbmParams, cov: Covariat
 # delta propagation: coefficients -> interactions
 # ---------------------------------------------------------------------------
 
-def _interaction_weight(pieces: InferencePieces, cov: CovariateSet, rows: slice = slice(None)):
-    """Rows `rows` of the I x J weight dEM - dWM * (X C1 Z'), C1 = invFc vec(gradC),
-    whose blocks X' diag(weight_.j) X are the score-minus-Fisher terms H_j - G_j
-    of the vec(C) Jacobian blocks invFc (z_j kron (H_j - G_j)) in the rows of A."""
-    C1 = (pieces.invFc @ pieces.gradC.ravel(order="F")).reshape(cov.K, cov.L, order="F")
-    dWM, dEM = _eta_derivatives(pieces, rows)
-    return dEM - dWM * (cov.X[rows] @ C1 @ cov.Z.T)
-
-
-def _interaction_jacobian(invFc, HG, other_design):
-    """n x KL x K blocks invFc (z_n kron HG_n), other_design holding the z_n."""
-    n, K, _ = HG.shape
-    kron = np.einsum("jl,jak->jlak", other_design, HG).reshape(n, -1, K)
-    return invFc @ kron
-
-
 def _interaction_variance(jac, invF, var):
     """Extra variance of vec(C) from the rows of A (or B), given their vec(C)
     Jacobian blocks `jac` and conditional inverses `invF` (see propagate_ab_to_c)."""
@@ -532,21 +513,26 @@ def propagate_ab_to_c(pieces: InferencePieces, cov: CovariateSet, varA, varB):
     propagated) in vec(A')/vec(B') order.  The conditional part contracts
     with the per-row inverse Fisher blocks; the propagated remainder, which
     carries the latent-to-coefficient chain, contracts diagonally.  One
-    chunked I x J weight gives the X blocks of A (summed over i) and the Z
-    blocks of B (summed over j).
+    chunked I x J weight (_coef_eta_weight, base_j = C1 z_j with C1 = invFc
+    vec(gradC)) gives the X blocks HG_j of A (summed over i) and the Z blocks
+    HG_i of B (summed over j); the vec(C) Jacobian blocks, in vec(C) order,
+    are invFc (z_j kron HG_j) and invFc (HG_i kron x_i).
     """
     I, J, K, L = cov.I, cov.J, cov.K, cov.L
+    C1 = (pieces.invFc @ pieces.gradC.ravel(order="F")).reshape(K, L, order="F")
+    base = cov.Z @ C1.T
     HG_a, HG_b = np.zeros((J, K, K)), np.empty((I, L, L))
     for rows in nb.row_chunks(I, J):
-        weight = _interaction_weight(pieces, cov, rows)
+        weight = _coef_eta_weight(*_eta_derivatives(pieces, rows), cov.X[rows], base)
         HG_a += _row_fisher_blocks(weight, cov.X[rows])
         HG_b[rows] = _row_fisher_blocks(weight.T, cov.Z)
-    invFc_t = pieces.transposed().invFc                       # vec(C') order
-    varCfromA = _interaction_variance(_interaction_jacobian(pieces.invFc, HG_a, cov.Z),
-                                      pieces.invFa, varA)
-    varCfromB = _interaction_variance(_interaction_jacobian(invFc_t, HG_b, cov.X),
-                                      pieces.invFb, varB)
-    return varCfromA, varCfromB.reshape(K, L).ravel(order="F")
+    # one Jacobian at a time: varCfromA is taken before the B blocks are built
+    varCfromA = _interaction_variance(
+        pieces.invFc @ np.einsum("jl,jak->jlak", cov.Z, HG_a).reshape(J, K * L, K),
+        pieces.invFa, varA)
+    return varCfromA, _interaction_variance(
+        pieces.invFc @ np.einsum("ilm,ik->ilkm", HG_b, cov.X).reshape(I, K * L, L),
+        pieces.invFb, varB)
 
 
 # ---------------------------------------------------------------------------
@@ -684,8 +670,8 @@ def standard_errors(Y, params: GbmParams, cov: CovariateSet,
         se_A=np.sqrt(varA).reshape(cov.J, cov.K),
         se_B=np.sqrt(varB).reshape(cov.I, cov.L),
         se_C=np.sqrt(varC).reshape(cov.K, cov.L, order="F"),
-        se_U=np.sqrt(varU).reshape(cov.I, M) if M else np.zeros((cov.I, 0)),
-        se_V=np.sqrt(varV).reshape(cov.J, M) if M else np.zeros((cov.J, 0)),
+        se_U=np.sqrt(varU).reshape(cov.I, M),
+        se_V=np.sqrt(varV).reshape(cov.J, M),
         se_S=np.sqrt(varS),
         se_T=np.sqrt(varT),
         ledger=ledger,
@@ -724,14 +710,10 @@ def _eta_jacobian(params: GbmParams, cov: CovariateSet) -> np.ndarray:
     A_part = np.einsum("jl,ik->ijlk", np.eye(J), X).reshape(I * J, J * K)
     B_part = np.einsum("im,jl->ijml", np.eye(I), Z).reshape(I * J, I * L)
     C_part = np.einsum("ik,jl->ijlk", X, Z).reshape(I * J, L * K)
-    parts = [A_part, B_part, C_part]
-    if M:
-        parts.append((U[:, None, :] * V[None, :, :]).reshape(I * J, M))
-        parts.append(np.einsum("ia,jm->ijam", np.eye(I), V * D).reshape(I * J, I * M))
-        parts.append(np.einsum("ja,im->ijam", np.eye(J), U * D).reshape(I * J, J * M))
-    else:
-        parts.extend([np.zeros((I * J, 0))] * 3)
-    return np.hstack(parts)
+    D_part = (U[:, None, :] * V[None, :, :]).reshape(I * J, M)
+    U_part = np.einsum("ia,jm->ijam", np.eye(I), V * D).reshape(I * J, I * M)
+    V_part = np.einsum("ja,im->ijam", np.eye(J), U * D).reshape(I * J, J * M)
+    return np.hstack([A_part, B_part, C_part, D_part, U_part, V_part])
 
 
 def full_fisher_variances(Y, params: GbmParams, cov: CovariateSet,
@@ -791,6 +773,6 @@ def full_fisher_variances(Y, params: GbmParams, cov: CovariateSet,
         "A": out["A"].reshape(J, K),
         "B": out["B"].reshape(I, L),
         "C": out["C"].reshape(K, L, order="F"),
-        "U": out["U"].reshape(I, M) if M else np.zeros((I, 0)),
-        "V": out["V"].reshape(J, M) if M else np.zeros((J, 0)),
+        "U": out["U"].reshape(I, M),
+        "V": out["V"].reshape(J, M),
     }

@@ -89,11 +89,8 @@ def write_matrix(path, mat, header=None):
 
 
 def file_digest(path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 16), b""):
-            h.update(chunk)
-    return h.hexdigest()
+    """The SHA-256 of the file at `path`, as read_bytes records it."""
+    return hashlib.sha256(read_bytes(path)).hexdigest()
 
 
 def write_json(path, payload, indent=2):
@@ -104,9 +101,9 @@ def write_json(path, payload, indent=2):
         fh.write("\n")
 
 
-def read_json(path, digests=None):
-    """Parse the JSON file at `path` (`digests` as in read_bytes)."""
-    return json.loads(read_bytes(path, digests))
+def read_json(path):
+    """Parse the JSON file at `path`."""
+    return json.loads(read_bytes(path))
 
 
 def _jsonify(obj):

@@ -361,7 +361,7 @@ def sum_of_squares_decomposition(params: GbmParams, cov: CovariateSet) -> dict:
         "ss_xa": float(np.sum((X @ params.A.T) ** 2)),
         "ss_bz": float(np.sum((params.B @ Z.T) ** 2)),
         "ss_xcz": float(np.sum((X @ params.C @ Z.T) ** 2)),
-        "ss_udv": float(np.sum(((params.U * params.D) @ params.V.T) ** 2)) if params.M else 0.0,
+        "ss_udv": float(np.sum(((params.U * params.D) @ params.V.T) ** 2)),
     }
     parts["ss_total"] = float(np.sum(linear_predictor(params, cov) ** 2))
     return parts
@@ -449,8 +449,8 @@ def check_constraints(params: GbmParams, cov: CovariateSet) -> ConstraintReport:
         max_ztv=maxabs(cov.Z.T @ params.V),
         max_utu=maxabs(params.U.T @ params.U - eye),
         max_vtv=maxabs(params.V.T @ params.V - eye),
-        d_ordered=bool(np.all(np.diff(params.D) < 0)) if M > 1 else True,
-        d_positive=bool(np.all(params.D > CONSTRAINT_TOL * scale)) if M else True,
+        d_ordered=bool(np.all(np.diff(params.D) < 0)),
+        d_positive=bool(np.all(params.D > CONSTRAINT_TOL * scale)),
         u_signs_ok=bool(np.all(first_nonzero_signs(params.U) >= 0)),
         mean_exp_s=float(np.mean(np.exp(params.S))),
         mean_exp_t=float(np.mean(np.exp(params.T))),

@@ -12,12 +12,9 @@ import numpy as np
 from nbgbm.estimation import _row_fisher_blocks
 from nbgbm.inference import (
     InferencePieces,
-    _coef_eta_base,
     _coef_eta_weight,
     _dispersion_response,
     _eta_derivatives,
-    _interaction_jacobian,
-    _interaction_weight,
     constraint_jacobians,
     latent_cross_information,
 )
@@ -38,7 +35,8 @@ def coef_eta_jacobian(pieces: InferencePieces, cov: CovariateSet) -> np.ndarray:
     transposed pieces and covariates for B.  Analytic reference only: the
     standard errors contract it without forming it.
     """
-    weight = _coef_eta_weight(*_eta_derivatives(pieces), cov.X, _coef_eta_base(pieces))
+    base = np.einsum("jkl,jl->jk", pieces.invFa, pieces.gradA)
+    weight = _coef_eta_weight(*_eta_derivatives(pieces), cov.X, base)
     return np.einsum("jkl,il,ij->jki", pieces.invFa, cov.X, weight, optimize=True)
 
 
@@ -50,8 +48,11 @@ def interaction_jacobian_from_a(pieces: InferencePieces, cov: CovariateSet) -> n
     C1 = invFc vec(gradC).  For B pass the transposed problem (vec(C') order).
     Analytic reference only: the standard errors build the blocks by chunks.
     """
-    HG = _row_fisher_blocks(_interaction_weight(pieces, cov), cov.X)
-    return _interaction_jacobian(pieces.invFc, HG, cov.Z)
+    C1 = (pieces.invFc @ pieces.gradC.ravel(order="F")).reshape(cov.K, cov.L, order="F")
+    weight = _coef_eta_weight(*_eta_derivatives(pieces), cov.X, cov.Z @ C1.T)
+    HG = _row_fisher_blocks(weight, cov.X)
+    kron = np.einsum("jl,jak->jlak", cov.Z, HG).reshape(cov.J, -1, cov.K)
+    return pieces.invFc @ kron
 
 
 def dispersion_jacobian_same_axis(Q, P, scaled_other, invF, gradv):

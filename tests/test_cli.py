@@ -326,7 +326,7 @@ class TestInfer:
         shutil.copytree(fit_dir, copy)
         first = infer_flagless(sim_dir, copy, tmp_path / "se_first")
         digests = nbio.read_json(first / "manifest.json")["input_digests"]
-        read = [f"{name}.csv" for name in nbio.PARAM_FILES] + ["X.csv", "Z.csv", "manifest.json"]
+        read = [f"{name}.csv" for name in nbio.PARAM_FILES] + ["X.csv", "Z.csv"]
         assert set(digests) == {"counts", *read}
         for name in read:
             assert digests[name] == nbio.file_digest(copy / name), name
@@ -338,6 +338,20 @@ class TestInfer:
         assert edited["A.csv"] == nbio.file_digest(copy / "A.csv") != digests["A.csv"]
         assert {k: v for k, v in edited.items() if k != "A.csv"} == \
             {k: v for k, v in digests.items() if k != "A.csv"}
+
+    def test_seeded_round_trips_write_equal_manifests(self, tmp_path):
+        # the fit manifest holds its own wall time and timestamp, so infer
+        # must not fold it into what it records
+        manifests = []
+        for run_dir in (tmp_path / "first", tmp_path / "second"):
+            sim = run_dir / "sim"
+            assert run(["simulate", "--dims", "40x12x2x2x1", "--seed", "7", "--out", sim]) == 0
+            out = infer_flagless(sim, fit_with(sim, run_dir / "fit"), run_dir / "se")
+            manifest = nbio.read_json(out / "manifest.json")
+            for key in ("timestamp", "wall_time_seconds", "stage_seconds"):
+                del manifest[key]
+            manifests.append(manifest)
+        assert manifests[0] == manifests[1]
 
     def test_counts_are_opened_once_and_digested_as_parsed(self, sim_dir, fit_dir, tmp_path,
                                                           monkeypatch):

@@ -383,6 +383,11 @@ class TestProjections:
         np.testing.assert_allclose(np.abs(U[:, 0]), np.abs(G[:, 0]) / np.linalg.norm(G))
         np.testing.assert_allclose(d[0], np.linalg.norm(G))
 
+    def test_svd_without_latent_factors(self):
+        # update_g and update_h skip M = 0, so no fit reaches this case
+        U, d, V = est.svd_of_product(np.zeros((10, 0)), np.zeros((4, 0)))
+        assert (U.shape, d.shape, V.shape) == ((10, 0), (0,), (4, 0))
+
     def test_s_projection_identity_and_likelihood(self, small_instance):
         Y, truth = small_instance
         params = random_constrained_params(truth.cov, 1, seed=13)

@@ -458,7 +458,7 @@ class TestTransposition:
         monkeypatch.setattr(nb, "CHUNK_ELEMENTS", 75)
         Y, truth, result = small_fit
         params, cov = result.params, truth.cov
-        work = est.fill_workspace(nb.NbWorkspace.empty(Y.values.shape), Y.values, params, cov)
+        work = est.make_state(Y, cov, params.copy()).work
         pieces = inf.preprocess(Y, params, cov, ASYMMETRIC_PRIOR)
         np.testing.assert_array_equal(pieces.mu, work.mu)
         np.testing.assert_array_equal(pieces.E, work.E)
