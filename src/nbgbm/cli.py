@@ -328,9 +328,12 @@ def cmd_evaluate(args) -> int:
         report["coverage"] = {}
         # c_11, D, and omega are excluded from coverage
         for name in ("A", "B", "C", "U", "V", "S", "T"):
-            se = io.read_matrix(os.path.join(args.se_dir, f"se_{name}.csv"),
-                                allow_empty=name in ("U", "V"))
+            path = os.path.join(args.se_dir, f"se_{name}.csv")
+            se = io.read_matrix(path, allow_empty=name in ("U", "V"))
             block_est = est.blocks()[name]
+            if se.size != block_est.size:
+                raise InputError(f"{path} holds {se.size} values, block {name} has "
+                                 f"{block_est.size}")
             block_truth = truth.blocks()[name]
             if block_est.size == 0:
                 continue

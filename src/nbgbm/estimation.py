@@ -478,8 +478,9 @@ def initial_params(Y: DataMatrix, cov: CovariateSet, M: int,
     and omega start at zero; the fit's own S and T steps estimate them.
     """
     config = config or FitConfig()
-    if M >= min(cov.I, cov.J):
-        raise ShapeError(f"M = {M} must be smaller than min(I, J) = {min(cov.I, cov.J)}")
+    if not 0 <= M < min(cov.I, cov.J):
+        raise ShapeError(f"M = {M} must be at least 0 and smaller than min(I, J) = "
+                         f"{min(cov.I, cov.J)}")
     logy = np.log(Y.values + EPSILON)
     C = cov.Xplus @ logy @ cov.Zplus.T
     A = (cov.Xplus @ logy - C @ cov.Z.T).T

@@ -27,15 +27,15 @@ Three ingredients:
    bordered (U, V) inverse by direct inversion, are analytic references in
    the tests (tests/oracles.py).
 
-InferencePieces stores two I x J arrays of the NB workspace, mu and E, and
-otherwise only per-row, per-column and coefficient-sized blocks.  Every
-other I x J quantity (W and r, rebuilt from mu and the dispersion offsets
-bit for bit; the dispersion derivatives; the derivatives dWM and dEM of W
-and E in the linear predictor; the propagation weights) is formed one row
-chunk of at most nb.CHUNK_ELEMENTS entries at a time and contracted at
-once: each stage derives a chunk's weights once and feeds both twins from
-them, summing over the chunk's rows for A, C from A and T, and over its
-columns for B, C from B and S.
+InferencePieces holds one I x J array of its own, mu, and a reference to
+the caller's counts; its other fields are per-row, per-column and
+coefficient-sized.  Every other I x J quantity (r, W and E, rebuilt bit for
+bit by the calls of FitState.refresh; the dispersion derivatives; dWM and
+dEM, the derivatives of W and E in the linear predictor; the propagation
+weights) is formed one row chunk of at most nb.CHUNK_ELEMENTS entries at a
+time and contracted at once: each stage derives a chunk's weights once and
+feeds both twins from them, summing over the chunk's rows for A, C from A
+and T, and over its columns for B, C from B and S.
 
 InferencePieces.transposed() gives the pieces of the problem for Y' (X
 and Z, A and B, U and V, S and T swapped, C turned into C'); only the
@@ -68,16 +68,15 @@ ROW_BLOCK_BYTES = 1 << 20   # bytes of one row block of R Fuv or Cu Fuv in the j
 class InferencePieces:
     """The NB workspace of the fitted parameters, scores and conditional inverses.
 
-    mu and E are the two stored I x J workspace arrays; every other field
-    is a per-row, per-column or coefficient-sized block.  W and r, bit for
-    bit the workspace's, are rebuilt from mu and the dispersion offsets S,
-    T, omega by _weights(pieces, rows), and the derivatives dWM and dEM of
-    W and E in the linear predictor by _eta_derivatives(pieces, rows), for
-    any row slice (the whole array by default).
+    mu is the one stored I x J array, y the caller's counts (not a copy);
+    the other fields are per-row, per-column or coefficient-sized.
+    _workspace(pieces, rows) rebuilds r, W and E from them bit for bit, and
+    _eta_derivatives(pieces, rows) the derivatives dWM and dEM of W and E in
+    the linear predictor, for any row slice (the whole array by default).
     """
 
+    y: np.ndarray
     mu: np.ndarray
-    E: np.ndarray
     S: np.ndarray            # length I row log-dispersion offsets
     T: np.ndarray            # length J
     omega: float
@@ -100,7 +99,7 @@ class InferencePieces:
         """The pieces for Y', sharing the arrays; invFc goes to vec(C') order."""
         K, L = self.gradC.shape
         return InferencePieces(
-            mu=self.mu.T, E=self.E.T, S=self.T, T=self.S, omega=self.omega,
+            y=self.y.T, mu=self.mu.T, S=self.T, T=self.S, omega=self.omega,
             gradA=self.gradB, gradB=self.gradA, gradC=self.gradC.T,
             gradS=self.gradT, gradT=self.gradS, Fu=self.Fv, Fv=self.Fu,
             invFa=self.invFb, invFb=self.invFa,
@@ -109,24 +108,21 @@ class InferencePieces:
         )
 
 
-def _weights(pieces: InferencePieces, rows: slice = slice(None)):
-    """Rows `rows` of W = r mu / (r + mu) and of r = exp(-(s_i + t_j + omega)),
-    by the operations of nb.inverse_dispersions and nb.weights_and_scores,
-    so bit for bit the arrays of the workspace."""
+def _workspace(pieces: InferencePieces, rows: slice = slice(None)):
+    """Rows `rows` of r = exp(-(s_i + t_j + omega)), W = r mu / (r + mu) and
+    E = (y - mu) r / (r + mu), by the calls of FitState.refresh, so bit for
+    bit the arrays of the workspace."""
     r = nb.inverse_dispersions(pieces.S[rows], pieces.T, pieces.omega)[0]
-    mu = pieces.mu[rows]
-    W = np.multiply(r, mu)
-    W /= r + mu
-    return W, r
+    return (r, *nb.weights_and_scores(pieces.y[rows], pieces.mu[rows], r))
 
 
 def _eta_derivatives(pieces: InferencePieces, rows: slice = slice(None)):
     """Rows `rows` of dWM = d w / d linpred = W^2 / mu = mu r^2 / (r + mu)^2
     and dEM = d e / d linpred = -W (1 + E / r) = -mu r (r + y) / (r + mu)^2."""
-    W, r = _weights(pieces, rows)
+    r, W, dEM = _workspace(pieces, rows)
     dWM = W * W
     dWM /= pieces.mu[rows]
-    dEM = pieces.E[rows] / r
+    dEM /= r
     dEM += 1.0
     dEM *= W
     np.negative(dEM, out=dEM)
@@ -136,27 +132,30 @@ def _eta_derivatives(pieces: InferencePieces, rows: slice = slice(None)):
 def preprocess(Y, params: GbmParams, cov: CovariateSet, prior: PriorConfig) -> InferencePieces:
     """One pass computing every reusable quantity of the inference algorithm.
 
-    mu and E are written one row chunk at a time; each chunk's W and r feed
-    the Fisher blocks of A, B, U, V and the dispersion sums at once, and
-    are then dropped."""
+    mu is written one row chunk at a time; each chunk's W and E feed the
+    Fisher blocks of A, B, U, V, the scores of A and B and the dispersion
+    sums at once, and are then dropped."""
     values = Y.values if hasattr(Y, "values") else np.asarray(Y)
     I, J = values.shape
     X, Z, M = cov.X, cov.Z, params.M
     UD, VD = params.U * params.D, params.V * params.D
-    mu, E = np.empty((I, J)), np.empty((I, J))
+    mu = np.empty((I, J))
     Fa, Fv = np.zeros((J, cov.K, cov.K)), np.zeros((J, M, M))
     Fb, Fu = np.empty((I, cov.L, cov.L)), np.empty((I, M, M))
+    gradA, gradB = np.zeros((J, cov.K)), np.empty((I, cov.L))
     sums = nb.empty_dispersion_sums(I, J)
     for rows in nb.row_chunks(I, J):
         nb.means(linear_predictor(params, cov, rows), out=mu[rows])
         r = nb.inverse_dispersions(params.S[rows], params.T, params.omega)[0]
-        W = nb.weights_and_scores(values[rows], mu[rows], r, out=(None, E[rows]))[0]
+        W, E = nb.weights_and_scores(values[rows], mu[rows], r)
         Fa += _row_fisher_blocks(W, X[rows])
         Fv += _row_fisher_blocks(W, UD[rows])
         Fb[rows] = _row_fisher_blocks(W.T, Z)
         Fu[rows] = _row_fisher_blocks(W.T, VD)
+        gradA += E.T @ X[rows]
+        gradB[rows] = E @ Z
         nb.add_dispersion_sums(sums, rows, values[rows], mu[rows], r)
-        del W, r                                               # before the next chunk
+        del W, E, r                                            # before the next chunk
     col_sums, row_sums = sums
     gradS = -prior.lambda_s * (params.S - prior.m_s) + row_sums.delta
     gradT = -prior.lambda_t * (params.T - prior.m_t) + col_sums.delta
@@ -180,8 +179,8 @@ def preprocess(Y, params: GbmParams, cov: CovariateSet, prior: PriorConfig) -> I
     invFs = observed_inv(prior.lambda_s, row_sums.delta_prime, "S")
     invFt = observed_inv(prior.lambda_t, col_sums.delta_prime, "T")
     return InferencePieces(
-        mu=mu, E=E, S=params.S, T=params.T, omega=params.omega,
-        gradA=E.T @ X, gradB=E @ Z, gradC=X.T @ E @ Z,
+        y=values, mu=mu, S=params.S, T=params.T, omega=params.omega,
+        gradA=gradA, gradB=gradB, gradC=X.T @ gradB,
         gradS=gradS, gradT=gradT,
         Fu=Fu, Fv=Fv, invFa=invFa, invFb=invFb, invFc=invFc,
         invFu=np.linalg.inv(Fu), invFv=np.linalg.inv(Fv), invFs=invFs, invFt=invFt,
@@ -226,7 +225,7 @@ def latent_cross_information(pieces: InferencePieces, params: GbmParams,
     reference only: the joint solve builds the rows it needs from their
     Kronecker factors (_factor_rows).
     """
-    W = _weights(pieces, rows)[0]
+    W = _workspace(pieces, rows)[1]
     DU = (params.U * params.D)[rows]
     weighted = W[:, None, :] * (params.V * params.D).T[None]      # (n, M, J)
     n, M, J = weighted.shape
@@ -393,7 +392,7 @@ def joint_uv_uncertainty(pieces: InferencePieces, params: GbmParams, cov: Covari
     white = np.empty((step * M, 2 * k))
     for rows, rows_m in blocks:
         w = white[:rows_m.stop - rows_m.start]
-        _factor_rows(whiten[rows], _weights(pieces, rows)[0], VDt, UD[rows], [w])
+        _factor_rows(whiten[rows], _workspace(pieces, rows)[1], VDt, UD[rows], [w])
         lapack.dsfrk(2 * k, w.shape[0], -1.0, w.T, 1.0, packed, transr="T", uplo="L",
                      overwrite_c=1)
         H += Zw[rows_m].T @ w
@@ -425,7 +424,7 @@ def joint_uv_uncertainty(pieces: InferencePieces, params: GbmParams, cov: Covari
     halves = np.empty((2, step * M, k))
     for rows, rows_m in blocks:
         x = halves[:, :rows_m.stop - rows_m.start]
-        _factor_rows(pieces.invFu[rows], _weights(pieces, rows)[0], VDt, UD[rows], x)
+        _factor_rows(pieces.invFu[rows], _workspace(pieces, rows)[1], VDt, UD[rows], x)
         for part, h in zip(x, (H[:, :k], H[:, k:])):          # rows of Cu Fuv
             blas.dgemm(-1.0, h, Zu[rows_m], beta=1.0, c=part.T, trans_a=1, trans_b=1,
                        overwrite_c=1)
@@ -593,8 +592,8 @@ def propagate_to_dispersions(pieces: InferencePieces, params: GbmParams, cov: Co
     var_s = {name: np.empty(cov.I) for name in "ABUV"}
     sums_t = {name: 0.0 for name in "ABUV"}
     for rows in nb.row_chunks(cov.I, cov.J):
-        W, r = _weights(pieces, rows)
-        Q, P = _score_sensitivities(W, pieces.E[rows], pieces.mu[rows], r)
+        r, W, E = _workspace(pieces, rows)
+        Q, P = _score_sensitivities(W, E, pieces.mu[rows], r)
         row_factors = {"A": X[rows], "V": UD[rows]}
         row_variances = {"B": varB[rows], "U": varU[rows]}
         R_s = _dispersion_response(Q, P, pieces.invFs[rows], pieces.gradS[rows])

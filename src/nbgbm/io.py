@@ -129,7 +129,9 @@ def write_params(outdir, params):
 
 def read_params(indir, digests=None):
     """Reconstruct a parameter state from a fit directory (`digests` as in
-    read_bytes)."""
+    read_bytes).  B.csv (I x L), A.csv (J x K) and D.csv (M values) fix the
+    dimensions; InputError names the first other block file that does not
+    match them."""
     from .model import GbmParams
 
     def load(name):
@@ -139,9 +141,19 @@ def read_params(indir, digests=None):
         return read_matrix(path, allow_empty=name in ("D", "U", "V"), digests=digests)
 
     blocks = {name: load(name) for name in PARAM_FILES}
+    I, L = blocks["B"].shape
+    J, K = blocks["A"].shape
     M = blocks["D"].size
-    I = blocks["B"].shape[0]
-    J = blocks["A"].shape[0]
+    # vectors are checked by their number of values; an empty file is a
+    # block without entries, whatever shape it should have
+    expected = {"C": (K, L), "U": (I, M), "V": (J, M), "S": (I,), "T": (J,), "omega": (1,)}
+    for name, shape in expected.items():
+        block = blocks[name]
+        got = block.shape if len(shape) == 2 else (block.size,)
+        if got != shape and (block.size or np.prod(shape)):
+            raise InputError(
+                f"{os.path.join(indir, name + '.csv')} has shape {got}, expected {shape} from "
+                f"I x L = {I} x {L} (B.csv), J x K = {J} x {K} (A.csv) and M = {M} (D.csv)")
     return GbmParams(
         A=blocks["A"], B=blocks["B"], C=blocks["C"],
         D=blocks["D"].ravel(),

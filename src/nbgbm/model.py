@@ -285,15 +285,12 @@ def _check_dims(params: GbmParams, cov: CovariateSet) -> None:
 
 def linear_predictor(params: GbmParams, cov: CovariateSet, rows: slice = slice(None)) -> np.ndarray:
     """Return the I x J matrix X A' + B Z' + X C Z' + U D V', or the rows
-    `rows` of it."""
+    `rows` of it, as one product of the stacked factors [X | B | X C | U D]
+    and [A | Z | Z | V]."""
     _check_dims(params, cov)
-    X, Z = cov.X[rows], cov.Z
-    out = X @ params.A.T
-    out += params.B[rows] @ Z.T
-    out += X @ params.C @ Z.T
-    if params.M > 0:
-        out += (params.U[rows] * params.D) @ params.V.T
-    return out
+    X = cov.X[rows]
+    left = np.concatenate([X, params.B[rows], X @ params.C, params.U[rows] * params.D], axis=1)
+    return left @ np.concatenate([params.A, cov.Z, cov.Z, params.V], axis=1).T
 
 
 def residuals(Y: DataMatrix, linpred: np.ndarray, epsilon: float = EPSILON) -> np.ndarray:
@@ -321,15 +318,15 @@ def partial_residuals(params, cov, resid, keep_x=(), keep_z=(), keep_u=()):
     for name, idx, limit in (("x", keep_x, cov.K), ("z", keep_z, cov.L), ("u", keep_u, params.M)):
         if idx.size and (idx.min() < 0 or idx.max() >= limit):
             raise IndexError(f"keep_{name} index out of range [0, {limit})")
-    Xr = np.zeros_like(cov.X)
-    Xr[:, keep_x] = cov.X[:, keep_x]
-    Zr = np.zeros_like(cov.Z)
-    Zr[:, keep_z] = cov.Z[:, keep_z]
-    kept = Xr @ params.A.T + params.B @ Zr.T + Xr @ params.C @ Zr.T
-    if keep_u.size:
-        Ur = params.U[:, keep_u]
-        kept += (Ur * params.D[keep_u]) @ params.V[:, keep_u].T
-    return kept + resid
+    # dropping column k of X (of Z) zeroes column k of A (of B) and row
+    # (column) k of C; dropping column m of U zeroes the m-th singular value
+    kept = params.copy()
+    drop_x = np.setdiff1d(np.arange(cov.K), keep_x)
+    drop_z = np.setdiff1d(np.arange(cov.L), keep_z)
+    kept.A[:, drop_x] = kept.C[drop_x] = 0.0
+    kept.B[:, drop_z] = kept.C[:, drop_z] = 0.0
+    kept.D[np.setdiff1d(np.arange(params.M), keep_u)] = 0.0
+    return linear_predictor(kept, cov) + resid
 
 
 def residual_precisions(mu: np.ndarray, r: np.ndarray) -> np.ndarray:

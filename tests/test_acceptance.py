@@ -330,8 +330,8 @@ def test_criterion_05_delta_propagation_jacobians():
         err = np.abs(analytic - numeric).max() / scale
         worst[edge] = max(worst.get(edge, 0.0), err)
 
-    W, r = inf._weights(pieces)
-    Q, P = inf._score_sensitivities(W, pieces.E, pieces.mu, r)
+    r, W, E = inf._workspace(pieces)
+    Q, P = inf._score_sensitivities(W, E, pieces.mu, r)
     VD, UD = params.V * params.D, params.U * params.D
     dS_U = oracles.dispersion_jacobian_same_axis(Q, P, VD, pieces.invFs, pieces.gradS)
     dS_V = oracles.dispersion_jacobian_other_axis(Q, P, UD, pieces.invFs, pieces.gradS)

@@ -205,6 +205,11 @@ class TestFit:
         assert code == 3
         assert "badX.csv" in capsys.readouterr().err
 
+    def test_negative_latent_dimension_is_input_error(self, sim_dir, tmp_path, capsys):
+        code = run(["fit", "--counts", sim_dir / "Y.csv", "--latent", -1, "--out", tmp_path / "o"])
+        assert code == 3
+        assert "M = -1" in capsys.readouterr().err
+
 
 class TestInfer:
     def test_se_files_cover_exactly_the_reported_blocks(self, infer_dir):
@@ -219,6 +224,20 @@ class TestInfer:
         assert np.all((p >= 0) & (p <= 1))
         lo, hi = table[:, 3], table[:, 4]
         assert np.all(lo <= table[:, 0]) and np.all(table[:, 0] <= hi)
+
+    @pytest.mark.parametrize("name, edit", [
+        ("U", lambda path: path.write_text("1\n2\n3\n")),                  # 3 values, I x M = 40
+        ("A", lambda path: path.write_text("".join(path.read_text().splitlines(True)[:-1]))),
+    ], ids=["wrong-size-U", "truncated-A"])
+    def test_block_file_of_another_size_is_input_error(self, sim_dir, fit_dir, tmp_path, capsys,
+                                                       name, edit):
+        bad = tmp_path / "fit"
+        shutil.copytree(fit_dir, bad)
+        edit(bad / f"{name}.csv")
+        code = run(["infer", "--counts", sim_dir / "Y.csv", "--fit-dir", bad,
+                    "--out", tmp_path / "se"])
+        assert code == 3
+        assert f"{name}.csv" in capsys.readouterr().err
 
     def test_infer_reads_back_identical_params(self, fit_dir):
         params = nbio.read_params(fit_dir)
@@ -456,6 +475,16 @@ class TestEvaluate:
         code = run(["evaluate", "--fit-dir", other / "truth",
                     "--truth-dir", sim_dir / "truth", "--out", tmp_path / "r.json"])
         assert code == 3
+
+    def test_se_file_of_another_size_is_input_error(self, sim_dir, fit_dir, infer_dir, tmp_path,
+                                                     capsys):
+        se_dir = tmp_path / "se"
+        shutil.copytree(infer_dir, se_dir)
+        (se_dir / "se_A.csv").write_text("1,2\n")
+        code = run(["evaluate", "--fit-dir", fit_dir, "--truth-dir", sim_dir / "truth",
+                    "--se-dir", se_dir, "--out", tmp_path / "r.json"])
+        assert code == 3
+        assert "se_A.csv" in capsys.readouterr().err
 
 
 class TestScore:

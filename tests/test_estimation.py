@@ -86,6 +86,12 @@ class TestInitialization:
         with pytest.raises(ShapeError):
             est.initial_params(Y, cov, 3)
 
+    def test_negative_m(self):
+        Y = DataMatrix(np.ones((4, 3), dtype=int))
+        cov = CovariateSet(np.ones((4, 1)), np.ones((3, 1)))
+        with pytest.raises(ShapeError, match="M = -1"):
+            est.initial_params(Y, cov, -1)
+
     def test_satisfies_orthogonality(self, small_instance):
         Y, truth = small_instance
         params = est.initial_params(Y, truth.cov, 1)

@@ -30,10 +30,10 @@ class TestConditionalInverses:
         Y, truth, result, prior, pieces = fitted
         cov = truth.cov
         for j in range(cov.J):
-            F = cov.X.T @ (inf._weights(pieces)[0][:, j:j + 1] * cov.X) + np.eye(cov.K)
+            F = cov.X.T @ (inf._workspace(pieces)[1][:, j:j + 1] * cov.X) + np.eye(cov.K)
             np.testing.assert_allclose(pieces.invFa[j], np.linalg.inv(F), atol=1e-10)
         for i in range(cov.I):
-            F = cov.Z.T @ (inf._weights(pieces)[0][i][:, None] * cov.Z) + np.eye(cov.L)
+            F = cov.Z.T @ (inf._workspace(pieces)[1][i][:, None] * cov.Z) + np.eye(cov.L)
             np.testing.assert_allclose(pieces.invFb[i], np.linalg.inv(F), atol=1e-10)
 
     def test_orthonormal_design_halves(self):
@@ -165,7 +165,7 @@ class TestJointUv:
         VDt = np.zeros((M, J + 1))                               # one padding column
         VDt[:, :J] = (params.V * params.D).T
         outs = np.empty((n_blocks, 4 * M, (J + 1) * M // n_blocks))
-        inf._factor_rows(blocks, inf._weights(pieces, rows)[0], VDt, (params.U * params.D)[rows],
+        inf._factor_rows(blocks, inf._workspace(pieces, rows)[1], VDt, (params.U * params.D)[rows],
                          outs)
         Fuv = inf.latent_cross_information(pieces, params, rows).reshape(4, M, J * M)
         want = np.matmul(blocks, Fuv).reshape(4 * M, J * M)
@@ -302,7 +302,7 @@ class TestPropagation:
         params = truth.params0
         prior = PriorConfig()
         pieces = inf.preprocess(Y, params, truth.cov, prior)
-        pieces.E[:] = 0.0
+        pieces.y = pieces.mu
         varA = np.ones(truth.cov.J * 2)
         varB = np.ones(truth.cov.I * 2)
         varU = np.ones(truth.cov.I)
@@ -397,8 +397,8 @@ class TestStreamedContractions:
     def test_to_dispersions(self, case):
         pieces, params, cov, var = case
         UD, VD = params.U * params.D, params.V * params.D
-        W, r = inf._weights(pieces)
-        Q, P = inf._score_sensitivities(W, pieces.E, pieces.mu, r)
+        r, W, E = inf._workspace(pieces)
+        Q, P = inf._score_sensitivities(W, E, pieces.mu, r)
         vA, vB = var["A"].reshape(cov.J, -1), var["B"].reshape(cov.I, -1)
         vU, vV = var["U"].reshape(cov.I, -1), var["V"].reshape(cov.J, -1)
 
@@ -442,7 +442,8 @@ class TestTransposition:
         flipped = inf.preprocess(Y, p, cov, pr).transposed()
         checked = [(getattr(flipped, f.name), getattr(explicit, f.name), f.name)
                    for f in dataclasses.fields(inf.InferencePieces)]
-        # dWM and dEM are derived from the fields, not stored
+        # r, W, E, dWM and dEM are derived from the fields, not stored
+        checked += zip(inf._workspace(flipped), inf._workspace(explicit), ("r", "W", "E"))
         checked += zip(inf._eta_derivatives(flipped), inf._eta_derivatives(explicit),
                        ("dWM", "dEM"))
         for got, want, name in checked:
@@ -453,29 +454,29 @@ class TestTransposition:
                                        err_msg=name)
 
     def test_rebuilt_weights_equal_the_workspace(self, small_fit, monkeypatch):
-        # W and r are rebuilt per chunk from mu and S, T, omega: bit for bit
-        # the arrays of the whole-array workspace, as are the stored mu and E
+        # r, W and E are rebuilt per chunk from y, mu and S, T, omega: bit for
+        # bit the arrays of the whole-array workspace, as is the stored mu
         monkeypatch.setattr(nb, "CHUNK_ELEMENTS", 75)
         Y, truth, result = small_fit
         params, cov = result.params, truth.cov
         work = est.make_state(Y, cov, params.copy()).work
         pieces = inf.preprocess(Y, params, cov, ASYMMETRIC_PRIOR)
         np.testing.assert_array_equal(pieces.mu, work.mu)
-        np.testing.assert_array_equal(pieces.E, work.E)
-        np.testing.assert_array_equal(inf._weights(pieces)[0], work.W)
-        np.testing.assert_array_equal(inf._weights(pieces)[1], work.r)
+        np.testing.assert_array_equal(inf._workspace(pieces)[2], work.E)
+        np.testing.assert_array_equal(inf._workspace(pieces)[1], work.W)
+        np.testing.assert_array_equal(inf._workspace(pieces)[0], work.r)
         for rows in nb.row_chunks(*Y.values.shape):
-            W, r = inf._weights(pieces, rows)
+            r, W, _ = inf._workspace(pieces, rows)
             np.testing.assert_array_equal(W, work.W[rows])
             np.testing.assert_array_equal(r, work.r[rows])
-        W, r = inf._weights(pieces.transposed(), slice(3, 9))
+        r, W, _ = inf._workspace(pieces.transposed(), slice(3, 9))
         np.testing.assert_array_equal(W, work.W[:, 3:9].T)
         np.testing.assert_array_equal(r, work.r[:, 3:9].T)
 
     def test_derived_eta_derivatives(self, small_fit):
         Y, truth, result = small_fit
         pieces = inf.preprocess(Y, result.params, truth.cov, ASYMMETRIC_PRIOR)
-        mu, r, y = pieces.mu, inf._weights(pieces)[1], Y.values
+        mu, r, y = pieces.mu, inf._workspace(pieces)[0], Y.values
         dWM = mu * r ** 2 / (r + mu) ** 2
         dEM = -mu * r * (r + y) / (r + mu) ** 2
         flipped = pieces.transposed()
@@ -486,8 +487,8 @@ class TestTransposition:
 
 
 class TestChunkedMemory:
-    """preprocess and standard_errors hold the two stored I x J workspace
-    arrays (mu, E) whole and every other I x J quantity one row chunk at a
+    """preprocess and standard_errors hold the one stored I x J workspace
+    array (mu) whole and every other I x J quantity one row chunk at a
     time."""
 
     @pytest.fixture
@@ -523,12 +524,21 @@ class TestChunkedMemory:
         assert peak <= JM ** 2 * 8 + 6 * cov.I * cov.J * 8, \
             (peak - JM ** 2 * 8) / (cov.I * cov.J * 8)
 
-    def test_standard_errors_hold_two_workspace_arrays_and_the_packed_buffer(self, case):
+    def test_standard_errors_hold_mu_and_the_packed_buffer(self, case):
         Y, params, cov, prior = case
         JM = min(cov.I, cov.J) * params.M
         packed = JM * (JM + 1) // 2 * 8
         peak = self.peak(lambda: inf.standard_errors(Y, params, cov, prior))
-        assert peak <= packed + 3 * cov.I * cov.J * 8, (peak - packed) / (cov.I * cov.J * 8)
+        assert peak <= packed + 2 * cov.I * cov.J * 8, (peak - packed) / (cov.I * cov.J * 8)
+
+    def test_pieces_hold_one_array_of_their_own_and_the_counts(self, case):
+        Y, params, cov, prior = case
+        pieces = inf.preprocess(Y, params, cov, prior)
+        data_sized = {f.name: getattr(pieces, f.name) for f in dataclasses.fields(pieces)
+                      if np.size(getattr(pieces, f.name)) >= cov.I * cov.J}
+        assert sorted(data_sized) == ["mu", "y"]
+        assert data_sized["y"] is Y.values
+        assert not np.shares_memory(data_sized["mu"], Y.values)
 
 
 class TestStandardErrors:
