@@ -22,8 +22,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "estimation": ("FitResult", "bias_correct_dispersions", "bounded_fisher_step", "fit",
                    "initial_params", "prepare_covariates"),
-    "inference": ("InferenceResult", "full_fisher_variances", "joint_uv_uncertainty",
-                  "standard_errors", "wald_tests"),
+    "inference": ("InferenceResult", "joint_uv_uncertainty", "standard_errors", "wald_tests"),
     "metrics": ("WeightedSeries", "lrse", "weighted_moving_average", "wmad"),
     "model": ("CovariateSet", "DataMatrix", "FitConfig", "GbmParams", "PriorConfig",
               "check_constraints", "linear_predictor", "partial_residuals",

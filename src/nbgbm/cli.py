@@ -27,6 +27,20 @@ EXIT_INPUT = 3
 EXIT_NUMERIC = 4
 
 
+def _checked(convert, holds, expected):
+    """An argparse type: `convert` the text, then a usage error (exit 2)
+    unless the value `holds`."""
+    def parse(text):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not holds(value):
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+        return value
+    return parse
+
+
 def _set_threads(n):
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                 "NUMEXPR_NUM_THREADS"):
@@ -131,9 +145,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Negative-binomial generalized bilinear models: "
                     "fitting, standard errors, simulation, and evaluation.",
     )
-    default_threads = os.environ.get("NBGBM_THREADS")
-    parser.add_argument("--threads", type=int,
-                        default=int(default_threads) if default_threads else None,
+    # argparse parses a string default with `type`, so a bad NBGBM_THREADS
+    # is a usage error too, unless --threads overrides it
+    parser.add_argument("--threads", default=os.environ.get("NBGBM_THREADS"),
+                        type=_checked(int, lambda n: n >= 1,
+                                      "a positive integer (from --threads or NBGBM_THREADS)"),
                         help="cap BLAS/OpenMP threads (1 = deterministic; "
                              "default from NBGBM_THREADS)")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -158,9 +174,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_inf.add_argument("--out", required=True)
     p_inf.add_argument("--test", action="append", default=[],
                        help="BLOCK:COLUMN (1-based), e.g. B:4, to emit Wald tests")
-    p_inf.add_argument("--level", type=float, default=0.95)
-    p_inf.add_argument("--oracle-full-fisher", action="store_true",
-                       help="also run the dense bordered-Fisher oracle (small problems only)")
+    p_inf.add_argument("--level", type=_checked(float, lambda p: 0.0 < p < 1.0,
+                                                "a number strictly between 0 and 1"),
+                       default=0.95,
+                       help="confidence level of the Wald intervals, in (0, 1)")
 
     p_sim = sub.add_parser("simulate", help="draw a synthetic dataset with known truth")
     p_sim.add_argument("--scheme", default="NB/Normal/Normal",
@@ -261,10 +278,6 @@ def cmd_infer(args) -> int:
             io.write_matrix(os.path.join(args.out, f"wald_{block_name}_{col + 1}.csv"),
                             np.column_stack(rows),
                             header=["estimate", "se", "p_value", "ci_lower", "ci_upper"])
-        if args.oracle_full_fisher:
-            oracle = inference.full_fisher_variances(Y, params, cov, prior)
-            for name, block in oracle.items():
-                io.write_matrix(os.path.join(args.out, f"oracle_var_{name}.csv"), np.sqrt(block))
         manifest.update(
             config={"level": args.level, "tests": args.test, **vars(prior)},
             input_digests={"counts": digests.pop(args.counts),     # the rest are fit files

@@ -136,19 +136,16 @@ class FitState:
 
         `mean` recomputes the linear predictor and mu, `dispersion` r; W and
         E are recomputed either way.  The default recomputes everything.
-        Clipped exponents of the recomputed mu or r set work.clamped and add
-        to clamp_events.
+        Clipped exponents of the recomputed mu or r add to clamp_events.
         """
-        p, w, clamped = self.params, self.work, 0
+        p, w = self.params, self.work
         for rows in nb.row_chunks(*w.mu.shape):
             mu, r = w.mu[rows], w.r[rows]
             if mean:
-                clamped += nb.means(linear_predictor(p, self.cov, rows), out=mu)[1]
+                self.clamp_events += nb.means(linear_predictor(p, self.cov, rows), out=mu)[1]
             if dispersion:
-                clamped += nb.inverse_dispersions(p.S[rows], p.T, p.omega, out=r)[1]
+                self.clamp_events += nb.inverse_dispersions(p.S[rows], p.T, p.omega, out=r)[1]
             nb.weights_and_scores(self.y[rows], mu, r, out=(w.W[rows], w.E[rows]))
-        w.clamped = clamped
-        self.clamp_events += clamped
 
     def log_posterior(self) -> float:
         """Log-likelihood plus log-prior (normalizing constants included),

@@ -29,9 +29,5 @@ class PreconditionError(NbgbmError):
     """Operation called on a state that violates its precondition."""
 
 
-class SizeGuardError(NbgbmError):
-    """Dense oracle requested on a problem above its size guard."""
-
-
 class InputError(NbgbmError):
     """Malformed input file or inconsistent user-supplied data."""

@@ -23,9 +23,10 @@ Three ingredients:
    that the C edges contract with the per-row conditional inverse blocks).
    The U, V -> A, B and -> S, T Jacobians factor into data-sized (I x J)
    weights and small designs, so the contractions are taken in factored
-   form and those Jacobians are not formed.  The dense Jacobians, and the
-   bordered (U, V) inverse by direct inversion, are analytic references in
-   the tests (tests/oracles.py).
+   form and those Jacobians are not formed.  The dense Jacobians, the
+   bordered (U, V) inverse by direct inversion and the dense bordered
+   Fisher system over every block (A, B, C, D, U, V), inverted whole, are
+   analytic references in the tests' reference module.
 
 InferencePieces holds one I x J array of its own, mu, and a reference to
 the caller's counts; its other fields are per-row, per-column and
@@ -57,10 +58,9 @@ from scipy.special import ndtr, ndtri
 
 from . import nb
 from .estimation import _fisher_c_from_blocks, _row_fisher_blocks
-from .exceptions import DomainError, RankError, ShapeError, SizeGuardError
-from .model import CovariateSet, GbmParams, PriorConfig, linear_predictor
+from .exceptions import DomainError, RankError
+from .model import CovariateSet, DataMatrix, GbmParams, PriorConfig, linear_predictor
 
-FULL_FISHER_GUARD = 2000
 ROW_BLOCK_BYTES = 1 << 20   # bytes of one row block of R Fuv or Cu Fuv in the joint (U, V) solve
 
 
@@ -68,8 +68,8 @@ ROW_BLOCK_BYTES = 1 << 20   # bytes of one row block of R Fuv or Cu Fuv in the j
 class InferencePieces:
     """The NB workspace of the fitted parameters, scores and conditional inverses.
 
-    mu is the one stored I x J array, y the caller's counts (not a copy);
-    the other fields are per-row, per-column or coefficient-sized.
+    mu is the one stored I x J array, y the counts' DataMatrix values (not
+    a copy); the other fields are per-row, per-column or coefficient-sized.
     _workspace(pieces, rows) rebuilds r, W and E from them bit for bit, and
     _eta_derivatives(pieces, rows) the derivatives dWM and dEM of W and E in
     the linear predictor, for any row slice (the whole array by default).
@@ -135,7 +135,9 @@ def preprocess(Y, params: GbmParams, cov: CovariateSet, prior: PriorConfig) -> I
     mu is written one row chunk at a time; each chunk's W and E feed the
     Fisher blocks of A, B, U, V, the scores of A and B and the dispersion
     sums at once, and are then dropped."""
-    values = Y.values if hasattr(Y, "values") else np.asarray(Y)
+    if not isinstance(Y, DataMatrix):
+        Y = DataMatrix(Y)
+    values = Y.values
     I, J = values.shape
     X, Z, M = cov.X, cov.Z, params.M
     UD, VD = params.U * params.D, params.V * params.D
@@ -206,15 +208,6 @@ def _factor_jacobian(design: np.ndarray, factor: np.ndarray, independent=False) 
     jac[pair, :, m] += factor[:, a].T
     jac[pair, :, a] += factor[:, m].T
     return jac.reshape(-1, n * M)
-
-
-def constraint_jacobians(params: GbmParams, cov: CovariateSet):
-    """(Ju, Jv): the Jacobians of the orthogonality-to-covariates and
-    orthonormality constraints, (M K + M^2) x (I M) and (M L + M^2) x (J M),
-    columns ordered like vec(U') / vec(V') (factor index fastest)."""
-    if params.M == 0:
-        raise ShapeError("constraint Jacobians require at least one latent factor")
-    return _factor_jacobian(cov.X, params.U), _factor_jacobian(cov.Z, params.V)
 
 
 def latent_cross_information(pieces: InferencePieces, params: GbmParams,
@@ -553,58 +546,46 @@ def _dispersion_response(Q, P, invF, grad):
     return (-invF ** 2 * grad)[:, None] * (Q - P) + invF[:, None] * Q
 
 
-def _response_sums(R, factors, variances):
-    """Sums over the columns of the response R: R @ factor for each
-    same-axis source and R^2 @ variances for each other-axis source."""
-    out = {name: R @ factor for name, factor in factors.items()}
-    R2 = R ** 2
-    out.update({name: R2 @ var for name, var in variances.items()})
-    return out
-
-
-def _offset_variances(sums, variances, factors):
-    """Extra offset variances from _response_sums: the same-axis Jacobian is
-    R @ scaled_other, so its source contributes sum_m (R @ scaled)^2 var;
-    the other-axis one has entries scaled_same[n, m] R[n, j], so its source
-    contributes sum_m scaled^2 (R^2 @ var)."""
-    out = {name: np.einsum("nm,nm->n", sums[name] ** 2, var) for name, var in variances.items()}
-    out.update({name: np.einsum("nm,nm->n", factor ** 2, sums[name])
-                for name, factor in factors.items()})
-    return out
-
-
 def propagate_to_dispersions(pieces: InferencePieces, params: GbmParams, cov: CovariateSet,
                              varA, varB, varU, varV):
     """Extra variances of S and T from uncertainty in A, B, U, V.
 
     varA/varB must be the full (conditional + propagated) variances in
     vec(A') / vec(B') order.  Returns two dicts keyed by source block.  The
-    score sensitivities of a row chunk give both responses: S's, summed
+    score sensitivities of a row chunk give both responses R: S's, summed
     over the chunk's columns, and T's (transposed), summed over its rows.
+    A same-axis source (B and U for S) has Jacobian R @ (Z or V D), so it
+    contributes sum_m (R @ factor)^2 var; an other-axis source (A and V for
+    S) has entries (X or U D)[n, m] R[n, j], so it contributes
+    sum_m factor^2 (R^2 @ var).  T's four sums over rows are accumulated.
     """
     X, Z = cov.X, cov.Z
     UD, VD = params.U * params.D, params.V * params.D
     varA, varB = varA.reshape(cov.J, cov.K), varB.reshape(cov.I, cov.L)
     varU, varV = varU.reshape(cov.I, params.M), varV.reshape(cov.J, params.M)
-    # the sources' column-indexed parts: factors B and U enter S through
-    # Z and V D, variances A and V through varA and varV; T the other way
-    col_factors, col_variances = {"B": Z, "U": VD}, {"A": varA, "V": varV}
     var_s = {name: np.empty(cov.I) for name in "ABUV"}
-    sums_t = {name: 0.0 for name in "ABUV"}
+    RX, RUD = np.zeros((cov.J, cov.K)), np.zeros((cov.J, params.M))
+    R2varB, R2varU = np.zeros((cov.J, cov.L)), np.zeros((cov.J, params.M))
     for rows in nb.row_chunks(cov.I, cov.J):
         r, W, E = _workspace(pieces, rows)
         Q, P = _score_sensitivities(W, E, pieces.mu[rows], r)
-        row_factors = {"A": X[rows], "V": UD[rows]}
-        row_variances = {"B": varB[rows], "U": varU[rows]}
-        R_s = _dispersion_response(Q, P, pieces.invFs[rows], pieces.gradS[rows])
-        sums_s = _response_sums(R_s, col_factors, col_variances)
-        for name, value in _offset_variances(sums_s, row_variances, row_factors).items():
-            var_s[name][rows] = value
-        R_t = _dispersion_response(Q.T, P.T, pieces.invFt, pieces.gradT)
-        for name, value in _response_sums(R_t, row_factors, row_variances).items():
-            sums_t[name] += value
-    var_t = _offset_variances(sums_t, col_variances, col_factors)
-    return var_s, {name: var_t[name] for name in "ABUV"}
+        R = _dispersion_response(Q, P, pieces.invFs[rows], pieces.gradS[rows])
+        R2 = R ** 2
+        var_s["A"][rows] = np.einsum("nm,nm->n", X[rows] ** 2, R2 @ varA)
+        var_s["B"][rows] = np.einsum("nm,nm->n", (R @ Z) ** 2, varB[rows])
+        var_s["U"][rows] = np.einsum("nm,nm->n", (R @ VD) ** 2, varU[rows])
+        var_s["V"][rows] = np.einsum("nm,nm->n", UD[rows] ** 2, R2 @ varV)
+        R = _dispersion_response(Q.T, P.T, pieces.invFt, pieces.gradT)
+        R2 = R ** 2
+        RX += R @ X[rows]
+        RUD += R @ UD[rows]
+        R2varB += R2 @ varB[rows]
+        R2varU += R2 @ varU[rows]
+    var_t = {"A": np.einsum("nm,nm->n", RX ** 2, varA),
+             "B": np.einsum("nm,nm->n", Z ** 2, R2varB),
+             "U": np.einsum("nm,nm->n", VD ** 2, R2varU),
+             "V": np.einsum("nm,nm->n", RUD ** 2, varV)}
+    return var_s, var_t
 
 
 # ---------------------------------------------------------------------------
@@ -694,84 +675,4 @@ def wald_tests(estimates, ses, level=0.95):
         "p_values": p_values,
         "ci_lower": estimates - z * ses,
         "ci_upper": estimates + z * ses,
-    }
-
-
-# ---------------------------------------------------------------------------
-# dense oracles
-# ---------------------------------------------------------------------------
-
-def _eta_jacobian(params: GbmParams, cov: CovariateSet) -> np.ndarray:
-    """(I J) x P Jacobian of the vectorized linear predictor (rows in C order)
-    with respect to [vec(A'), vec(B'), vec(C), d, vec(U'), vec(V')]."""
-    X, Z, U, V, D = cov.X, cov.Z, params.U, params.V, params.D
-    I, J, K, L, M = cov.I, cov.J, cov.K, cov.L, params.M
-    A_part = np.einsum("jl,ik->ijlk", np.eye(J), X).reshape(I * J, J * K)
-    B_part = np.einsum("im,jl->ijml", np.eye(I), Z).reshape(I * J, I * L)
-    C_part = np.einsum("ik,jl->ijlk", X, Z).reshape(I * J, L * K)
-    D_part = (U[:, None, :] * V[None, :, :]).reshape(I * J, M)
-    U_part = np.einsum("ia,jm->ijam", np.eye(I), V * D).reshape(I * J, I * M)
-    V_part = np.einsum("ja,im->ijam", np.eye(J), U * D).reshape(I * J, J * M)
-    return np.hstack([A_part, B_part, C_part, D_part, U_part, V_part])
-
-
-def full_fisher_variances(Y, params: GbmParams, cov: CovariateSet,
-                          prior: PriorConfig = None) -> dict:
-    """Variances from the dense bordered Fisher system over every block.
-
-    Comparison oracle only: builds the full regularized Fisher information
-    for (A, B, C, D, U, V) with every cross block, borders it with the
-    stacked constraint Jacobians, inverts densely, and returns the leading
-    diagonal split per block.  Guarded to small problems.
-    """
-    prior = prior or PriorConfig()
-    I, J, K, L, M = cov.I, cov.J, cov.K, cov.L, params.M
-    sizes = [J * K, I * L, K * L, M, I * M, J * M]
-    P = sum(sizes)
-    if P > FULL_FISHER_GUARD:
-        raise SizeGuardError(f"full Fisher oracle refused: {P} parameters > {FULL_FISHER_GUARD}")
-    values = Y.values if hasattr(Y, "values") else np.asarray(Y)
-    linpred = linear_predictor(params, cov)
-    work = nb.nb_workspace(values, linpred, params.S, params.T, params.omega)
-    Jeta = _eta_jacobian(params, cov)
-    F = Jeta.T @ (work.W.ravel()[:, None] * Jeta)
-    lam = np.concatenate([
-        np.full(J * K, prior.lambda_a), np.full(I * L, prior.lambda_b),
-        np.full(K * L, prior.lambda_c), np.full(M, prior.lambda_d),
-        np.full(I * M, prior.lambda_u), np.full(J * M, prior.lambda_v),
-    ])
-    F += np.diag(lam)
-
-    Ja = np.kron(cov.Z.T, np.eye(K))
-    Jb = np.kron(cov.X.T, np.eye(L))
-    rows = [
-        np.hstack([Ja, np.zeros((Ja.shape[0], P - J * K))]),
-        np.hstack([np.zeros((Jb.shape[0], J * K)), Jb,
-                   np.zeros((Jb.shape[0], P - J * K - I * L))]),
-    ]
-    if M:
-        Ju, Jv = constraint_jacobians(params, cov)
-        off_u = J * K + I * L + K * L + M
-        rows.append(np.hstack([np.zeros((Ju.shape[0], off_u)), Ju,
-                               np.zeros((Ju.shape[0], J * M))]))
-        rows.append(np.hstack([np.zeros((Jv.shape[0], off_u + I * M)), Jv]))
-    Jall = np.vstack(rows)
-    nc = Jall.shape[0]
-    bordered = np.zeros((P + nc, P + nc))
-    bordered[:P, :P] = F
-    bordered[:P, P:] = Jall.T
-    bordered[P:, :P] = Jall
-    # the factor constraint rows are redundant for M > 1
-    variances = np.diag(np.linalg.pinv(bordered, rcond=1e-12))[:P]
-    out = {}
-    offset = 0
-    for name, size in zip(("A", "B", "C", "D", "U", "V"), sizes):
-        out[name] = variances[offset:offset + size]
-        offset += size
-    return {
-        "A": out["A"].reshape(J, K),
-        "B": out["B"].reshape(I, L),
-        "C": out["C"].reshape(K, L, order="F"),
-        "U": out["U"].reshape(I, M),
-        "V": out["V"].reshape(J, M),
     }

@@ -63,14 +63,16 @@ class DataMatrix:
             values = _numeric_objects(values)
         elif values.dtype.kind not in "biuf":
             raise DomainError(f"count matrix must be real numbers, not dtype {values.dtype}")
-        # checked before the int64 cast, which wraps NaN, inf and >= 2**63 silently
+        # checked before the int64 cast, which wraps NaN, inf and >= 2**63
+        # silently; integers need only their minimum (and, unsigned, maximum),
+        # which takes no I x J temporary
         if values.dtype.kind == "f" and not np.all(np.isfinite(values)):
             raise DomainError("count matrix has non-finite entries (NaN or infinity)")
-        if not np.all(values >= 0):
+        if values.min() < 0:
             raise DomainError("count matrix has negative entries")
-        if not np.all(values == np.floor(values)):
+        if values.dtype.kind == "f" and not np.all(values == np.floor(values)):
             raise DomainError("count matrix has non-integral entries")
-        if values.dtype.kind in "uf" and not np.all(values < 2**63):
+        if values.dtype.kind in "uf" and values.max() >= 2**63:
             raise DomainError("count matrix has entries of 2**63 or more, beyond the int64 range")
         object.__setattr__(self, "values", np.asarray(values, dtype=np.int64))
 

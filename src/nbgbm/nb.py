@@ -174,15 +174,12 @@ class NbWorkspace:
     mu = exp(linpred), r = exp(-s - t - omega), W = r mu / (r + mu) is the
     Fisher weight (the precision of the log-scale residual), and
     E = (Y - mu) W / mu is the score with respect to the linear predictor.
-    clamped counts entries whose exponent hit the +-700 clip when mu or r
-    was computed.
     """
 
     mu: np.ndarray
     r: np.ndarray
     W: np.ndarray
     E: np.ndarray
-    clamped: int = 0
 
     @classmethod
     def empty(cls, shape) -> "NbWorkspace":
@@ -233,9 +230,9 @@ def weights_and_scores(y, mu, r, out=(None, None)):
 def nb_workspace(Y, linpred, S, T, omega) -> NbWorkspace:
     """Compute mu, r, W, E from counts and the current parameters."""
     values = Y.values if hasattr(Y, "values") else np.asarray(Y)
-    mu, mc = means(linpred)
-    r, rc = inverse_dispersions(S, T, omega)
-    return NbWorkspace(mu, r, *weights_and_scores(values, mu, r), clamped=mc + rc)
+    mu = means(linpred)[0]
+    r = inverse_dispersions(S, T, omega)[0]
+    return NbWorkspace(mu, r, *weights_and_scores(values, mu, r))
 
 
 @dataclass

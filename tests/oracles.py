@@ -1,30 +1,42 @@
 """Analytic references that only the tests call.
 
 Each builds, densely, a quantity the library contracts without forming:
-the bordered (U, V) inverse, the Jacobians of the delta propagation, and
-trigamma on its own.  They are written from the library's own helpers, so
-a test that compares the library against one of them checks the
-contraction, not a second copy of the weights.
+the bordered (U, V) inverse, the constraint and delta-propagation
+Jacobians, the bordered Fisher system over every block, and trigamma on
+its own.  They are written from the library's own helpers, so a test that
+compares the library against one of them checks the contraction, not a
+second copy of the weights.
 """
 
 import numpy as np
 
+from nbgbm import nb
 from nbgbm.estimation import _row_fisher_blocks
+from nbgbm.exceptions import ShapeError
 from nbgbm.inference import (
     InferencePieces,
     _coef_eta_weight,
     _dispersion_response,
     _eta_derivatives,
-    constraint_jacobians,
+    _factor_jacobian,
     latent_cross_information,
 )
-from nbgbm.model import CovariateSet, GbmParams
+from nbgbm.model import CovariateSet, GbmParams, PriorConfig, linear_predictor
 from nbgbm.nb import _psi_trigamma, _scalar_or_array
 
 
 def trigamma(x):
     """Trigamma function psi'(x) for x > 0, elementwise (see `nb._psi_trigamma`)."""
     return _scalar_or_array(_psi_trigamma(np.asarray(x, dtype=np.float64))[1])
+
+
+def constraint_jacobians(params: GbmParams, cov: CovariateSet):
+    """(Ju, Jv): the Jacobians of the orthogonality-to-covariates and
+    orthonormality constraints, (M K + M^2) x (I M) and (M L + M^2) x (J M),
+    columns ordered like vec(U') / vec(V') (factor index fastest)."""
+    if params.M == 0:
+        raise ShapeError("constraint Jacobians require at least one latent factor")
+    return _factor_jacobian(cov.X, params.U), _factor_jacobian(cov.Z, params.V)
 
 
 def coef_eta_jacobian(pieces: InferencePieces, cov: CovariateSet) -> np.ndarray:
@@ -98,3 +110,78 @@ def joint_uv_dense_oracle(pieces: InferencePieces, params: GbmParams, cov: Covar
     big[I * M + J * M + nu:, I * M:I * M + J * M] = Jv
     diag = np.diag(np.linalg.pinv(big, rcond=1e-12))
     return diag[:I * M], diag[I * M:I * M + J * M]
+
+
+def _eta_jacobian(params: GbmParams, cov: CovariateSet) -> np.ndarray:
+    """(I J) x P Jacobian of the vectorized linear predictor (rows in C order)
+    with respect to [vec(A'), vec(B'), vec(C), d, vec(U'), vec(V')]."""
+    X, Z, U, V, D = cov.X, cov.Z, params.U, params.V, params.D
+    I, J, K, L, M = cov.I, cov.J, cov.K, cov.L, params.M
+    A_part = np.einsum("jl,ik->ijlk", np.eye(J), X).reshape(I * J, J * K)
+    B_part = np.einsum("im,jl->ijml", np.eye(I), Z).reshape(I * J, I * L)
+    C_part = np.einsum("ik,jl->ijlk", X, Z).reshape(I * J, L * K)
+    D_part = (U[:, None, :] * V[None, :, :]).reshape(I * J, M)
+    U_part = np.einsum("ia,jm->ijam", np.eye(I), V * D).reshape(I * J, I * M)
+    V_part = np.einsum("ja,im->ijam", np.eye(J), U * D).reshape(I * J, J * M)
+    return np.hstack([A_part, B_part, C_part, D_part, U_part, V_part])
+
+
+def full_fisher_variances(Y, params: GbmParams, cov: CovariateSet,
+                          prior: PriorConfig = None) -> dict:
+    """Variances from the dense bordered Fisher system over every block.
+
+    Builds the full regularized Fisher information for (A, B, C, D, U, V)
+    with every cross block, borders it with the stacked constraint
+    Jacobians, inverts densely, and returns the leading diagonal split per
+    block.  Its cost is cubic in the parameter count, so call it on small
+    problems only.
+    """
+    prior = prior or PriorConfig()
+    I, J, K, L, M = cov.I, cov.J, cov.K, cov.L, params.M
+    sizes = [J * K, I * L, K * L, M, I * M, J * M]
+    P = sum(sizes)
+    values = Y.values if hasattr(Y, "values") else np.asarray(Y)
+    linpred = linear_predictor(params, cov)
+    work = nb.nb_workspace(values, linpred, params.S, params.T, params.omega)
+    Jeta = _eta_jacobian(params, cov)
+    F = Jeta.T @ (work.W.ravel()[:, None] * Jeta)
+    lam = np.concatenate([
+        np.full(J * K, prior.lambda_a), np.full(I * L, prior.lambda_b),
+        np.full(K * L, prior.lambda_c), np.full(M, prior.lambda_d),
+        np.full(I * M, prior.lambda_u), np.full(J * M, prior.lambda_v),
+    ])
+    F += np.diag(lam)
+
+    Ja = np.kron(cov.Z.T, np.eye(K))
+    Jb = np.kron(cov.X.T, np.eye(L))
+    rows = [
+        np.hstack([Ja, np.zeros((Ja.shape[0], P - J * K))]),
+        np.hstack([np.zeros((Jb.shape[0], J * K)), Jb,
+                   np.zeros((Jb.shape[0], P - J * K - I * L))]),
+    ]
+    if M:
+        Ju, Jv = constraint_jacobians(params, cov)
+        off_u = J * K + I * L + K * L + M
+        rows.append(np.hstack([np.zeros((Ju.shape[0], off_u)), Ju,
+                               np.zeros((Ju.shape[0], J * M))]))
+        rows.append(np.hstack([np.zeros((Jv.shape[0], off_u + I * M)), Jv]))
+    Jall = np.vstack(rows)
+    nc = Jall.shape[0]
+    bordered = np.zeros((P + nc, P + nc))
+    bordered[:P, :P] = F
+    bordered[:P, P:] = Jall.T
+    bordered[P:, :P] = Jall
+    # the factor constraint rows are redundant for M > 1
+    variances = np.diag(np.linalg.pinv(bordered, rcond=1e-12))[:P]
+    out = {}
+    offset = 0
+    for name, size in zip(("A", "B", "C", "D", "U", "V"), sizes):
+        out[name] = variances[offset:offset + size]
+        offset += size
+    return {
+        "A": out["A"].reshape(J, K),
+        "B": out["B"].reshape(I, L),
+        "C": out["C"].reshape(K, L, order="F"),
+        "U": out["U"].reshape(I, M),
+        "V": out["V"].reshape(J, M),
+    }

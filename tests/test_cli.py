@@ -246,13 +246,6 @@ class TestInfer:
             blob = json.load(fh)
         np.testing.assert_array_equal(np.asarray(blob["A"]), params.A)
 
-    def test_oracle_guard_on_small_instance(self, sim_dir, fit_dir, tmp_path):
-        out = tmp_path / "se_oracle"
-        code = run(["infer", "--counts", sim_dir / "Y.csv", "--fit-dir", fit_dir,
-                    "--out", out, "--oracle-full-fisher"])
-        assert code == 0
-        assert (out / "oracle_var_C.csv").exists()
-
     def test_prior_flag_changes_standard_errors(self, infer_dir_lambda_b, infer_dir):
         out = infer_dir_lambda_b
         assert nbio.read_json(out / "manifest.json")["config"]["lambda_b"] == 4.0
@@ -281,6 +274,18 @@ class TestInfer:
             run(["infer", "--counts", sim_dir / "Y.csv", "--fit-dir", fit_dir,
                  "--out", tmp_path / "o", "--lambda-b", "4"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("flags", [["--level", "1.5", "--test", "B:2"], ["--level", "1.5"],
+                                       ["--level", "0"], ["--level", "nan"],
+                                       ["--oracle-full-fisher"]],
+                             ids=["level-1.5-test", "level-1.5", "level-0", "level-nan",
+                                  "oracle-full-fisher"])
+    def test_bad_flags_are_usage_errors_before_any_file(self, sim_dir, fit_dir, tmp_path, flags):
+        with pytest.raises(SystemExit) as exc:
+            run(["infer", "--counts", sim_dir / "Y.csv", "--fit-dir", fit_dir,
+                 "--out", tmp_path / "o", *flags])
+        assert exc.value.code == 2
+        assert not (tmp_path / "o").exists()
 
     def test_manifest_without_a_prior_field_is_input_error(self, sim_dir, fit_dir, tmp_path,
                                                            capsys):
@@ -529,6 +534,13 @@ class TestScore:
 
 
 class TestUsage:
+    @pytest.fixture
+    def thread_vars(self, monkeypatch):
+        """Restore, after the test, the thread variables that --threads sets."""
+        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                    "NUMEXPR_NUM_THREADS"):
+            monkeypatch.setenv(var, os.environ.get(var, "1"))
+
     def test_missing_subcommand(self):
         with pytest.raises(SystemExit) as exc:
             run([])
@@ -538,6 +550,26 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             run(["fit", "--bogus"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("flags, env", [(["--threads", "0"], None), (["--threads", "-1"], None),
+                                            ([], "abc"), ([], "0")],
+                             ids=["threads-0", "threads-minus-1", "env-abc", "env-0"])
+    def test_bad_thread_count_is_usage_error_before_any_file(self, tmp_path, monkeypatch,
+                                                              thread_vars, flags, env):
+        if env is None:
+            monkeypatch.delenv("NBGBM_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("NBGBM_THREADS", env)
+        with pytest.raises(SystemExit) as exc:
+            run([*flags, "simulate", "--dims", "20x10x2x2x1", "--out", tmp_path / "o"])
+        assert exc.value.code == 2
+        assert not (tmp_path / "o").exists()
+
+    def test_thread_flag_overrides_a_bad_environment_value(self, tmp_path, monkeypatch,
+                                                            thread_vars):
+        monkeypatch.setenv("NBGBM_THREADS", "abc")
+        assert run(["--threads", "1", "simulate", "--dims", "20x10x2x2x1",
+                    "--out", tmp_path / "o"]) == 0
 
 
 class TestMatrixIo:

@@ -73,7 +73,7 @@ class TestLazyNamespace:
         "CovariateSet", "DataMatrix", "FitConfig", "FitResult", "GbmParams",
         "InferenceResult", "PriorConfig", "SimScheme", "SimTruth", "WeightedSeries",
         "align_latent_factors", "bias_correct_dispersions", "bounded_fisher_step",
-        "check_constraints", "coverage_curve", "fit", "full_fisher_variances",
+        "check_constraints", "coverage_curve", "fit",
         "generate_covariates", "generate_outcomes", "generate_parameters", "initial_params",
         "joint_uv_uncertainty", "linear_predictor", "lrse", "partial_residuals",
         "prepare_covariates", "relative_mse", "residual_precisions", "residuals",

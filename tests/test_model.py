@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -60,6 +62,17 @@ class TestDataMatrix:
         top = 2.0 ** 63 - 1024 if dtype is np.float64 else np.iinfo(np.int64).max
         dm = DataMatrix(np.array([[0, top]], dtype=dtype))
         assert dm.values[0, 1] == int(top)
+
+    def test_int64_counts_are_checked_without_an_array_sized_temporary(self):
+        values = np.random.default_rng(0).poisson(3.0, size=(2000, 500))
+        tracemalloc.start()
+        try:
+            dm = DataMatrix(values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert dm.values is values
+        assert peak <= 0.05 * values.nbytes, peak / values.nbytes
 
     @pytest.mark.parametrize("values, error", [
         (np.asarray([[2**64, 1]]), "int64 range"),
