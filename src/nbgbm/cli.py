@@ -22,7 +22,6 @@ import warnings
 from . import __version__
 from .exceptions import DomainError, InputError, NbgbmError, NumericError
 
-EXIT_USAGE = 2
 EXIT_INPUT = 3
 EXIT_NUMERIC = 4
 
@@ -39,6 +38,9 @@ def _checked(convert, holds, expected):
             raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
         return value
     return parse
+
+
+NON_NEGATIVE = _checked(int, lambda n: n >= 0, "a non-negative integer")
 
 
 def _set_threads(n):
@@ -105,7 +107,7 @@ def _fit_prior(fit_dir, counts, digests):
 def _wald_column(spec, params):
     """(block, 0-based column) of a --test BLOCK:COLUMN spec, checked against params."""
     block_name, _, column = spec.partition(":")
-    if block_name not in ("A", "B", "U", "V") or not column.isdigit():
+    if block_name not in ("A", "B", "U", "V") or not column.isdecimal():
         raise InputError(f"--test expects BLOCK:COLUMN with BLOCK in A,B,U,V; got {spec!r}")
     col = int(column) - 1
     width = params.blocks()[block_name].shape[1]
@@ -162,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--out", required=True, help="output directory")
     p_fit.add_argument("--max-iter", type=int, default=50)
     p_fit.add_argument("--tol", type=float, default=1e-6)
-    p_fit.add_argument("--seed", type=int, default=0)
+    p_fit.add_argument("--seed", type=NON_NEGATIVE, default=0)
     p_fit.add_argument("--no-standardize", action="store_true",
                        help="keep covariates on their original scale")
     _add_prior_args(p_fit)
@@ -183,8 +185,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--scheme", default="NB/Normal/Normal",
                        help="outcome/covariates/parameters, e.g. NB/Normal/Normal")
     p_sim.add_argument("--dims", required=True, help="IxJxKxLxM, e.g. 1000x100x4x2x3")
-    p_sim.add_argument("--seed", type=int, default=0)
-    p_sim.add_argument("--replicate", type=int, default=0)
+    p_sim.add_argument("--seed", type=NON_NEGATIVE, default=0)
+    p_sim.add_argument("--replicate", type=NON_NEGATIVE, default=0)
     p_sim.add_argument("--out", required=True)
 
     p_eval = sub.add_parser("evaluate", help="relative MSE and coverage against a truth")

@@ -38,10 +38,10 @@ time and contracted at once: each stage derives a chunk's weights once and
 feeds both twins from them, summing over the chunk's rows for A, C from A
 and T, and over its columns for B, C from B and S.
 
-InferencePieces.transposed() gives the pieces of the problem for Y' (X
-and Z, A and B, U and V, S and T swapped, C turned into C'); only the
-joint stage (for I < J) and the references use it.  The propagations read
-the B-side blocks as they are and build B's vec(C) Jacobian in vec(C) order.
+Each kernel is handed its axis's arrays: the propagations read the B-side
+blocks as they are and build B's vec(C) Jacobian in vec(C) order, and the
+joint stage eliminates the factor with more rows, passing the column-side
+arrays and W by column blocks (transposed views) when I < J.
 
 No standard errors are produced for D or the global log-dispersion.
 """
@@ -95,25 +95,13 @@ class InferencePieces:
     invFs: np.ndarray        # length I
     invFt: np.ndarray        # length J
 
-    def transposed(self) -> "InferencePieces":
-        """The pieces for Y', sharing the arrays; invFc goes to vec(C') order."""
-        K, L = self.gradC.shape
-        return InferencePieces(
-            y=self.y.T, mu=self.mu.T, S=self.T, T=self.S, omega=self.omega,
-            gradA=self.gradB, gradB=self.gradA, gradC=self.gradC.T,
-            gradS=self.gradT, gradT=self.gradS, Fu=self.Fv, Fv=self.Fu,
-            invFa=self.invFb, invFb=self.invFa,
-            invFc=self.invFc.reshape(L, K, L, K).transpose(1, 0, 3, 2).reshape(K * L, K * L),
-            invFu=self.invFv, invFv=self.invFu, invFs=self.invFt, invFt=self.invFs,
-        )
 
-
-def _workspace(pieces: InferencePieces, rows: slice = slice(None)):
-    """Rows `rows` of r = exp(-(s_i + t_j + omega)), W = r mu / (r + mu) and
-    E = (y - mu) r / (r + mu), by the calls of FitState.refresh, so bit for
-    bit the arrays of the workspace."""
-    r = nb.inverse_dispersions(pieces.S[rows], pieces.T, pieces.omega)[0]
-    return (r, *nb.weights_and_scores(pieces.y[rows], pieces.mu[rows], r))
+def _workspace(pieces: InferencePieces, rows: slice = slice(None), cols: slice = slice(None)):
+    """Rows `rows` and columns `cols` of r = exp(-(s_i + t_j + omega)),
+    W = r mu / (r + mu) and E = (y - mu) r / (r + mu), by the calls of
+    FitState.refresh, so bit for bit the arrays of the workspace."""
+    r = nb.inverse_dispersions(pieces.S[rows], pieces.T[cols], pieces.omega)[0]
+    return (r, *nb.weights_and_scores(pieces.y[rows, cols], pieces.mu[rows, cols], r))
 
 
 def _eta_derivatives(pieces: InferencePieces, rows: slice = slice(None)):
@@ -334,15 +322,29 @@ def _factor_rows(blocks, W, VDt, UD, outs):
 
 
 def joint_uv_uncertainty(pieces: InferencePieces, params: GbmParams, cov: CovariateSet):
-    """Variances of vec(U') and vec(V') from the bordered joint system.
+    """Variances of vec(U') and vec(V') from the bordered joint system
+    (_joint_uv), eliminating the factor with more rows first: U when I >= J;
+    V when I < J, from the column-side arrays and W read by column blocks."""
+    if params.M == 0:
+        return np.zeros(0), np.zeros(0)
+    if cov.I >= cov.J:
+        return _joint_uv(lambda rows: _workspace(pieces, rows)[1], pieces.Fu, pieces.invFu,
+                         pieces.Fv, cov.X, params.U, cov.Z, params.V, params.D)
+    varV, varU = _joint_uv(lambda cols: _workspace(pieces, cols=cols)[1].T, pieces.Fv,
+                           pieces.invFv, pieces.Fu, cov.Z, params.V, cov.X, params.U, params.D)
+    return varU, varV
+
+
+def _joint_uv(weights, Fu, invFu, Fv, X, U, Z, V, D):
+    """Variances of vec(U') and vec(V'), eliminating U first; weights(rows)
+    is the rows x J block of W for a slice of the I rows.
 
     Keeps the independent constraint rows (_factor_jacobian) and eliminates
     the constraints twice (Nocedal & Wright, Numerical Optimization, 16.2):
     the leading block of the inverse of [[A, J'], [J, 0]] is A^-1 - Z Z' with
     Z = A^-1 J' L^-T and J A^-1 J' = L L'.  First U on its block-diagonal
     Fisher information, Cu = invFu - Zu Zu'; then V on the Schur complement
-    S = Fv - Fuv' Cu Fuv.  The factor with more rows is the one eliminated
-    (the problem is transposed when I < J), so S is min(I, J) M square.
+    S = Fv - Fuv' Cu Fuv, which is J M square.
 
     Neither Fuv nor S is held whole.  S is kept in RFP storage (n (n + 1) / 2
     doubles; J is padded to even with identity blocks of S that no other
@@ -355,26 +357,19 @@ def joint_uv_uncertainty(pieces: InferencePieces, params: GbmParams, cov: Covari
     and varU adds, for every row x of Cu Fuv (rebuilt in a second pass over
     the row blocks), x Cv x' = |L^-1 x'|^2 - |x Zv|^2.
     """
-    M = params.M
-    if M == 0:
-        return np.zeros(0), np.zeros(0)
-    if cov.I < cov.J:
-        varV, varU = joint_uv_uncertainty(pieces.transposed(), params.transposed(),
-                                          cov.transposed())
-        return varU, varV
-    I, J = cov.I, cov.J
+    (I, M), J = U.shape, V.shape[0]
     half = (J + 1) // 2                                        # j blocks per RFP half
     k = half * M
-    Ju = _factor_jacobian(cov.X, params.U, independent=True)
-    Zu = np.matmul(pieces.invFu, Ju.T.reshape(I, M, -1)).reshape(I * M, -1)
+    Ju = _factor_jacobian(X, U, independent=True)
+    Zu = np.matmul(invFu, Ju.T.reshape(I, M, -1)).reshape(I * M, -1)
     Zu = Zu @ _inverse_cholesky(Ju @ Zu, "left-factor constraint system").T
     del Ju
-    chol = np.linalg.cholesky(pieces.Fu)                       # C_i
+    chol = np.linalg.cholesky(Fu)                              # C_i
     whiten = np.linalg.inv(chol)                               # R_i = C_i^-1
     Zw = np.matmul(chol.transpose(0, 2, 1), Zu.reshape(I, M, -1)).reshape(I * M, -1)
-    UD = params.U * params.D
+    UD = U * D
     VDt = np.zeros((M, 2 * half))
-    VDt[:, :J] = (params.V * params.D).T
+    VDt[:, :J] = (V * D).T
     step = max(1, ROW_BLOCK_BYTES // (8 * M * 2 * k))          # rows i per block
     blocks = [(slice(i, min(i + step, I)), slice(i * M, min(i + step, I) * M))
               for i in range(0, I, step)]
@@ -385,7 +380,7 @@ def joint_uv_uncertainty(pieces: InferencePieces, params: GbmParams, cov: Covari
     white = np.empty((step * M, 2 * k))
     for rows, rows_m in blocks:
         w = white[:rows_m.stop - rows_m.start]
-        _factor_rows(whiten[rows], _workspace(pieces, rows)[1], VDt, UD[rows], [w])
+        _factor_rows(whiten[rows], weights(rows), VDt, UD[rows], [w])
         lapack.dsfrk(2 * k, w.shape[0], -1.0, w.T, 1.0, packed, transr="T", uplo="L",
                      overwrite_c=1)
         H += Zw[rows_m].T @ w
@@ -393,14 +388,14 @@ def joint_uv_uncertainty(pieces: InferencePieces, params: GbmParams, cov: Covari
     lapack.dsfrk(2 * k, H.shape[0], 1.0, H.T, 1.0, packed, transr="T", uplo="L", overwrite_c=1)
     a, b = np.tril_indices(M)                                  # Fv_j[a, b], a >= b
     fv = np.empty((2 * half, a.size))
-    fv[:J] = pieces.Fv[:, a, b]
+    fv[:J] = Fv[:, a, b]
     fv[J:] = a == b                                            # the padding block
     first = M * np.arange(half)[:, None]
     rfp[first + b, first + a + 1] += fv[:half]                 # A11 transposed
     rfp[first + a, first + b] += fv[half:]                     # A22
 
     _packed_inverse_cholesky(rfp, "right-factor Schur complement")
-    Jv = _factor_jacobian(cov.Z, params.V, independent=True)
+    Jv = _factor_jacobian(Z, V, independent=True)
     LJv = np.zeros((2, Jv.shape[0], k))                        # Jv' in two k-row halves
     LJv[0], LJv[1, :, :J * M - k] = Jv[:, :k], Jv[:, k:]
     del Jv
@@ -413,11 +408,11 @@ def joint_uv_uncertainty(pieces: InferencePieces, params: GbmParams, cov: Covari
     varV = (_packed_inverse_diagonal(rfp)
             - np.concatenate([_squares(part, 1) for part in Zv]))[:J * M]
 
-    varU = np.einsum("imm->im", pieces.invFu).ravel() - _squares(Zu, 1)
+    varU = np.einsum("imm->im", invFu).ravel() - _squares(Zu, 1)
     halves = np.empty((2, step * M, k))
     for rows, rows_m in blocks:
         x = halves[:, :rows_m.stop - rows_m.start]
-        _factor_rows(pieces.invFu[rows], _workspace(pieces, rows)[1], VDt, UD[rows], x)
+        _factor_rows(invFu[rows], weights(rows), VDt, UD[rows], x)
         for part, h in zip(x, (H[:, :k], H[:, k:])):          # rows of Cu Fuv
             blas.dgemm(-1.0, h, Zu[rows_m], beta=1.0, c=part.T, trans_a=1, trans_b=1,
                        overwrite_c=1)
@@ -597,7 +592,7 @@ INFERENCE_STAGES = ("preprocess", "joint_uv", "uv_to_ab", "ab_to_c", "to_dispers
 
 @dataclass
 class InferenceResult:
-    """Per-entry approximate standard errors plus the variance ledgers.
+    """Per-entry approximate standard errors.
 
     `stage_seconds` holds the wall seconds of each of INFERENCE_STAGES.
     """
@@ -609,7 +604,6 @@ class InferenceResult:
     se_V: np.ndarray
     se_S: np.ndarray
     se_T: np.ndarray
-    ledger: dict
     stage_seconds: dict = field(default_factory=dict)
 
     def blocks(self) -> dict:
@@ -638,14 +632,6 @@ def standard_errors(Y, params: GbmParams, cov: CovariateSet,
     varS = pieces.invFs + var_s["A"] + var_s["B"] + var_s["U"] + var_s["V"]
     varT = pieces.invFt + var_t["A"] + var_t["B"] + var_t["U"] + var_t["V"]
     clock.append(time.perf_counter())
-    ledger = {
-        "varAfromU": varAfromU, "varAfromV": varAfromV,
-        "varBfromU": varBfromU, "varBfromV": varBfromV,
-        "varCfromA": varCfromA, "varCfromB": varCfromB,
-        **{f"varSfrom{src}": v for src, v in var_s.items()},
-        **{f"varTfrom{src}": v for src, v in var_t.items()},
-        "varU": varU, "varV": varV,
-    }
     return InferenceResult(
         se_A=np.sqrt(varA).reshape(cov.J, cov.K),
         se_B=np.sqrt(varB).reshape(cov.I, cov.L),
@@ -654,7 +640,6 @@ def standard_errors(Y, params: GbmParams, cov: CovariateSet,
         se_V=np.sqrt(varV).reshape(cov.J, M),
         se_S=np.sqrt(varS),
         se_T=np.sqrt(varT),
-        ledger=ledger,
         stage_seconds={stage: end - start for stage, start, end
                        in zip(INFERENCE_STAGES, clock, clock[1:])},
     )

@@ -157,12 +157,6 @@ class CovariateSet:
     def L(self) -> int:
         return self.Z.shape[1]
 
-    def transposed(self) -> "CovariateSet":
-        """The designs of the transposed problem: Z for the rows, X for the columns."""
-        flipped = object.__new__(CovariateSet)
-        flipped.X, flipped.Z, flipped.Xplus, flipped.Zplus = self.Z, self.X, self.Zplus, self.Xplus
-        return flipped
-
 
 @dataclass
 class GbmParams:
@@ -202,12 +196,6 @@ class GbmParams:
             self.A.copy(), self.B.copy(), self.C.copy(), self.D.copy(),
             self.U.copy(), self.V.copy(), self.S.copy(), self.T.copy(), self.omega,
         )
-
-    def transposed(self) -> "GbmParams":
-        """Parameters for Y' (linear predictor Z B' + A X' + Z C' X' + V D U'),
-        sharing the arrays."""
-        return GbmParams(A=self.B, B=self.A, C=self.C.T, D=self.D,
-                         U=self.V, V=self.U, S=self.T, T=self.S, omega=self.omega)
 
     def blocks(self) -> dict:
         """Named views of every block, for serialization and evaluation."""

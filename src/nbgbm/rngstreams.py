@@ -8,6 +8,8 @@ component never perturbs another.
 
 import numpy as np
 
+from .exceptions import DomainError
+
 STREAMS = {
     "covariates-x": 0,
     "covariates-z": 1,
@@ -18,6 +20,9 @@ STREAMS = {
 
 
 def stream_rng(seed: int, stream: str, replicate: int = 0) -> np.random.Generator:
-    """Generator for the named stream of a given base seed and replicate."""
-    sid = STREAMS[stream]
-    return np.random.default_rng(np.random.SeedSequence(int(seed), spawn_key=(sid, int(replicate))))
+    """Generator for the named stream of a given base seed and replicate;
+    DomainError for a negative seed or replicate."""
+    seed, replicate = int(seed), int(replicate)
+    if seed < 0 or replicate < 0:
+        raise DomainError(f"seed and replicate must be non-negative, got {seed} and {replicate}")
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(STREAMS[stream], replicate)))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from nbgbm import estimation
-from nbgbm.model import PriorConfig
+from nbgbm.model import CovariateSet, GbmParams, PriorConfig
 from nbgbm.simulate import SimScheme, simulate_dataset
 
 # distinct row and column priors: a row/column swap that the transposed
@@ -41,3 +41,24 @@ def random_constrained_params(cov, M, seed):
     from nbgbm.simulate import generate_parameters
 
     return generate_parameters(cov, M, "Normal", stream_rng(seed, "parameters"))
+
+
+def transposed_params(params):
+    """The parameters of the problem for Y' (linear predictor
+    Z B' + A X' + Z C' X' + V D U'), sharing the arrays."""
+    return GbmParams(A=params.B, B=params.A, C=params.C.T, D=params.D,
+                     U=params.V, V=params.U, S=params.T, T=params.S, omega=params.omega)
+
+
+def transposed_cov(cov):
+    """The covariates of the problem for Y': Z for the rows, X for the columns."""
+    return CovariateSet(cov.Z, cov.X)
+
+
+def swapped_prior(prior):
+    """The prior of the problem for Y': row and column fields exchanged."""
+    return PriorConfig(lambda_a=prior.lambda_b, lambda_b=prior.lambda_a,
+                       lambda_c=prior.lambda_c, lambda_d=prior.lambda_d,
+                       lambda_u=prior.lambda_v, lambda_v=prior.lambda_u,
+                       lambda_s=prior.lambda_t, lambda_t=prior.lambda_s,
+                       m_s=prior.m_t, m_t=prior.m_s)

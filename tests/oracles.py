@@ -43,9 +43,9 @@ def coef_eta_jacobian(pieces: InferencePieces, cov: CovariateSet) -> np.ndarray:
     """J x K x I derivatives d a_j / d eta_ij of the one-step A-row estimators,
     invFa_j x_i (dEM_ij - dWM_ij x_i' invFa_j gradA_j).
 
-    eta_ij moves with u_im by (V D)_jm and with v_jm by (U D)_im.  Pass the
-    transposed pieces and covariates for B.  Analytic reference only: the
-    standard errors contract it without forming it.
+    eta_ij moves with u_im by (V D)_jm and with v_jm by (U D)_im.  For B pass
+    the pieces and covariates of the problem for Y'.  Analytic reference only:
+    the standard errors contract it without forming it.
     """
     base = np.einsum("jkl,jl->jk", pieces.invFa, pieces.gradA)
     weight = _coef_eta_weight(*_eta_derivatives(pieces), cov.X, base)
@@ -57,7 +57,7 @@ def interaction_jacobian_from_a(pieces: InferencePieces, cov: CovariateSet) -> n
 
     Block j is invFc (z_j kron (H_j - G_j)): H_j = X' diag(dEM_j) X from the
     score, G_j = X' diag(dWM_j * (X C1 Z')_j) X from the Fisher information,
-    C1 = invFc vec(gradC).  For B pass the transposed problem (vec(C') order).
+    C1 = invFc vec(gradC).  For B pass the problem for Y' (vec(C') order).
     Analytic reference only: the standard errors build the blocks by chunks.
     """
     C1 = (pieces.invFc @ pieces.gradC.ravel(order="F")).reshape(cov.K, cov.L, order="F")

@@ -32,6 +32,7 @@ from nbgbm.simulate import (
 )
 
 import oracles
+from conftest import swapped_prior, transposed_cov, transposed_params
 from test_metrics import naive_lrse, naive_wma, naive_wmad
 
 
@@ -343,8 +344,10 @@ def test_criterion_05_delta_propagation_jacobians():
     # A rows share the transposed data's row index, B rows its column index
     dT_A = oracles.dispersion_jacobian_same_axis(Qt, Pt, cov.X, pieces.invFt, pieces.gradT)
     dT_B = oracles.dispersion_jacobian_other_axis(Qt, Pt, cov.Z, pieces.invFt, pieces.gradT)
-    # B edges are A edges of the transposed problem; its C is C'
-    flipped, cov_t = pieces.transposed(), cov.transposed()
+    # B edges are A edges of the problem for Y'; its C is C'
+    cov_t = transposed_cov(cov)
+    flipped = inf.preprocess(DataMatrix(Y.values.T), transposed_params(params), cov_t,
+                             swapped_prior(prior))
     dA_eta = oracles.coef_eta_jacobian(pieces, cov)
     dB_eta = oracles.coef_eta_jacobian(flipped, cov_t)
     dC_A = oracles.interaction_jacobian_from_a(pieces, cov)

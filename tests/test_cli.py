@@ -315,7 +315,7 @@ class TestInfer:
 
     def test_bad_test_spec(self, sim_dir, fit_dir, tmp_path):
         # refused before the standard errors are computed, so nothing is written
-        for spec in ("D:1", "B:9"):
+        for spec in ("D:1", "B:9", "B:²"):
             out = tmp_path / spec.replace(":", "_")
             code = run(["infer", "--counts", sim_dir / "Y.csv", "--fit-dir", fit_dir,
                         "--out", out, "--test", spec])
@@ -562,6 +562,16 @@ class TestUsage:
             monkeypatch.setenv("NBGBM_THREADS", env)
         with pytest.raises(SystemExit) as exc:
             run([*flags, "simulate", "--dims", "20x10x2x2x1", "--out", tmp_path / "o"])
+        assert exc.value.code == 2
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("argv", [["simulate", "--dims", "20x10x2x2x1", "--seed", "-1"],
+                                      ["simulate", "--dims", "20x10x2x2x1", "--replicate", "-1"],
+                                      ["fit", "--counts", "Y.csv", "--seed", "-3"]],
+                             ids=["simulate-seed", "simulate-replicate", "fit-seed"])
+    def test_negative_seed_is_usage_error_before_any_file(self, tmp_path, argv):
+        with pytest.raises(SystemExit) as exc:
+            run([*argv, "--out", tmp_path / "o"])
         assert exc.value.code == 2
         assert not (tmp_path / "o").exists()
 

@@ -18,7 +18,8 @@ from nbgbm.model import (
 )
 from nbgbm.simulate import SimScheme, simulate_dataset
 
-from conftest import ASYMMETRIC_PRIOR, random_constrained_params
+from conftest import (ASYMMETRIC_PRIOR, random_constrained_params, swapped_prior, transposed_cov,
+                      transposed_params)
 
 
 class TestStandardize:
@@ -310,15 +311,6 @@ class TestBlockUpdates:
         self.test_every_update_leaves_the_workspace_of_its_params(monkeypatch)
 
 
-def swapped_prior(prior):
-    """The prior of the transposed problem: row and column fields exchanged."""
-    return PriorConfig(lambda_a=prior.lambda_b, lambda_b=prior.lambda_a,
-                       lambda_c=prior.lambda_c, lambda_d=prior.lambda_d,
-                       lambda_u=prior.lambda_v, lambda_v=prior.lambda_u,
-                       lambda_s=prior.lambda_t, lambda_t=prior.lambda_s,
-                       m_s=prior.m_t, m_t=prior.m_s)
-
-
 class TestTwinUpdates:
     @pytest.mark.parametrize("block,twin", [("B", "A"), ("H", "G"), ("T", "S"),
                                             ("A", "B"), ("G", "H"), ("S", "T")])
@@ -329,14 +321,14 @@ class TestTwinUpdates:
         Y, truth = small_instance
         params = random_constrained_params(truth.cov, 2, seed=6)
         state = est.make_state(Y, truth.cov, params.copy(), prior=ASYMMETRIC_PRIOR)
-        flipped = est.make_state(DataMatrix(Y.values.T), truth.cov.transposed(),
-                                 params.copy().transposed(),
+        flipped = est.make_state(DataMatrix(Y.values.T), transposed_cov(truth.cov),
+                                 transposed_params(params.copy()),
                                  prior=swapped_prior(ASYMMETRIC_PRIOR))
         np.testing.assert_allclose(flipped.log_posterior(), state.log_posterior(), rtol=1e-12)
         for _ in range(3):
             getattr(est, f"update_{block.lower()}")(state)
             getattr(est, f"update_{twin.lower()}")(flipped)
-        back = flipped.params.transposed()
+        back = transposed_params(flipped.params)
         # U and V hold only up to joint column signs, which a rounding-level
         # entry of svd_of_product's core can flip: compare them in the
         # sign convention of finalization

@@ -14,7 +14,8 @@ from nbgbm.model import CovariateSet, DataMatrix, GbmParams, PriorConfig, linear
 from nbgbm.simulate import SimScheme, simulate_dataset
 
 import oracles
-from conftest import ASYMMETRIC_PRIOR, random_constrained_params
+from conftest import (ASYMMETRIC_PRIOR, random_constrained_params, swapped_prior, transposed_cov,
+                      transposed_params)
 
 
 @pytest.fixture(scope="module")
@@ -121,7 +122,7 @@ class TestJointUv:
 
     @pytest.mark.parametrize("M", [1, 2])
     def test_more_columns_than_rows_matches_dense_bordered_inverse(self, M):
-        # J > I: V is eliminated first, on the transposed problem
+        # J > I: V is eliminated first, from the column-side arrays
         scheme = SimScheme(dims=(8, 12, 2, 2, M), seed=40 + M)
         Y, truth = simulate_dataset(scheme)
         result = est.fit(Y, truth.cov, M)
@@ -133,7 +134,7 @@ class TestJointUv:
         np.testing.assert_allclose(varV, oV, rtol=1e-8)
 
     # odd J pads the packed Schur complement with an identity block; odd J M
-    # gives an odd order before padding; I < J runs on the transposed problem
+    # gives an odd order before padding; I < J eliminates V first
     @pytest.mark.parametrize("dims", [(13, 7, 2, 2, 1), (13, 7, 2, 2, 2), (13, 7, 2, 2, 3),
                                       (11, 9, 2, 2, 3), (9, 13, 2, 2, 1), (7, 11, 2, 1, 2),
                                       (6, 3, 1, 1, 2), (6, 3, 1, 1, 1)])
@@ -357,18 +358,21 @@ class TestStreamedContractions:
         Y, truth = simulate_dataset(SimScheme(dims=(40, 25, 3, 2, 2), seed=5))
         params, cov, prior = truth.params0, truth.cov, ASYMMETRIC_PRIOR
         pieces = inf.preprocess(Y, params, cov, prior)
+        # the pieces of the problem for Y', whose A-side blocks are B's
+        flipped = inf.preprocess(DataMatrix(Y.values.T), transposed_params(params),
+                                 transposed_cov(cov), swapped_prior(prior))
         rng = np.random.default_rng(9)
         I, J, K, L, M = cov.I, cov.J, cov.K, cov.L, params.M
         var = {"A": rng.uniform(0.1, 2.0, J * K), "B": rng.uniform(0.1, 2.0, I * L),
                "U": rng.uniform(0.1, 2.0, I * M), "V": rng.uniform(0.1, 2.0, J * M)}
-        return pieces, params, cov, var
+        return pieces, params, cov, var, flipped
 
     def test_uv_to_ab(self, case):
-        pieces, params, cov, var = case
+        pieces, params, cov, var, flipped = case
         UD, VD = params.U * params.D, params.V * params.D
         varU, varV = var["U"].reshape(cov.I, -1), var["V"].reshape(cov.J, -1)
         QA = oracles.coef_eta_jacobian(pieces, cov)                          # J x K x I
-        QB = oracles.coef_eta_jacobian(pieces.transposed(), cov.transposed())  # I x L x J
+        QB = oracles.coef_eta_jacobian(flipped, transposed_cov(cov))          # I x L x J
         want = [
             np.einsum("jki,ji->jk", QA ** 2, VD ** 2 @ varU.T).ravel(),
             np.einsum("jkm,jm->jk", (QA @ UD) ** 2, varV).ravel(),
@@ -380,14 +384,14 @@ class TestStreamedContractions:
             np.testing.assert_allclose(g, w, rtol=1e-12, err_msg=name)
 
     def test_ab_to_c(self, case):
-        pieces, params, cov, var = case
+        pieces, params, cov, var, flipped = case
         K, L = cov.K, cov.L
         want = []
-        for flipped, design, n, v in ((pieces, cov, cov.J, var["A"]),
-                                      (pieces.transposed(), cov.transposed(), cov.I, var["B"])):
-            jac = oracles.interaction_jacobian_from_a(flipped, design)
-            extra = np.maximum(v.reshape(n, -1) - np.einsum("jkk->jk", flipped.invFa), 0.0)
-            want.append(np.einsum("jck,jkl,jcl->c", jac, flipped.invFa, jac)
+        for side, design, n, v in ((pieces, cov, cov.J, var["A"]),
+                                   (flipped, transposed_cov(cov), cov.I, var["B"])):
+            jac = oracles.interaction_jacobian_from_a(side, design)
+            extra = np.maximum(v.reshape(n, -1) - np.einsum("jkk->jk", side.invFa), 0.0)
+            want.append(np.einsum("jck,jkl,jcl->c", jac, side.invFa, jac)
                         + np.einsum("jck,jk->c", jac ** 2, extra))
         want[1] = want[1].reshape(K, L).ravel(order="F")
         got = inf.propagate_ab_to_c(pieces, cov, var["A"], var["B"])
@@ -395,7 +399,7 @@ class TestStreamedContractions:
             np.testing.assert_allclose(g, w, rtol=1e-12, err_msg=name)
 
     def test_to_dispersions(self, case):
-        pieces, params, cov, var = case
+        pieces, params, cov, var, _ = case
         UD, VD = params.U * params.D, params.V * params.D
         r, W, E = inf._workspace(pieces)
         Q, P = inf._score_sensitivities(W, E, pieces.mu, r)
@@ -428,30 +432,23 @@ class TestStreamedContractions:
 
 
 class TestTransposition:
-    def test_preprocess_of_transposed_problem(self, small_fit):
-        # built by hand, without any transposed() method
-        Y, truth, result = small_fit
-        p, cov, pr = result.params, truth.cov, ASYMMETRIC_PRIOR
-        explicit = inf.preprocess(
-            DataMatrix(Y.values.T),
-            GbmParams(A=p.B, B=p.A, C=p.C.T, D=p.D, U=p.V, V=p.U, S=p.T, T=p.S, omega=p.omega),
-            CovariateSet(cov.Z, cov.X),
-            PriorConfig(lambda_a=pr.lambda_b, lambda_b=pr.lambda_a, lambda_c=pr.lambda_c,
-                        lambda_d=pr.lambda_d, lambda_u=pr.lambda_v, lambda_v=pr.lambda_u,
-                        lambda_s=pr.lambda_t, lambda_t=pr.lambda_s, m_s=pr.m_t, m_t=pr.m_s))
-        flipped = inf.preprocess(Y, p, cov, pr).transposed()
-        checked = [(getattr(flipped, f.name), getattr(explicit, f.name), f.name)
-                   for f in dataclasses.fields(inf.InferencePieces)]
-        # r, W, E, dWM and dEM are derived from the fields, not stored
-        checked += zip(inf._workspace(flipped), inf._workspace(explicit), ("r", "W", "E"))
-        checked += zip(inf._eta_derivatives(flipped), inf._eta_derivatives(explicit),
-                       ("dWM", "dEM"))
-        for got, want, name in checked:
-            # scores near the mode are sums that cancel: rounding is relative
-            # to the field's scale there, not to the entry
-            np.testing.assert_allclose(got, want, rtol=1e-12,
-                                       atol=1e-12 * np.abs(want).max(initial=0.0),
-                                       err_msg=name)
+    def test_column_side_joint_stage_is_the_row_side_of_the_transposed_problem(self):
+        # I < J eliminates V first from the column-side arrays, W read by
+        # column blocks: the variances of the hand-built Y' (I > J, where U
+        # is eliminated first) with U and V swapped
+        Y, truth = simulate_dataset(SimScheme(dims=(12, 30, 2, 2, 2), seed=7))
+        params, cov, prior = truth.params0, truth.cov, ASYMMETRIC_PRIOR
+        pieces = inf.preprocess(Y, params, cov, prior)
+        flipped = (DataMatrix(Y.values.T), transposed_params(params), transposed_cov(cov))
+        varU, varV = inf.joint_uv_uncertainty(pieces, params, cov)
+        varV_t, varU_t = inf.joint_uv_uncertainty(
+            inf.preprocess(*flipped, swapped_prior(prior)), *flipped[1:])
+        np.testing.assert_allclose(varU, varU_t, rtol=1e-10)
+        np.testing.assert_allclose(varV, varV_t, rtol=1e-10)
+        work = est.make_state(Y, cov, params.copy()).work
+        r, W, _ = inf._workspace(pieces, cols=slice(3, 9))
+        np.testing.assert_array_equal(W, work.W[:, 3:9])
+        np.testing.assert_array_equal(r, work.r[:, 3:9])
 
     def test_rebuilt_weights_equal_the_workspace(self, small_fit, monkeypatch):
         # r, W and E are rebuilt per chunk from y, mu and S, T, omega: bit for
@@ -469,9 +466,6 @@ class TestTransposition:
             r, W, _ = inf._workspace(pieces, rows)
             np.testing.assert_array_equal(W, work.W[rows])
             np.testing.assert_array_equal(r, work.r[rows])
-        r, W, _ = inf._workspace(pieces.transposed(), slice(3, 9))
-        np.testing.assert_array_equal(W, work.W[:, 3:9].T)
-        np.testing.assert_array_equal(r, work.r[:, 3:9].T)
 
     def test_derived_eta_derivatives(self, small_fit):
         Y, truth, result = small_fit
@@ -479,7 +473,8 @@ class TestTransposition:
         mu, r, y = pieces.mu, inf._workspace(pieces)[0], Y.values
         dWM = mu * r ** 2 / (r + mu) ** 2
         dEM = -mu * r * (r + y) / (r + mu) ** 2
-        flipped = pieces.transposed()
+        flipped = inf.preprocess(DataMatrix(Y.values.T), transposed_params(result.params),
+                                 transposed_cov(truth.cov), swapped_prior(ASYMMETRIC_PRIOR))
         np.testing.assert_allclose(inf._eta_derivatives(pieces)[0], dWM, rtol=1e-12)
         np.testing.assert_allclose(inf._eta_derivatives(pieces)[1], dEM, rtol=1e-12)
         np.testing.assert_allclose(inf._eta_derivatives(flipped)[0], dWM.T, rtol=1e-12)

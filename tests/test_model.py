@@ -21,7 +21,7 @@ from nbgbm.model import (
 from nbgbm.simulate import generate_covariates, generate_parameters
 from nbgbm.rngstreams import stream_rng
 
-from conftest import random_constrained_params
+from conftest import random_constrained_params, transposed_cov, transposed_params
 
 
 def make_cov(I=6, J=4, K=2, L=2, seed=0):
@@ -169,8 +169,8 @@ class TestTransposition:
     def test_linear_predictor_of_transposed_problem(self):
         cov = make_cov(I=7, J=5, K=3, L=2, seed=4)
         params = random_constrained_params(cov, 2, seed=4)
-        flipped = params.transposed()
-        np.testing.assert_allclose(linear_predictor(flipped, cov.transposed()),
+        flipped = transposed_params(params)
+        np.testing.assert_allclose(linear_predictor(flipped, transposed_cov(cov)),
                                    linear_predictor(params, cov).T, rtol=1e-12, atol=1e-12)
         assert np.shares_memory(flipped.A, params.B) and np.shares_memory(flipped.C, params.C)
 

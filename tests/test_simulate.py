@@ -4,7 +4,8 @@ from scipy.stats import gamma as gamma_dist
 from scipy.stats import norm
 
 from nbgbm.exceptions import DomainError, InputError, ShapeError
-from nbgbm.model import check_constraints
+from nbgbm.estimation import fit
+from nbgbm.model import FitConfig, check_constraints
 from nbgbm.simulate import (
     SimScheme,
     align_latent_factors,
@@ -157,6 +158,15 @@ class TestOutcomes:
         _, truth_b = simulate_dataset(scheme, replicate=1)
         np.testing.assert_raises(AssertionError, np.testing.assert_array_equal,
                                  truth_a.params0.A, truth_b.params0.A)
+
+    def test_negative_seed_or_replicate_is_domain_error(self, small_instance):
+        Y, truth = small_instance
+        with pytest.raises(DomainError):
+            stream_rng(-1, "init")
+        with pytest.raises(DomainError):
+            simulate_dataset(SimScheme(dims=(10, 6, 2, 2, 1), seed=5), replicate=-1)
+        with pytest.raises(DomainError):
+            fit(Y, truth.cov, 1, config=FitConfig(seed=-1))
 
 
 class TestAlignment:
