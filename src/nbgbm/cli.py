@@ -211,8 +211,7 @@ def cmd_fit(args) -> int:
 
     digests = {}
     with _manifest(args.out, "fit", args.seed) as manifest:
-        counts = io.read_matrix(args.counts, digests=digests)
-        Y = DataMatrix(counts)
+        Y = DataMatrix(io.read_matrix(args.counts, digests=digests))
         X = (io.read_matrix(args.row_covariates, digests=digests) if args.row_covariates
              else np.ones((Y.I, 1)))
         Z = (io.read_matrix(args.col_covariates, digests=digests) if args.col_covariates
@@ -258,9 +257,8 @@ def cmd_infer(args) -> int:
 
     digests = {}                 # path -> SHA-256 of the bytes read and parsed
     with _manifest(args.out, "infer", None) as manifest:
-        counts = io.read_matrix(args.counts, digests=digests)
+        Y = DataMatrix(io.read_matrix(args.counts, digests=digests))
         prior, converged = _fit_prior(args.fit_dir, args.counts, digests)
-        Y = DataMatrix(counts)
         params = io.read_params(args.fit_dir, digests)
         wald_columns = [_wald_column(spec, params) for spec in args.test]
         X = io.read_matrix(os.path.join(args.fit_dir, "X.csv"), digests=digests)
@@ -322,43 +320,31 @@ def cmd_evaluate(args) -> int:
     from .simulate import align_latent_factors, coverage_curve, relative_mse
 
     t0 = time.time()
-    est = io.read_params(args.fit_dir)
-    truth = io.read_params(args.truth_dir)
-    for name in ("A", "B", "C", "S", "T"):
-        if est.blocks()[name].shape != truth.blocks()[name].shape:
-            raise InputError(f"block {name}: estimate shape {est.blocks()[name].shape} "
-                             f"differs from truth {truth.blocks()[name].shape}")
-    if est.M != truth.M:
-        raise InputError(f"latent dimension differs: estimate {est.M}, truth {truth.M}")
-    est = align_latent_factors(est, truth)
-    report = {"relative_mse": {}}
-    for name in ("A", "B", "C", "D", "U", "V", "S", "omega"):
-        block_est, block_truth = est.blocks()[name], truth.blocks()[name]
-        if block_truth.size == 0:
-            continue
-        report["relative_mse"][name] = relative_mse(block_est, block_truth)
+    est, truth = io.read_params(args.fit_dir), io.read_params(args.truth_dir)
+    truth_blocks = truth.blocks()
+    for name, block in est.blocks().items():
+        if block.shape != truth_blocks[name].shape:
+            raise InputError(f"block {name}: estimate shape {block.shape} "
+                             f"differs from truth {truth_blocks[name].shape}")
+    est_blocks = align_latent_factors(est, truth).blocks()
     # T is evaluated in the dispersion parametrization
-    report["relative_mse"]["T"] = relative_mse(np.exp(est.T), np.exp(truth.T))
+    report = {"relative_mse": {name: relative_mse(est_blocks[name], truth_blocks[name])
+                               for name in est_blocks if name != "T" and truth_blocks[name].size}}
+    report["relative_mse"]["T"] = relative_mse(np.exp(est_blocks["T"]), np.exp(truth.T))
     if args.se_dir:
         report["coverage"] = {}
         # c_11, D, and omega are excluded from coverage
         for name in ("A", "B", "C", "U", "V", "S", "T"):
             path = os.path.join(args.se_dir, f"se_{name}.csv")
-            se = io.read_matrix(path, allow_empty=name in ("U", "V"))
-            block_est = est.blocks()[name]
+            se = io.read_matrix(path, allow_empty=name in ("U", "V")).ravel()
+            block_est, block_truth = est_blocks[name].ravel(), truth_blocks[name].ravel()
             if se.size != block_est.size:
                 raise InputError(f"{path} holds {se.size} values, block {name} has "
                                  f"{block_est.size}")
-            block_truth = truth.blocks()[name]
             if block_est.size == 0:
                 continue
-            mask = np.ones(block_est.shape, dtype=bool)
-            if name == "C":
-                mask[0, 0] = False
-            targets, actual = coverage_curve(
-                np.atleast_2d(block_est)[np.atleast_2d(mask)],
-                np.atleast_2d(se.reshape(block_est.shape))[np.atleast_2d(mask)],
-                np.atleast_2d(block_truth)[np.atleast_2d(mask)])
+            first = 1 if name == "C" else 0                    # c_11 is C's first entry
+            targets, actual = coverage_curve(block_est[first:], se[first:], block_truth[first:])
             report["coverage"][name] = {"target": targets, "actual": actual}
     report["wall_time_seconds"] = time.time() - t0
     io.write_json(args.out, report)

@@ -30,7 +30,7 @@ and E and keep mu.  The bare projections (project_a, project_g, project_s
 and their twins) leave the likelihood unchanged and do not touch it.
 
 The four workspace arrays are the only I x J arrays a fit holds besides
-the counts and their float copy.  They are allocated once by make_state
+the counts, which it reads in place.  They are allocated once by make_state
 and overwritten in place, one row chunk of at most nb.CHUNK_ELEMENTS
 entries at a time (FitState.refresh); the S/T steps (nb.dispersion_sums)
 and log_posterior run over the same chunks, so every other I x J
@@ -115,9 +115,9 @@ def _capped(xi_rows: np.ndarray, rho: float) -> np.ndarray:
 class FitState:
     """Mutable bundle passed between block updates.
 
-    `y` holds the counts as float64 and `log_y_factorial` the sum of log y!
-    over them; make_state computes both once.  `rho_s` and `rho_t` are the
-    per-coordinate caps of the S and T Newton steps.
+    `y` is the DataMatrix's int64 counts, read in place, and `log_y_factorial`
+    the sum of log y! over them, computed once by make_state.  `rho_s` and
+    `rho_t` are the per-coordinate caps of the S and T Newton steps.
     """
 
     y: np.ndarray = field(repr=False)
@@ -159,18 +159,16 @@ class FitState:
         def normal_term(q, lam, mean=0.0):
             return 0.5 * q.size * np.log(lam / (2 * np.pi)) - 0.5 * lam * np.sum((q - mean) ** 2)
 
-        logprior = (
-            normal_term(p.A, pr.lambda_a) + normal_term(p.B, pr.lambda_b)
-            + normal_term(p.C, pr.lambda_c) + normal_term(p.D, pr.lambda_d)
-            + normal_term(p.U, pr.lambda_u) + normal_term(p.V, pr.lambda_v)
-            + normal_term(p.S, pr.lambda_s, pr.m_s) + normal_term(p.T, pr.lambda_t, pr.m_t)
-        )
+        # block X has prior precision lambda_x and mean m_x (m_s, m_t) or 0
+        logprior = sum(normal_term(getattr(p, name), getattr(pr, f"lambda_{name.lower()}"),
+                                   getattr(pr, f"m_{name.lower()}", 0.0))
+                       for name in GbmParams.shapes())
         return loglik + float(logprior)
 
 
 def make_state(Y, cov, params, prior=None) -> FitState:
     prior = prior or PriorConfig()
-    y = Y.values.astype(np.float64)
+    y = Y.values
     log_y_factorial = sum(float(np.sum(gammaln(y[rows] + 1.0)))
                           for rows in nb.row_chunks(*y.shape))
     state = FitState(y=y, log_y_factorial=log_y_factorial, cov=cov, params=params, prior=prior,

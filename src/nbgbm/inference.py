@@ -324,14 +324,29 @@ def _factor_rows(blocks, W, VDt, UD, outs):
 def joint_uv_uncertainty(pieces: InferencePieces, params: GbmParams, cov: CovariateSet):
     """Variances of vec(U') and vec(V') from the bordered joint system
     (_joint_uv), eliminating the factor with more rows first: U when I >= J;
-    V when I < J, from the column-side arrays and W read by column blocks."""
+    V when I < J, from the column-side arrays and W read by column blocks.
+
+    A variance non-positive by at most 1e-12 times the largest diagonal entry
+    of its factor's conditional inverse (invFu, invFv) is zero up to rounding,
+    as where the constraints leave the factor no free direction (V at
+    J = L + 1, M = 1), and is set to 0 with a warning naming the factor."""
     if params.M == 0:
         return np.zeros(0), np.zeros(0)
     if cov.I >= cov.J:
-        return _joint_uv(lambda rows: _workspace(pieces, rows)[1], pieces.Fu, pieces.invFu,
-                         pieces.Fv, cov.X, params.U, cov.Z, params.V, params.D)
-    varV, varU = _joint_uv(lambda cols: _workspace(pieces, cols=cols)[1].T, pieces.Fv,
-                           pieces.invFv, pieces.Fu, cov.Z, params.V, cov.X, params.U, params.D)
+        varU, varV = _joint_uv(lambda rows: _workspace(pieces, rows)[1], pieces.Fu, pieces.invFu,
+                               pieces.Fv, cov.X, params.U, cov.Z, params.V, params.D)
+    else:
+        varV, varU = _joint_uv(lambda cols: _workspace(pieces, cols=cols)[1].T, pieces.Fv,
+                               pieces.invFv, pieces.Fu, cov.Z, params.V, cov.X, params.U,
+                               params.D)
+    for name, var, invF in (("U", varU, pieces.invFu), ("V", varV, pieces.invFv)):
+        zero = (var <= 0) & (var >= -1e-12 * np.einsum("imm->im", invF).max())
+        if zero.any():
+            var[zero] = 0.0
+            warnings.warn(f"joint variance of {name} is zero up to rounding at "
+                          f"{np.count_nonzero(zero)} entries; their standard errors are 0")
+    if np.any(varU < 0) or np.any(varV < 0):
+        warnings.warn("non-positive joint factor variance; inference may be unreliable")
     return varU, varV
 
 
@@ -419,8 +434,6 @@ def _joint_uv(weights, Fu, invFu, Fv, X, U, Z, V, D):
         xz = x[0] @ Zv[0] + x[1] @ Zv[1]
         _apply_inverse_factor(rfp, x[0].T, x[1].T)             # rows of (L^-1 x')'
         varU[rows_m] += _squares(x[0], 1) + _squares(x[1], 1) - _squares(xz, 1)
-    if np.any(varU <= 0) or np.any(varV <= 0):
-        warnings.warn("non-positive joint factor variance; inference may be unreliable")
     return varU, varV
 
 
@@ -618,7 +631,6 @@ def standard_errors(Y, params: GbmParams, cov: CovariateSet,
     clock = [time.perf_counter()]
     pieces = preprocess(Y, params, cov, prior)
     clock.append(time.perf_counter())
-    M = params.M
     varU, varV = joint_uv_uncertainty(pieces, params, cov)
     clock.append(time.perf_counter())
     varAfromU, varAfromV, varBfromU, varBfromV = propagate_uv_to_ab(pieces, params, cov, varU, varV)
@@ -632,12 +644,13 @@ def standard_errors(Y, params: GbmParams, cov: CovariateSet,
     varS = pieces.invFs + var_s["A"] + var_s["B"] + var_s["U"] + var_s["V"]
     varT = pieces.invFt + var_t["A"] + var_t["B"] + var_t["U"] + var_t["V"]
     clock.append(time.perf_counter())
+    shapes = GbmParams.shapes(cov.I, cov.J, cov.K, cov.L, params.M)
     return InferenceResult(
-        se_A=np.sqrt(varA).reshape(cov.J, cov.K),
-        se_B=np.sqrt(varB).reshape(cov.I, cov.L),
-        se_C=np.sqrt(varC).reshape(cov.K, cov.L, order="F"),
-        se_U=np.sqrt(varU).reshape(cov.I, M),
-        se_V=np.sqrt(varV).reshape(cov.J, M),
+        se_A=np.sqrt(varA).reshape(shapes["A"]),
+        se_B=np.sqrt(varB).reshape(shapes["B"]),
+        se_C=np.sqrt(varC).reshape(shapes["C"], order="F"),
+        se_U=np.sqrt(varU).reshape(shapes["U"]),
+        se_V=np.sqrt(varV).reshape(shapes["V"]),
         se_S=np.sqrt(varS),
         se_T=np.sqrt(varT),
         stage_seconds={stage: end - start for stage, start, end

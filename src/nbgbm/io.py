@@ -15,6 +15,7 @@ import os
 import numpy as np
 
 from .exceptions import InputError
+from .model import GbmParams
 
 FLOAT_FMT = "%.17g"
 
@@ -114,7 +115,7 @@ def _jsonify(obj):
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
-PARAM_FILES = ("A", "B", "C", "D", "U", "V", "S", "T", "omega")
+PARAM_FILES = (*GbmParams.shapes(), "omega")
 
 
 def write_params(outdir, params):
@@ -132,8 +133,6 @@ def read_params(indir, digests=None):
     read_bytes).  B.csv (I x L), A.csv (J x K) and D.csv (M values) fix the
     dimensions; InputError names the first other block file that does not
     match them."""
-    from .model import GbmParams
-
     def load(name):
         path = os.path.join(indir, f"{name}.csv")
         if not os.path.exists(path):
@@ -144,20 +143,15 @@ def read_params(indir, digests=None):
     I, L = blocks["B"].shape
     J, K = blocks["A"].shape
     M = blocks["D"].size
+    shapes = GbmParams.shapes(I, J, K, L, M)
     # vectors are checked by their number of values; an empty file is a
     # block without entries, whatever shape it should have
-    expected = {"C": (K, L), "U": (I, M), "V": (J, M), "S": (I,), "T": (J,), "omega": (1,)}
-    for name, shape in expected.items():
+    for name, shape in {**shapes, "omega": (1,)}.items():
         block = blocks[name]
         got = block.shape if len(shape) == 2 else (block.size,)
         if got != shape and (block.size or np.prod(shape)):
             raise InputError(
                 f"{os.path.join(indir, name + '.csv')} has shape {got}, expected {shape} from "
                 f"I x L = {I} x {L} (B.csv), J x K = {J} x {K} (A.csv) and M = {M} (D.csv)")
-    return GbmParams(
-        A=blocks["A"], B=blocks["B"], C=blocks["C"],
-        D=blocks["D"].ravel(),
-        U=blocks["U"].reshape(I, M), V=blocks["V"].reshape(J, M),
-        S=blocks["S"].ravel(), T=blocks["T"].ravel(),
-        omega=float(blocks["omega"].ravel()[0]),
-    )
+    return GbmParams(**{name: blocks[name].reshape(shape) for name, shape in shapes.items()},
+                     omega=blocks["omega"].item())

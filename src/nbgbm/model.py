@@ -27,6 +27,7 @@ import numpy as np
 
 from .exceptions import (DegenerateCovariateError, DomainError, PreconditionError, RankError,
                          ShapeError)
+from .nb import row_chunks
 
 CONSTRAINT_TOL = 1e-8
 EPSILON = 0.125   # pseudocount of the log-scale residuals log(y + EPSILON)
@@ -64,15 +65,18 @@ class DataMatrix:
         elif values.dtype.kind not in "biuf":
             raise DomainError(f"count matrix must be real numbers, not dtype {values.dtype}")
         # checked before the int64 cast, which wraps NaN, inf and >= 2**63
-        # silently; integers need only their minimum (and, unsigned, maximum),
-        # which takes no I x J temporary
-        if values.dtype.kind == "f" and not np.all(np.isfinite(values)):
+        # silently, and with no I x J temporary: the minimum or maximum is
+        # NaN or infinite when an entry is, and integrality is checked one
+        # row chunk at a time
+        low, high = values.min(), values.max()
+        if values.dtype.kind == "f" and not (np.isfinite(low) and np.isfinite(high)):
             raise DomainError("count matrix has non-finite entries (NaN or infinity)")
-        if values.min() < 0:
+        if low < 0:
             raise DomainError("count matrix has negative entries")
-        if values.dtype.kind == "f" and not np.all(values == np.floor(values)):
+        if values.dtype.kind == "f" and not all(np.all(values[rows] == np.floor(values[rows]))
+                                                for rows in row_chunks(*values.shape)):
             raise DomainError("count matrix has non-integral entries")
-        if values.dtype.kind in "uf" and values.max() >= 2**63:
+        if values.dtype.kind in "uf" and high >= 2**63:
             raise DomainError("count matrix has entries of 2**63 or more, beyond the int64 range")
         object.__setattr__(self, "values", np.asarray(values, dtype=np.int64))
 
@@ -176,15 +180,18 @@ class GbmParams:
     T: np.ndarray
     omega: float
 
+    @staticmethod
+    def shapes(I=0, J=0, K=0, L=0, M=0) -> dict:
+        """The shape of each array block, in field order, at dimensions
+        I, J, K, L, M; omega is a float.  Without dimensions, the keys name
+        the blocks."""
+        return {"A": (J, K), "B": (I, L), "C": (K, L), "D": (M,),
+                "U": (I, M), "V": (J, M), "S": (I,), "T": (J,)}
+
     def __post_init__(self):
-        self.A = np.asarray(self.A, dtype=np.float64)
-        self.B = np.asarray(self.B, dtype=np.float64)
-        self.C = np.asarray(self.C, dtype=np.float64)
-        self.D = np.atleast_1d(np.asarray(self.D, dtype=np.float64))
-        self.U = np.asarray(self.U, dtype=np.float64)
-        self.V = np.asarray(self.V, dtype=np.float64)
-        self.S = np.asarray(self.S, dtype=np.float64)
-        self.T = np.asarray(self.T, dtype=np.float64)
+        for name in self.shapes():
+            setattr(self, name, np.asarray(getattr(self, name), dtype=np.float64))
+        self.D = np.atleast_1d(self.D)
         self.omega = float(self.omega)
 
     @property
@@ -192,26 +199,16 @@ class GbmParams:
         return self.D.shape[0]
 
     def copy(self) -> "GbmParams":
-        return GbmParams(
-            self.A.copy(), self.B.copy(), self.C.copy(), self.D.copy(),
-            self.U.copy(), self.V.copy(), self.S.copy(), self.T.copy(), self.omega,
-        )
+        return GbmParams(*(getattr(self, name).copy() for name in self.shapes()), self.omega)
 
     def blocks(self) -> dict:
         """Named views of every block, for serialization and evaluation."""
-        return {
-            "A": self.A, "B": self.B, "C": self.C, "D": self.D,
-            "U": self.U, "V": self.V, "S": self.S, "T": self.T,
-            "omega": np.array([self.omega]),
-        }
+        return {**{name: getattr(self, name) for name in self.shapes()},
+                "omega": np.array([self.omega])}
 
     @staticmethod
     def zeros(I, J, K, L, M) -> "GbmParams":
-        return GbmParams(
-            A=np.zeros((J, K)), B=np.zeros((I, L)), C=np.zeros((K, L)),
-            D=np.zeros(M), U=np.zeros((I, M)), V=np.zeros((J, M)),
-            S=np.zeros(I), T=np.zeros(J), omega=0.0,
-        )
+        return GbmParams(*map(np.zeros, GbmParams.shapes(I, J, K, L, M).values()), 0.0)
 
 
 @dataclass(frozen=True)
@@ -230,8 +227,7 @@ class PriorConfig:
     m_t: float = 0.0
 
     def __post_init__(self):
-        for name in ("lambda_a", "lambda_b", "lambda_c", "lambda_d",
-                     "lambda_u", "lambda_v", "lambda_s", "lambda_t"):
+        for name in (f"lambda_{block.lower()}" for block in GbmParams.shapes()):
             if getattr(self, name) <= 0:
                 raise DomainError(f"{name} must be positive")
 
@@ -257,18 +253,8 @@ class FitConfig:
 
 
 def _check_dims(params: GbmParams, cov: CovariateSet) -> None:
-    I, J, K, L = cov.I, cov.J, cov.K, cov.L
-    M = params.M
-    checks = [
-        ("A", params.A.shape, (J, K)),
-        ("B", params.B.shape, (I, L)),
-        ("C", params.C.shape, (K, L)),
-        ("U", params.U.shape, (I, M)),
-        ("V", params.V.shape, (J, M)),
-        ("S", params.S.shape, (I,)),
-        ("T", params.T.shape, (J,)),
-    ]
-    for name, got, want in checks:
+    for name, want in GbmParams.shapes(cov.I, cov.J, cov.K, cov.L, params.M).items():
+        got = getattr(params, name).shape
         if got != want:
             raise ShapeError(f"component {name} has shape {got}, expected {want}")
 

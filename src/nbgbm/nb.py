@@ -17,7 +17,8 @@ the kernel once at y + r and once at r.
 The fit and the inference preprocessing never hold the I x J derivatives
 whole: `dispersion_sums` returns their row and column sums, computing them
 one row chunk of at most `CHUNK_ELEMENTS` entries at a time (`row_chunks`),
-so the temporaries of a chunk stay in cache.
+so the temporaries of a chunk stay in cache.  Counts keep their dtype (int64
+in a fit): ufuncs cast them in small buffers, with no chunk-sized copy to fault in.
 """
 
 from __future__ import annotations
@@ -110,7 +111,7 @@ def _psi_differences(y, r):
     For r >= LARGE_R, where both differences cancel catastrophically, their
     Poisson-limit forms log1p(y/r) and -(y/r)/(y + r) are used instead.
     """
-    y, r = np.broadcast_arrays(np.asarray(y, dtype=np.float64), np.asarray(r, dtype=np.float64))
+    y, r = np.broadcast_arrays(np.asarray(y), np.asarray(r, dtype=np.float64))
     if np.any(r <= 0):
         raise DomainError("r must be positive")
     small = r < LARGE_R
@@ -151,7 +152,7 @@ def nb_log_pmf(y, mu, r, log_y_factorial=None):
     the log y! term; a caller that sums over fixed counts passes 0.0 and
     subtracts the sum of log y! once.
     """
-    y = np.asarray(y, dtype=np.float64)
+    y = np.asarray(y)
     mu = np.asarray(mu, dtype=np.float64)
     r = np.asarray(r, dtype=np.float64)
     if np.any(mu <= 0) or np.any(r <= 0):
@@ -254,7 +255,7 @@ def dispersion_derivatives(Y, mu, r) -> DispersionDerivs:
     overflow are rewritten through r/(r+mu) and mu/(r+mu).
     """
     y, mu, r = np.broadcast_arrays(
-        np.asarray(Y.values if hasattr(Y, "values") else Y, dtype=np.float64),
+        np.asarray(Y.values if hasattr(Y, "values") else Y),
         np.asarray(mu, dtype=np.float64), np.asarray(r, dtype=np.float64))
     dpsi, dtri = _psi_differences(y, r)
     total = r + mu

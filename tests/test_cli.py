@@ -228,7 +228,13 @@ class TestInfer:
     @pytest.mark.parametrize("name, edit", [
         ("U", lambda path: path.write_text("1\n2\n3\n")),                  # 3 values, I x M = 40
         ("A", lambda path: path.write_text("".join(path.read_text().splitlines(True)[:-1]))),
-    ], ids=["wrong-size-U", "truncated-A"])
+        ("C", lambda path: path.write_text("1,2,3\n")),                     # K x L = 2 x 2
+        ("V", lambda path: path.write_text("1\n2\n3\n")),                  # J x M = 12
+        ("S", lambda path: path.write_text("1,2,3\n")),                     # I = 40 values
+        ("T", lambda path: path.write_text("1,2,3\n")),                     # J = 12 values
+        ("omega", lambda path: path.write_text("1,2\n")),                   # one value
+    ], ids=["wrong-size-U", "truncated-A", "wrong-shape-C", "wrong-size-V", "wrong-size-S",
+            "wrong-size-T", "two-omegas"])
     def test_block_file_of_another_size_is_input_error(self, sim_dir, fit_dir, tmp_path, capsys,
                                                        name, edit):
         bad = tmp_path / "fit"
@@ -238,6 +244,22 @@ class TestInfer:
                     "--out", tmp_path / "se"])
         assert code == 3
         assert f"{name}.csv" in capsys.readouterr().err
+
+    def test_factor_fixed_by_its_constraints_gets_zero_standard_errors(self, tmp_path):
+        # J = L + M leaves V no free direction: its joint variances are 0 up
+        # to rounding, which must not become NaN standard errors
+        sim, fit, se = (tmp_path / name for name in ("sim", "fit", "se"))
+        assert run(["simulate", "--dims", "3x2x1x1x1", "--seed", "1", "--out", sim]) == 0
+        assert run(["fit", "--counts", sim / "Y.csv", "--row-covariates", sim / "X.csv",
+                    "--col-covariates", sim / "Z.csv", "--latent", 1, "--out", fit]) == 0
+        with pytest.warns(UserWarning, match="joint variance of V is zero up to rounding"):
+            infer_flagless(sim, fit, se)
+        for name in "ABCUVST":
+            assert np.all(np.isfinite(nbio.read_matrix(se / f"se_{name}.csv"))), name
+        np.testing.assert_array_equal(nbio.read_matrix(se / "se_V.csv"), 0.0)
+        messages = nbio.read_json(se / "manifest.json")["warnings"]
+        assert not any("invalid value encountered in sqrt" in m for m in messages)
+        assert any("joint variance of V" in m for m in messages)
 
     def test_infer_reads_back_identical_params(self, fit_dir):
         params = nbio.read_params(fit_dir)
@@ -474,12 +496,24 @@ class TestEvaluate:
         for section in ("relative_mse", "coverage"):
             assert not {"D", "U", "V"} & set(report[section]), section
 
-    def test_shape_mismatch_is_input_error(self, sim_dir, tmp_path):
+    def test_shape_mismatch_is_input_error(self, sim_dir, tmp_path, capsys):
         other = tmp_path / "othersim"
         run(["simulate", "--dims", "40x12x2x2x2", "--seed", "1", "--out", other])
         code = run(["evaluate", "--fit-dir", other / "truth",
                     "--truth-dir", sim_dir / "truth", "--out", tmp_path / "r.json"])
         assert code == 3
+        assert "block D:" in capsys.readouterr().err          # M = 2 against M = 1
+
+    @pytest.mark.parametrize("dims, block", [("40x13x2x2x1", "A"), ("40x12x2x3x1", "B")])
+    def test_shape_mismatch_names_the_first_block_that_differs(self, sim_dir, tmp_path, capsys,
+                                                               dims, block):
+        other = tmp_path / "othersim"
+        assert run(["simulate", "--dims", dims, "--seed", "1", "--out", other]) == 0
+        capsys.readouterr()
+        code = run(["evaluate", "--fit-dir", other / "truth",
+                    "--truth-dir", sim_dir / "truth", "--out", tmp_path / "r.json"])
+        assert code == 3
+        assert f"block {block}:" in capsys.readouterr().err
 
     def test_se_file_of_another_size_is_input_error(self, sim_dir, fit_dir, infer_dir, tmp_path,
                                                      capsys):

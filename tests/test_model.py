@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -74,6 +75,21 @@ class TestDataMatrix:
         assert dm.values is values
         assert peak <= 0.05 * values.nbytes, peak / values.nbytes
 
+    def test_float_counts_are_checked_without_an_array_sized_temporary(self):
+        values = np.random.default_rng(0).poisson(3.0, size=(2000, 500)).astype(np.float64)
+        tracemalloc.start()
+        try:
+            dm = DataMatrix(values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(dm.values, values)
+        # the int64 result alone is values.nbytes
+        assert peak <= 1.05 * values.nbytes, peak / values.nbytes
+        values[-1, -1] = 0.5                                   # in the last row chunk
+        with pytest.raises(DomainError, match="non-integral"):
+            DataMatrix(values)
+
     @pytest.mark.parametrize("values, error", [
         (np.asarray([[2**64, 1]]), "int64 range"),
         (np.asarray([[2**63, 1]], dtype=object), "int64 range"),
@@ -113,6 +129,28 @@ class TestCovariateSet:
         X = np.column_stack([np.ones(5), np.arange(5.0)])
         with pytest.raises(DomainError):
             CovariateSet(X, np.ones((4, 1)))
+
+
+class TestGbmParams:
+    def test_blocks_follow_the_shapes_table_in_field_order(self):
+        shapes = GbmParams.shapes(5, 4, 3, 2, 1)
+        params = GbmParams.zeros(5, 4, 3, 2, 1)
+        assert {name: block.shape for name, block in params.blocks().items()} == \
+            {**shapes, "omega": (1,)}
+        assert [*shapes, "omega"] == [f.name for f in dataclasses.fields(GbmParams)]
+
+    def test_copy_is_deep_and_blocks_are_views(self):
+        params = random_constrained_params(make_cov(), 1, seed=1)
+        copied = params.copy()
+        params.blocks()["U"][0, 0] += 1.0
+        assert params.U[0, 0] == copied.U[0, 0] + 1.0
+
+    def test_two_dimensional_d_is_a_shape_error(self):
+        cov = make_cov()
+        params = GbmParams.zeros(cov.I, cov.J, cov.K, cov.L, 1)
+        params.D = np.ones((1, 1))
+        with pytest.raises(ShapeError, match="component D"):
+            linear_predictor(params, cov)
 
 
 class TestLinearPredictor:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -276,6 +277,31 @@ class TestDispersionSums:
                 np.testing.assert_allclose(
                     getattr(sums[axis], name), terms.sum(axis=axis), rtol=1e-12,
                     atol=1e-12 * np.abs(terms).sum(axis=axis).max(), err_msg=f"{name}, axis {axis}")
+
+
+class TestIntegerCounts:
+    def test_int64_counts_give_the_float64_answers_without_a_copy(self):
+        rng = np.random.default_rng(13)
+        y = rng.poisson(5.0, size=(64, 512))
+        y[0, :3] = (0, 10 ** 6, 2 ** 60)
+        mu = np.exp(rng.normal(1.0, 1.0, size=y.shape))
+        r = np.exp(rng.normal(0.0, 2.0, size=y.shape))
+        r[1, :2] = 1e9                                         # the Poisson-limit branch
+        peaks = {}
+        for counts in (y, y.astype(np.float64)):
+            tracemalloc.start()
+            try:
+                derivs = nb.dispersion_derivatives(counts, mu, r)
+                log_pmf = nb.nb_log_pmf(counts, mu, r)
+                peaks[counts.dtype.kind] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            if counts.dtype.kind == "i":
+                expected = (derivs.delta, derivs.delta_prime, log_pmf)
+        for got, want in zip((derivs.delta, derivs.delta_prime, log_pmf), expected):
+            np.testing.assert_array_equal(got, want)
+        # a float64 copy of the counts would add y.nbytes
+        assert peaks["i"] < peaks["f"] + y.nbytes / 2, peaks
 
 
 class TestMomentIdentities:

@@ -192,6 +192,25 @@ class TestAlignment:
         np.testing.assert_allclose(aligned.V, truth.V, atol=1e-12)
         np.testing.assert_allclose(aligned.D, truth.D, atol=1e-12)
 
+    def test_greedy_branch_recovers_permutation_and_flips(self):
+        # M > 5 takes the greedy assignment instead of the exhaustive search
+        rng = np.random.default_rng(11)
+        from nbgbm.model import CovariateSet
+
+        cov = CovariateSet(generate_covariates(40, 2, "Normal", rng),
+                           generate_covariates(20, 2, "Normal", rng))
+        truth = generate_parameters(cov, 6, "Normal", rng)
+        perm = [3, 0, 5, 1, 4, 2]
+        signs = np.array([1.0, -1.0, -1.0, 1.0, -1.0, 1.0])
+        scrambled = truth.copy()
+        scrambled.U = truth.U[:, perm] * signs
+        scrambled.V = truth.V[:, perm] * signs
+        scrambled.D = truth.D[perm]
+        aligned = align_latent_factors(scrambled, truth)
+        np.testing.assert_array_equal(aligned.U, truth.U)
+        np.testing.assert_array_equal(aligned.V, truth.V)
+        np.testing.assert_array_equal(aligned.D, truth.D)
+
     def test_alignment_never_hurts(self, small_fit):
         Y, truth, result = small_fit
         aligned = align_latent_factors(result.params, truth.params0)
