@@ -116,6 +116,13 @@ def _wald_column(spec, params):
     return block_name, col
 
 
+def _fixed_entries(ses):
+    """1-based indices, per block, of the entries of standard error 0 (fixed by the constraints)."""
+    import numpy as np
+
+    return {name: (np.argwhere(se == 0) + 1).tolist() for name, se in ses.items() if 0 in se}
+
+
 @contextlib.contextmanager
 def _manifest(out_dir, command, seed):
     """Yield the manifest of a command writing into `out_dir`, and write it
@@ -270,11 +277,12 @@ def cmd_infer(args) -> int:
             io.write_matrix(os.path.join(args.out, f"se_{name}.csv"), block)
         estimates = params.blocks()
         for block_name, col in wald_columns:
-            est_block = estimates[block_name]
-            se_block = result.blocks()[block_name]
-            tests = inference.wald_tests(est_block[:, col], se_block[:, col], level=args.level)
-            rows = [est_block[:, col], se_block[:, col], tests["p_values"],
-                    tests["ci_lower"], tests["ci_upper"]]
+            estimate, se = estimates[block_name][:, col], result.blocks()[block_name][:, col]
+            free = se != 0                       # a fixed entry's interval is its estimate
+            tests = inference.wald_tests(estimate[free], se[free], level=args.level)
+            rows = [estimate, se, np.full(se.shape, np.nan), estimate.copy(), estimate.copy()]
+            for row, key in zip(rows[2:], ("p_values", "ci_lower", "ci_upper")):
+                row[free] = tests[key]
             io.write_matrix(os.path.join(args.out, f"wald_{block_name}_{col + 1}.csv"),
                             np.column_stack(rows),
                             header=["estimate", "se", "p_value", "ci_lower", "ci_upper"])
@@ -282,7 +290,8 @@ def cmd_infer(args) -> int:
             config={"level": args.level, "tests": args.test, **vars(prior)},
             input_digests={"counts": digests.pop(args.counts),     # the rest are fit files
                            **{os.path.basename(path): h for path, h in digests.items()}},
-            stage_seconds=result.stage_seconds, fit_converged=converged)
+            stage_seconds=result.stage_seconds, fit_converged=converged,
+            fixed_entries=_fixed_entries(result.blocks()))
     return 0
 
 
@@ -332,8 +341,8 @@ def cmd_evaluate(args) -> int:
                                for name in est_blocks if name != "T" and truth_blocks[name].size}}
     report["relative_mse"]["T"] = relative_mse(np.exp(est_blocks["T"]), np.exp(truth.T))
     if args.se_dir:
-        report["coverage"] = {}
-        # c_11, D, and omega are excluded from coverage
+        report["coverage"], ses = {}, {}
+        # c_11, D, omega and the entries of standard error 0 are excluded from coverage
         for name in ("A", "B", "C", "U", "V", "S", "T"):
             path = os.path.join(args.se_dir, f"se_{name}.csv")
             se = io.read_matrix(path, allow_empty=name in ("U", "V")).ravel()
@@ -341,11 +350,12 @@ def cmd_evaluate(args) -> int:
             if se.size != block_est.size:
                 raise InputError(f"{path} holds {se.size} values, block {name} has "
                                  f"{block_est.size}")
-            if block_est.size == 0:
-                continue
-            first = 1 if name == "C" else 0                    # c_11 is C's first entry
-            targets, actual = coverage_curve(block_est[first:], se[first:], block_truth[first:])
-            report["coverage"][name] = {"target": targets, "actual": actual}
+            ses[name] = se.reshape(est_blocks[name].shape)
+            free = (se != 0) & (np.arange(se.size) >= (name == "C"))  # c_11 is C's first entry
+            if free.any():
+                targets, actual = coverage_curve(block_est[free], se[free], block_truth[free])
+                report["coverage"][name] = {"target": targets, "actual": actual}
+        report["fixed_entries"] = _fixed_entries(ses)
     report["wall_time_seconds"] = time.time() - t0
     io.write_json(args.out, report)
     return 0

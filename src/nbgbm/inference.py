@@ -28,15 +28,15 @@ Three ingredients:
    Fisher system over every block (A, B, C, D, U, V), inverted whole, are
    analytic references in the tests' reference module.
 
-InferencePieces holds one I x J array of its own, mu, and a reference to
-the caller's counts; its other fields are per-row, per-column and
-coefficient-sized.  Every other I x J quantity (r, W and E, rebuilt bit for
-bit by the calls of FitState.refresh; the dispersion derivatives; dWM and
-dEM, the derivatives of W and E in the linear predictor; the propagation
-weights) is formed one row chunk of at most nb.CHUNK_ELEMENTS entries at a
-time and contracted at once: each stage derives a chunk's weights once and
-feeds both twins from them, summing over the chunk's rows for A, C from A
-and T, and over its columns for B, C from B and S.
+InferencePieces holds no I x J array of its own: it refers to the caller's
+counts, parameters and covariates, and its other fields are per-row,
+per-column or coefficient-sized.  Every I x J quantity (the workspace mu, r,
+W and E, from nb.nb_workspace as in FitState.refresh; the dispersion
+derivatives; dWM and dEM, the derivatives of W and E in the linear
+predictor; the propagation weights) is formed one row chunk of at most
+nb.CHUNK_ELEMENTS entries at a time and contracted at once: each stage feeds
+both twins from one workspace per chunk, summing over the chunk's rows for
+A, C from A and T, and over its columns for B, C from B and S.
 
 Each kernel is handed its axis's arrays: the propagations read the B-side
 blocks as they are and build B's vec(C) Jacobian in vec(C) order, and the
@@ -66,20 +66,18 @@ ROW_BLOCK_BYTES = 1 << 20   # bytes of one row block of R Fuv or Cu Fuv in the j
 
 @dataclass
 class InferencePieces:
-    """The NB workspace of the fitted parameters, scores and conditional inverses.
+    """Scores and conditional inverses of the fitted parameters.
 
-    mu is the one stored I x J array, y the counts' DataMatrix values (not
-    a copy); the other fields are per-row, per-column or coefficient-sized.
-    _workspace(pieces, rows) rebuilds r, W and E from them bit for bit, and
-    _eta_derivatives(pieces, rows) the derivatives dWM and dEM of W and E in
-    the linear predictor, for any row slice (the whole array by default).
+    No field is an I x J array of its own: y is the counts' DataMatrix
+    values, params and cov the caller's objects; the rest are per-row,
+    per-column or coefficient-sized.  _workspace(pieces, rows, cols) builds
+    the NB workspace (mu, r, W, E) of any slice from them, _eta_derivatives
+    the derivatives dWM and dEM of W and E in the linear predictor.
     """
 
     y: np.ndarray
-    mu: np.ndarray
-    S: np.ndarray            # length I row log-dispersion offsets
-    T: np.ndarray            # length J
-    omega: float
+    params: GbmParams
+    cov: CovariateSet
     gradA: np.ndarray        # J x K likelihood score rows
     gradB: np.ndarray        # I x L
     gradC: np.ndarray        # K x L
@@ -97,22 +95,24 @@ class InferencePieces:
 
 
 def _workspace(pieces: InferencePieces, rows: slice = slice(None), cols: slice = slice(None)):
-    """Rows `rows` and columns `cols` of r = exp(-(s_i + t_j + omega)),
-    W = r mu / (r + mu) and E = (y - mu) r / (r + mu), by the calls of
-    FitState.refresh, so bit for bit the arrays of the workspace."""
-    r = nb.inverse_dispersions(pieces.S[rows], pieces.T[cols], pieces.omega)[0]
-    return (r, *nb.weights_and_scores(pieces.y[rows, cols], pieces.mu[rows, cols], r))
+    """Rows `rows` and columns `cols` of the NB workspace (mu, r, W, E) of
+    the fitted parameters, by the kernels of FitState.refresh: bit for bit
+    its arrays on its row chunks; on other slices the linear predictor's
+    product may round differently in the last bit."""
+    p = pieces.params
+    return nb.nb_workspace(pieces.y[rows, cols], linear_predictor(p, pieces.cov, rows, cols),
+                           p.S[rows], p.T[cols], p.omega)
 
 
 def _eta_derivatives(pieces: InferencePieces, rows: slice = slice(None)):
     """Rows `rows` of dWM = d w / d linpred = W^2 / mu = mu r^2 / (r + mu)^2
     and dEM = d e / d linpred = -W (1 + E / r) = -mu r (r + y) / (r + mu)^2."""
-    r, W, dEM = _workspace(pieces, rows)
-    dWM = W * W
-    dWM /= pieces.mu[rows]
-    dEM /= r
+    work = _workspace(pieces, rows)
+    dWM = work.W * work.W
+    dWM /= work.mu
+    dEM = np.divide(work.E, work.r, out=work.E)
     dEM += 1.0
-    dEM *= W
+    dEM *= work.W
     np.negative(dEM, out=dEM)
     return dWM, dEM
 
@@ -120,32 +120,30 @@ def _eta_derivatives(pieces: InferencePieces, rows: slice = slice(None)):
 def preprocess(Y, params: GbmParams, cov: CovariateSet, prior: PriorConfig) -> InferencePieces:
     """One pass computing every reusable quantity of the inference algorithm.
 
-    mu is written one row chunk at a time; each chunk's W and E feed the
-    Fisher blocks of A, B, U, V, the scores of A and B and the dispersion
-    sums at once, and are then dropped."""
+    The workspace is built one row chunk at a time; each chunk's W and E
+    feed the Fisher blocks of A, B, U, V, the scores of A and B and the
+    dispersion sums at once, and are then dropped."""
     if not isinstance(Y, DataMatrix):
         Y = DataMatrix(Y)
     values = Y.values
     I, J = values.shape
     X, Z, M = cov.X, cov.Z, params.M
     UD, VD = params.U * params.D, params.V * params.D
-    mu = np.empty((I, J))
     Fa, Fv = np.zeros((J, cov.K, cov.K)), np.zeros((J, M, M))
     Fb, Fu = np.empty((I, cov.L, cov.L)), np.empty((I, M, M))
     gradA, gradB = np.zeros((J, cov.K)), np.empty((I, cov.L))
     sums = nb.empty_dispersion_sums(I, J)
     for rows in nb.row_chunks(I, J):
-        nb.means(linear_predictor(params, cov, rows), out=mu[rows])
-        r = nb.inverse_dispersions(params.S[rows], params.T, params.omega)[0]
-        W, E = nb.weights_and_scores(values[rows], mu[rows], r)
-        Fa += _row_fisher_blocks(W, X[rows])
-        Fv += _row_fisher_blocks(W, UD[rows])
-        Fb[rows] = _row_fisher_blocks(W.T, Z)
-        Fu[rows] = _row_fisher_blocks(W.T, VD)
-        gradA += E.T @ X[rows]
-        gradB[rows] = E @ Z
-        nb.add_dispersion_sums(sums, rows, values[rows], mu[rows], r)
-        del W, E, r                                            # before the next chunk
+        work = nb.nb_workspace(values[rows], linear_predictor(params, cov, rows),
+                               params.S[rows], params.T, params.omega)
+        Fa += _row_fisher_blocks(work.W, X[rows])
+        Fv += _row_fisher_blocks(work.W, UD[rows])
+        Fb[rows] = _row_fisher_blocks(work.W.T, Z)
+        Fu[rows] = _row_fisher_blocks(work.W.T, VD)
+        gradA += work.E.T @ X[rows]
+        gradB[rows] = work.E @ Z
+        nb.add_dispersion_sums(sums, rows, values[rows], work.mu, work.r)
+        del work                                               # before the next chunk
     col_sums, row_sums = sums
     gradS = -prior.lambda_s * (params.S - prior.m_s) + row_sums.delta
     gradT = -prior.lambda_t * (params.T - prior.m_t) + col_sums.delta
@@ -169,7 +167,7 @@ def preprocess(Y, params: GbmParams, cov: CovariateSet, prior: PriorConfig) -> I
     invFs = observed_inv(prior.lambda_s, row_sums.delta_prime, "S")
     invFt = observed_inv(prior.lambda_t, col_sums.delta_prime, "T")
     return InferencePieces(
-        y=values, mu=mu, S=params.S, T=params.T, omega=params.omega,
+        y=values, params=params, cov=cov,
         gradA=gradA, gradB=gradB, gradC=X.T @ gradB,
         gradS=gradS, gradT=gradT,
         Fu=Fu, Fv=Fv, invFa=invFa, invFb=invFb, invFc=invFc,
@@ -206,7 +204,7 @@ def latent_cross_information(pieces: InferencePieces, params: GbmParams,
     reference only: the joint solve builds the rows it needs from their
     Kronecker factors (_factor_rows).
     """
-    W = _workspace(pieces, rows)[1]
+    W = _workspace(pieces, rows).W
     DU = (params.U * params.D)[rows]
     weighted = W[:, None, :] * (params.V * params.D).T[None]      # (n, M, J)
     n, M, J = weighted.shape
@@ -333,10 +331,10 @@ def joint_uv_uncertainty(pieces: InferencePieces, params: GbmParams, cov: Covari
     if params.M == 0:
         return np.zeros(0), np.zeros(0)
     if cov.I >= cov.J:
-        varU, varV = _joint_uv(lambda rows: _workspace(pieces, rows)[1], pieces.Fu, pieces.invFu,
+        varU, varV = _joint_uv(lambda rows: _workspace(pieces, rows).W, pieces.Fu, pieces.invFu,
                                pieces.Fv, cov.X, params.U, cov.Z, params.V, params.D)
     else:
-        varV, varU = _joint_uv(lambda cols: _workspace(pieces, cols=cols)[1].T, pieces.Fv,
+        varV, varU = _joint_uv(lambda cols: _workspace(pieces, cols=cols).W.T, pieces.Fv,
                                pieces.invFv, pieces.Fu, cov.Z, params.V, cov.X, params.U,
                                params.D)
     for name, var, invF in (("U", varU, pieces.invFu), ("V", varV, pieces.invFv)):
@@ -575,8 +573,8 @@ def propagate_to_dispersions(pieces: InferencePieces, params: GbmParams, cov: Co
     RX, RUD = np.zeros((cov.J, cov.K)), np.zeros((cov.J, params.M))
     R2varB, R2varU = np.zeros((cov.J, cov.L)), np.zeros((cov.J, params.M))
     for rows in nb.row_chunks(cov.I, cov.J):
-        r, W, E = _workspace(pieces, rows)
-        Q, P = _score_sensitivities(W, E, pieces.mu[rows], r)
+        work = _workspace(pieces, rows)
+        Q, P = _score_sensitivities(work.W, work.E, work.mu, work.r)
         R = _dispersion_response(Q, P, pieces.invFs[rows], pieces.gradS[rows])
         R2 = R ** 2
         var_s["A"][rows] = np.einsum("nm,nm->n", X[rows] ** 2, R2 @ varA)

@@ -259,14 +259,15 @@ def _check_dims(params: GbmParams, cov: CovariateSet) -> None:
             raise ShapeError(f"component {name} has shape {got}, expected {want}")
 
 
-def linear_predictor(params: GbmParams, cov: CovariateSet, rows: slice = slice(None)) -> np.ndarray:
+def linear_predictor(params: GbmParams, cov: CovariateSet, rows: slice = slice(None),
+                     cols: slice = slice(None)) -> np.ndarray:
     """Return the I x J matrix X A' + B Z' + X C Z' + U D V', or the rows
-    `rows` of it, as one product of the stacked factors [X | B | X C | U D]
-    and [A | Z | Z | V]."""
+    `rows` and columns `cols` of it, as one product of the stacked factors
+    [X | B | X C | U D] and [A | Z | Z | V]."""
     _check_dims(params, cov)
     X = cov.X[rows]
     left = np.concatenate([X, params.B[rows], X @ params.C, params.U[rows] * params.D], axis=1)
-    return left @ np.concatenate([params.A, cov.Z, cov.Z, params.V], axis=1).T
+    return left @ np.concatenate([params.A, cov.Z, cov.Z, params.V], axis=1)[cols].T
 
 
 def residuals(Y: DataMatrix, linpred: np.ndarray, epsilon: float = EPSILON) -> np.ndarray:

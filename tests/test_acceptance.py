@@ -331,8 +331,8 @@ def test_criterion_05_delta_propagation_jacobians():
         err = np.abs(analytic - numeric).max() / scale
         worst[edge] = max(worst.get(edge, 0.0), err)
 
-    r, W, E = inf._workspace(pieces)
-    Q, P = inf._score_sensitivities(W, E, pieces.mu, r)
+    work = inf._workspace(pieces)
+    Q, P = inf._score_sensitivities(work.W, work.E, work.mu, work.r)
     VD, UD = params.V * params.D, params.U * params.D
     dS_U = oracles.dispersion_jacobian_same_axis(Q, P, VD, pieces.invFs, pieces.gradS)
     dS_V = oracles.dispersion_jacobian_other_axis(Q, P, UD, pieces.invFs, pieces.gradS)

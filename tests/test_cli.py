@@ -73,6 +73,20 @@ def infer_dir_lambda_b(sim_dir, fit_dir_lambda_b, tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
+def fixed_v(tmp_path_factory):
+    """(sim, fit, se) directories at 3x2x1x1x1, where J = L + M leaves V no
+    free direction: its standard errors are 0; se is inferred with --test V:1."""
+    sim, fit, se = (tmp_path_factory.mktemp(f"{name}_fixed") for name in ("sim", "fit", "se"))
+    assert run(["simulate", "--dims", "3x2x1x1x1", "--seed", "1", "--out", sim]) == 0
+    assert run(["fit", "--counts", sim / "Y.csv", "--row-covariates", sim / "X.csv",
+                "--col-covariates", sim / "Z.csv", "--latent", 1, "--out", fit]) == 0
+    with pytest.warns(UserWarning, match="joint variance of V is zero up to rounding"):
+        assert run(["infer", "--counts", sim / "Y.csv", "--fit-dir", fit, "--out", se,
+                    "--test", "V:1", "--test", "B:1"]) == 0
+    return sim, fit, se
+
+
+@pytest.fixture(scope="module")
 def infer_dir(sim_dir, fit_dir, tmp_path_factory):
     out = tmp_path_factory.mktemp("se")
     code = run(["infer", "--counts", sim_dir / "Y.csv", "--fit-dir", fit_dir,
@@ -245,21 +259,30 @@ class TestInfer:
         assert code == 3
         assert f"{name}.csv" in capsys.readouterr().err
 
-    def test_factor_fixed_by_its_constraints_gets_zero_standard_errors(self, tmp_path):
+    def test_factor_fixed_by_its_constraints_gets_zero_standard_errors(self, fixed_v):
         # J = L + M leaves V no free direction: its joint variances are 0 up
         # to rounding, which must not become NaN standard errors
-        sim, fit, se = (tmp_path / name for name in ("sim", "fit", "se"))
-        assert run(["simulate", "--dims", "3x2x1x1x1", "--seed", "1", "--out", sim]) == 0
-        assert run(["fit", "--counts", sim / "Y.csv", "--row-covariates", sim / "X.csv",
-                    "--col-covariates", sim / "Z.csv", "--latent", 1, "--out", fit]) == 0
-        with pytest.warns(UserWarning, match="joint variance of V is zero up to rounding"):
-            infer_flagless(sim, fit, se)
+        se = fixed_v[2]
         for name in "ABCUVST":
             assert np.all(np.isfinite(nbio.read_matrix(se / f"se_{name}.csv"))), name
         np.testing.assert_array_equal(nbio.read_matrix(se / "se_V.csv"), 0.0)
         messages = nbio.read_json(se / "manifest.json")["warnings"]
         assert not any("invalid value encountered in sqrt" in m for m in messages)
         assert any("joint variance of V" in m for m in messages)
+
+    def test_fixed_entries_get_degenerate_wald_rows_and_are_named(self, fixed_v, infer_dir):
+        _, fit, se = fixed_v
+        table = nbio.read_matrix(se / "wald_V_1.csv")
+        np.testing.assert_array_equal(table[:, 0], nbio.read_params(fit).V[:, 0])
+        np.testing.assert_array_equal(table[:, 1], 0.0)
+        assert np.all(np.isnan(table[:, 2]))
+        np.testing.assert_array_equal(table[:, 3], table[:, 0])
+        np.testing.assert_array_equal(table[:, 4], table[:, 0])
+        free = nbio.read_matrix(se / "wald_B_1.csv")
+        assert np.all(free[:, 1] > 0) and np.all((free[:, 2] >= 0) & (free[:, 2] <= 1))
+        assert np.all(free[:, 3] < free[:, 0]) and np.all(free[:, 0] < free[:, 4])
+        assert nbio.read_json(se / "manifest.json")["fixed_entries"] == {"V": [[1, 1], [2, 1]]}
+        assert nbio.read_json(infer_dir / "manifest.json")["fixed_entries"] == {}
 
     def test_infer_reads_back_identical_params(self, fit_dir):
         params = nbio.read_params(fit_dir)
@@ -461,6 +484,22 @@ class TestEvaluate:
         curve = report["coverage"]["A"]
         assert len(curve["target"]) == 101
         assert curve["actual"][0] == 0.0
+
+    def test_coverage_pools_only_entries_of_positive_standard_error(self, fixed_v, tmp_path):
+        from nbgbm.simulate import align_latent_factors, coverage_curve
+
+        sim, fit, se = fixed_v
+        report_path = tmp_path / "r.json"
+        assert run(["evaluate", "--fit-dir", fit, "--truth-dir", sim / "truth",
+                    "--se-dir", se, "--out", report_path]) == 0
+        report = nbio.read_json(report_path)
+        assert report["fixed_entries"] == {"V": [[1, 1], [2, 1]]}
+        # V has no free entry and C (1 x 1) none but c_11: neither gets a curve
+        assert sorted(report["coverage"]) == ["A", "B", "S", "T", "U"]
+        est = align_latent_factors(nbio.read_params(fit), nbio.read_params(sim / "truth"))
+        want = coverage_curve(est.U, nbio.read_matrix(se / "se_U.csv"),
+                              nbio.read_params(sim / "truth").U)[1]
+        assert report["coverage"]["U"]["actual"] == want.tolist()
 
     def test_t_compared_in_dispersion_space(self, sim_dir, fit_dir, tmp_path):
         from nbgbm.simulate import align_latent_factors, relative_mse

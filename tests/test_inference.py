@@ -31,10 +31,10 @@ class TestConditionalInverses:
         Y, truth, result, prior, pieces = fitted
         cov = truth.cov
         for j in range(cov.J):
-            F = cov.X.T @ (inf._workspace(pieces)[1][:, j:j + 1] * cov.X) + np.eye(cov.K)
+            F = cov.X.T @ (inf._workspace(pieces).W[:, j:j + 1] * cov.X) + np.eye(cov.K)
             np.testing.assert_allclose(pieces.invFa[j], np.linalg.inv(F), atol=1e-10)
         for i in range(cov.I):
-            F = cov.Z.T @ (inf._workspace(pieces)[1][i][:, None] * cov.Z) + np.eye(cov.L)
+            F = cov.Z.T @ (inf._workspace(pieces).W[i][:, None] * cov.Z) + np.eye(cov.L)
             np.testing.assert_allclose(pieces.invFb[i], np.linalg.inv(F), atol=1e-10)
 
     def test_orthonormal_design_halves(self):
@@ -166,7 +166,7 @@ class TestJointUv:
         VDt = np.zeros((M, J + 1))                               # one padding column
         VDt[:, :J] = (params.V * params.D).T
         outs = np.empty((n_blocks, 4 * M, (J + 1) * M // n_blocks))
-        inf._factor_rows(blocks, inf._workspace(pieces, rows)[1], VDt, (params.U * params.D)[rows],
+        inf._factor_rows(blocks, inf._workspace(pieces, rows).W, VDt, (params.U * params.D)[rows],
                          outs)
         Fuv = inf.latent_cross_information(pieces, params, rows).reshape(4, M, J * M)
         want = np.matmul(blocks, Fuv).reshape(4 * M, J * M)
@@ -303,7 +303,7 @@ class TestPropagation:
         params = truth.params0
         prior = PriorConfig()
         pieces = inf.preprocess(Y, params, truth.cov, prior)
-        pieces.y = pieces.mu
+        pieces.y = inf._workspace(pieces).mu
         varA = np.ones(truth.cov.J * 2)
         varB = np.ones(truth.cov.I * 2)
         varU = np.ones(truth.cov.I)
@@ -401,8 +401,8 @@ class TestStreamedContractions:
     def test_to_dispersions(self, case):
         pieces, params, cov, var, _ = case
         UD, VD = params.U * params.D, params.V * params.D
-        r, W, E = inf._workspace(pieces)
-        Q, P = inf._score_sensitivities(W, E, pieces.mu, r)
+        work = inf._workspace(pieces)
+        Q, P = inf._score_sensitivities(work.W, work.E, work.mu, work.r)
         vA, vB = var["A"].reshape(cov.J, -1), var["B"].reshape(cov.I, -1)
         vU, vV = var["U"].reshape(cov.I, -1), var["V"].reshape(cov.J, -1)
 
@@ -446,31 +446,33 @@ class TestTransposition:
         np.testing.assert_allclose(varU, varU_t, rtol=1e-10)
         np.testing.assert_allclose(varV, varV_t, rtol=1e-10)
         work = est.make_state(Y, cov, params.copy()).work
-        r, W, _ = inf._workspace(pieces, cols=slice(3, 9))
-        np.testing.assert_array_equal(W, work.W[:, 3:9])
-        np.testing.assert_array_equal(r, work.r[:, 3:9])
+        chunk = inf._workspace(pieces, cols=slice(3, 9))
+        np.testing.assert_array_equal(chunk.mu, work.mu[:, 3:9])
+        np.testing.assert_array_equal(chunk.W, work.W[:, 3:9])
+        np.testing.assert_array_equal(chunk.r, work.r[:, 3:9])
 
     def test_rebuilt_weights_equal_the_workspace(self, small_fit, monkeypatch):
-        # r, W and E are rebuilt per chunk from y, mu and S, T, omega: bit for
-        # bit the arrays of the whole-array workspace, as is the stored mu
+        # mu, r, W and E are built per chunk from y and the parameters: bit
+        # for bit the arrays of the whole-array workspace
         monkeypatch.setattr(nb, "CHUNK_ELEMENTS", 75)
         Y, truth, result = small_fit
         params, cov = result.params, truth.cov
         work = est.make_state(Y, cov, params.copy()).work
         pieces = inf.preprocess(Y, params, cov, ASYMMETRIC_PRIOR)
-        np.testing.assert_array_equal(pieces.mu, work.mu)
-        np.testing.assert_array_equal(inf._workspace(pieces)[2], work.E)
-        np.testing.assert_array_equal(inf._workspace(pieces)[1], work.W)
-        np.testing.assert_array_equal(inf._workspace(pieces)[0], work.r)
+        np.testing.assert_array_equal(inf._workspace(pieces).mu, work.mu)
+        np.testing.assert_array_equal(inf._workspace(pieces).E, work.E)
+        np.testing.assert_array_equal(inf._workspace(pieces).W, work.W)
+        np.testing.assert_array_equal(inf._workspace(pieces).r, work.r)
         for rows in nb.row_chunks(*Y.values.shape):
-            r, W, _ = inf._workspace(pieces, rows)
-            np.testing.assert_array_equal(W, work.W[rows])
-            np.testing.assert_array_equal(r, work.r[rows])
+            chunk = inf._workspace(pieces, rows)
+            np.testing.assert_array_equal(chunk.W, work.W[rows])
+            np.testing.assert_array_equal(chunk.r, work.r[rows])
 
     def test_derived_eta_derivatives(self, small_fit):
         Y, truth, result = small_fit
         pieces = inf.preprocess(Y, result.params, truth.cov, ASYMMETRIC_PRIOR)
-        mu, r, y = pieces.mu, inf._workspace(pieces)[0], Y.values
+        work = inf._workspace(pieces)
+        mu, r, y = work.mu, work.r, Y.values
         dWM = mu * r ** 2 / (r + mu) ** 2
         dEM = -mu * r * (r + y) / (r + mu) ** 2
         flipped = inf.preprocess(DataMatrix(Y.values.T), transposed_params(result.params),
@@ -482,17 +484,20 @@ class TestTransposition:
 
 
 class TestChunkedMemory:
-    """preprocess and standard_errors hold the one stored I x J workspace
-    array (mu) whole and every other I x J quantity one row chunk at a
-    time."""
+    """preprocess and standard_errors hold no I x J array whole: every I x J
+    quantity, the workspace mu, r, W, E included, is built one row chunk at
+    a time."""
 
     @pytest.fixture
-    def case(self, monkeypatch):
+    def small_blocks(self, monkeypatch):
         # small chunks, and joint (U, V) row blocks of one row, so that
         # what remains of the peaks is whole I x J arrays (the joint stage's
         # own bound is test_memory_holds_one_schur_buffer)
         monkeypatch.setattr(nb, "CHUNK_ELEMENTS", 1000)
         monkeypatch.setattr(inf, "ROW_BLOCK_BYTES", 1)
+
+    @pytest.fixture
+    def case(self, small_blocks):
         Y, truth = simulate_dataset(SimScheme(dims=(300, 300, 2, 2, 3), seed=2))
         return Y, truth.params0, truth.cov, PriorConfig()
 
@@ -526,14 +531,27 @@ class TestChunkedMemory:
         peak = self.peak(lambda: inf.standard_errors(Y, params, cov, prior))
         assert peak <= packed + 2 * cov.I * cov.J * 8, (peak - packed) / (cov.I * cov.J * 8)
 
-    def test_pieces_hold_one_array_of_their_own_and_the_counts(self, case):
+    def test_standard_errors_do_not_grow_with_the_counts(self, small_blocks):
+        # at a fixed n = min(I, J) M the packed buffer is fixed and every
+        # other I x J quantity chunk-sized, so quadrupling I adds well under
+        # one I x J array (a stored mu adds about 0.9 of one)
+        def extra(dims):
+            Y, truth = simulate_dataset(SimScheme(dims=dims, seed=2))
+            n = min(dims[:2]) * dims[4]
+            peak = self.peak(lambda: inf.standard_errors(Y, truth.params0, truth.cov))
+            return peak - n * (n + 1) // 2 * 8
+
+        growth = extra((1200, 300, 2, 2, 1)) - extra((300, 300, 2, 2, 1))
+        assert growth < 0.3 * 1200 * 300 * 8, growth / (1200 * 300 * 8)
+
+    def test_pieces_hold_no_array_of_their_own_only_the_counts(self, case):
         Y, params, cov, prior = case
         pieces = inf.preprocess(Y, params, cov, prior)
         data_sized = {f.name: getattr(pieces, f.name) for f in dataclasses.fields(pieces)
                       if np.size(getattr(pieces, f.name)) >= cov.I * cov.J}
-        assert sorted(data_sized) == ["mu", "y"]
+        assert sorted(data_sized) == ["y"]
         assert data_sized["y"] is Y.values
-        assert not np.shares_memory(data_sized["mu"], Y.values)
+        assert pieces.params is params and pieces.cov is cov
 
 
 class TestStandardErrors:
