@@ -371,8 +371,6 @@ def cmd_score(args) -> int:
     weights = np.atleast_2d(io.read_matrix(args.weights))
     if series.shape != weights.shape:
         raise InputError(f"series {series.shape} and weights {weights.shape} differ")
-    if np.any(weights <= 0):
-        raise InputError("weights must be positive")
     report = {"bandwidth": args.bandwidth, "columns": []}
     for c in range(series.shape[1]):
         ws = WeightedSeries(series[:, c], weights[:, c], k=args.bandwidth)

@@ -23,20 +23,20 @@ Three ingredients:
    that the C edges contract with the per-row conditional inverse blocks).
    The U, V -> A, B and -> S, T Jacobians factor into data-sized (I x J)
    weights and small designs, so the contractions are taken in factored
-   form and those Jacobians are not formed.  The dense Jacobians, the
-   bordered (U, V) inverse by direct inversion and the dense bordered
-   Fisher system over every block (A, B, C, D, U, V), inverted whole, are
-   analytic references in the tests' reference module.
+   form and those Jacobians are not formed; the tests' reference module
+   forms them, the bordered (U, V) inverse and the bordered Fisher system
+   over every block densely.
 
-InferencePieces holds no I x J array of its own: it refers to the caller's
-counts, parameters and covariates, and its other fields are per-row,
-per-column or coefficient-sized.  Every I x J quantity (the workspace mu, r,
-W and E, from nb.nb_workspace as in FitState.refresh; the dispersion
-derivatives; dWM and dEM, the derivatives of W and E in the linear
-predictor; the propagation weights) is formed one row chunk of at most
-nb.CHUNK_ELEMENTS entries at a time and contracted at once: each stage feeds
-both twins from one workspace per chunk, summing over the chunk's rows for
-A, C from A and T, and over its columns for B, C from B and S.
+Every stage after preprocess takes only the InferencePieces and the earlier
+stages' variances, and reads the counts, parameters and covariates from the
+pieces: the caller's objects, which must not change until the last stage.
+No I x J array is held whole: each (the workspace mu, r, W and E, from
+nb.nb_workspace as in FitState.refresh; the dispersion derivatives; dWM and
+dEM, the derivatives of W and E in the linear predictor; the propagation
+weights) is formed one row chunk of at most nb.CHUNK_ELEMENTS entries at a
+time and contracted at once: each stage feeds both twins from one workspace
+per chunk, summing over the chunk's rows for A, C from A and T, and over its
+columns for B, C from B and S.
 
 Each kernel is handed its axis's arrays: the propagations read the B-side
 blocks as they are and build B's vec(C) Jacobian in vec(C) order, and the
@@ -66,13 +66,13 @@ ROW_BLOCK_BYTES = 1 << 20   # bytes of one row block of R Fuv or Cu Fuv in the j
 
 @dataclass
 class InferencePieces:
-    """Scores and conditional inverses of the fitted parameters.
+    """The fitted state that every stage after preprocess reads, and only it.
 
-    No field is an I x J array of its own: y is the counts' DataMatrix
-    values, params and cov the caller's objects; the rest are per-row,
-    per-column or coefficient-sized.  _workspace(pieces, rows, cols) builds
+    y is the counts' DataMatrix values; params and cov are the caller's
+    objects, which must not change until the last stage; the scores and
+    inverses are per-row, per-column or coefficient-sized.  _workspace builds
     the NB workspace (mu, r, W, E) of any slice from them, _eta_derivatives
-    the derivatives dWM and dEM of W and E in the linear predictor.
+    dWM and dEM, the derivatives of W and E in the linear predictor.
     """
 
     y: np.ndarray
@@ -196,17 +196,16 @@ def _factor_jacobian(design: np.ndarray, factor: np.ndarray, independent=False) 
     return jac.reshape(-1, n * M)
 
 
-def latent_cross_information(pieces: InferencePieces, params: GbmParams,
-                             rows: slice = slice(None)) -> np.ndarray:
+def latent_cross_information(pieces: InferencePieces, rows: slice = slice(None)) -> np.ndarray:
     """IM x JM cross information; block (i, j) is w_ij (D V_j)(D U_i)'.
 
     `rows` selects a slice of i and returns only those block rows.  Dense
     reference only: the joint solve builds the rows it needs from their
     Kronecker factors (_factor_rows).
     """
-    W = _workspace(pieces, rows).W
-    DU = (params.U * params.D)[rows]
-    weighted = W[:, None, :] * (params.V * params.D).T[None]      # (n, M, J)
+    p = pieces.params
+    DU = (p.U * p.D)[rows]
+    weighted = _workspace(pieces, rows).W[:, None, :] * (p.V * p.D).T[None]      # (n, M, J)
     n, M, J = weighted.shape
     out = np.empty((n, M, J, M))
     for q in range(M):
@@ -319,7 +318,7 @@ def _factor_rows(blocks, W, VDt, UD, outs):
                         out=out[..., q])
 
 
-def joint_uv_uncertainty(pieces: InferencePieces, params: GbmParams, cov: CovariateSet):
+def joint_uv_uncertainty(pieces: InferencePieces):
     """Variances of vec(U') and vec(V') from the bordered joint system
     (_joint_uv), eliminating the factor with more rows first: U when I >= J;
     V when I < J, from the column-side arrays and W read by column blocks.
@@ -328,15 +327,15 @@ def joint_uv_uncertainty(pieces: InferencePieces, params: GbmParams, cov: Covari
     of its factor's conditional inverse (invFu, invFv) is zero up to rounding,
     as where the constraints leave the factor no free direction (V at
     J = L + 1, M = 1), and is set to 0 with a warning naming the factor."""
-    if params.M == 0:
+    p, cov = pieces.params, pieces.cov
+    if p.M == 0:
         return np.zeros(0), np.zeros(0)
     if cov.I >= cov.J:
         varU, varV = _joint_uv(lambda rows: _workspace(pieces, rows).W, pieces.Fu, pieces.invFu,
-                               pieces.Fv, cov.X, params.U, cov.Z, params.V, params.D)
+                               pieces.Fv, cov.X, p.U, cov.Z, p.V, p.D)
     else:
         varV, varU = _joint_uv(lambda cols: _workspace(pieces, cols=cols).W.T, pieces.Fv,
-                               pieces.invFv, pieces.Fu, cov.Z, params.V, cov.X, params.U,
-                               params.D)
+                               pieces.invFv, pieces.Fu, cov.Z, p.V, cov.X, p.U, p.D)
     for name, var, invF in (("U", varU, pieces.invFu), ("V", varV, pieces.invFv)):
         zero = (var <= 0) & (var >= -1e-12 * np.einsum("imm->im", invF).max())
         if zero.any():
@@ -457,8 +456,7 @@ def _coef_variances(invF, spread, sums, var_other):
     return same.ravel(), other.ravel()
 
 
-def propagate_uv_to_ab(pieces: InferencePieces, params: GbmParams, cov: CovariateSet,
-                       varU: np.ndarray, varV: np.ndarray):
+def propagate_uv_to_ab(pieces: InferencePieces, varU: np.ndarray, varV: np.ndarray):
     """Extra variances of A and B due to uncertainty in the latent factors,
     as flat vectors in vec(A') / vec(B') order.
 
@@ -469,9 +467,9 @@ def propagate_uv_to_ab(pieces: InferencePieces, params: GbmParams, cov: Covariat
     B is the same with rows and columns swapped (Z, invFb, gradB, V D, U D).
     The sums over i (A) and over j (B) are taken one row chunk at a time.
     """
-    X, Z = cov.X, cov.Z
-    I, J, K, L, M = cov.I, cov.J, cov.K, cov.L, params.M
-    UD, VD = params.U * params.D, params.V * params.D
+    p, cov = pieces.params, pieces.cov
+    X, Z, UD, VD = cov.X, cov.Z, p.U * p.D, p.V * p.D
+    I, J, K, L, M = cov.I, cov.J, cov.K, cov.L, p.M
     UD2, VD2 = UD ** 2, VD ** 2
     varU, varV = varU.reshape(I, M), varV.reshape(J, M)
     base_a = np.einsum("jkl,jl->jk", pieces.invFa, pieces.gradA)
@@ -504,7 +502,7 @@ def _interaction_variance(jac, invF, var):
     return np.einsum("jck,jck->c", jac @ invF, jac) + np.einsum("jck,jk->c", jac ** 2, extra)
 
 
-def propagate_ab_to_c(pieces: InferencePieces, cov: CovariateSet, varA, varB):
+def propagate_ab_to_c(pieces: InferencePieces, varA, varB):
     """Extra variance of vec(C) due to uncertainty in A and in B.
 
     varA/varB are the full per-entry variances (conditional plus latent-
@@ -516,6 +514,7 @@ def propagate_ab_to_c(pieces: InferencePieces, cov: CovariateSet, varA, varB):
     HG_i of B (summed over j); the vec(C) Jacobian blocks, in vec(C) order,
     are invFc (z_j kron HG_j) and invFc (HG_i kron x_i).
     """
+    cov = pieces.cov
     I, J, K, L = cov.I, cov.J, cov.K, cov.L
     C1 = (pieces.invFc @ pieces.gradC.ravel(order="F")).reshape(K, L, order="F")
     base = cov.Z @ C1.T
@@ -552,8 +551,7 @@ def _dispersion_response(Q, P, invF, grad):
     return (-invF ** 2 * grad)[:, None] * (Q - P) + invF[:, None] * Q
 
 
-def propagate_to_dispersions(pieces: InferencePieces, params: GbmParams, cov: CovariateSet,
-                             varA, varB, varU, varV):
+def propagate_to_dispersions(pieces: InferencePieces, varA, varB, varU, varV):
     """Extra variances of S and T from uncertainty in A, B, U, V.
 
     varA/varB must be the full (conditional + propagated) variances in
@@ -565,13 +563,13 @@ def propagate_to_dispersions(pieces: InferencePieces, params: GbmParams, cov: Co
     S) has entries (X or U D)[n, m] R[n, j], so it contributes
     sum_m factor^2 (R^2 @ var).  T's four sums over rows are accumulated.
     """
-    X, Z = cov.X, cov.Z
-    UD, VD = params.U * params.D, params.V * params.D
+    p, cov = pieces.params, pieces.cov
+    X, Z, UD, VD = cov.X, cov.Z, p.U * p.D, p.V * p.D
     varA, varB = varA.reshape(cov.J, cov.K), varB.reshape(cov.I, cov.L)
-    varU, varV = varU.reshape(cov.I, params.M), varV.reshape(cov.J, params.M)
+    varU, varV = varU.reshape(cov.I, p.M), varV.reshape(cov.J, p.M)
     var_s = {name: np.empty(cov.I) for name in "ABUV"}
-    RX, RUD = np.zeros((cov.J, cov.K)), np.zeros((cov.J, params.M))
-    R2varB, R2varU = np.zeros((cov.J, cov.L)), np.zeros((cov.J, params.M))
+    RX, RUD = np.zeros((cov.J, cov.K)), np.zeros((cov.J, p.M))
+    R2varB, R2varU = np.zeros((cov.J, cov.L)), np.zeros((cov.J, p.M))
     for rows in nb.row_chunks(cov.I, cov.J):
         work = _workspace(pieces, rows)
         Q, P = _score_sensitivities(work.W, work.E, work.mu, work.r)
@@ -629,16 +627,16 @@ def standard_errors(Y, params: GbmParams, cov: CovariateSet,
     clock = [time.perf_counter()]
     pieces = preprocess(Y, params, cov, prior)
     clock.append(time.perf_counter())
-    varU, varV = joint_uv_uncertainty(pieces, params, cov)
+    varU, varV = joint_uv_uncertainty(pieces)
     clock.append(time.perf_counter())
-    varAfromU, varAfromV, varBfromU, varBfromV = propagate_uv_to_ab(pieces, params, cov, varU, varV)
+    varAfromU, varAfromV, varBfromU, varBfromV = propagate_uv_to_ab(pieces, varU, varV)
     varA = np.einsum("jkk->jk", pieces.invFa).ravel() + varAfromU + varAfromV
     varB = np.einsum("ill->il", pieces.invFb).ravel() + varBfromU + varBfromV
     clock.append(time.perf_counter())
-    varCfromA, varCfromB = propagate_ab_to_c(pieces, cov, varA, varB)
+    varCfromA, varCfromB = propagate_ab_to_c(pieces, varA, varB)
     varC = np.diag(pieces.invFc) + varCfromA + varCfromB
     clock.append(time.perf_counter())
-    var_s, var_t = propagate_to_dispersions(pieces, params, cov, varA, varB, varU, varV)
+    var_s, var_t = propagate_to_dispersions(pieces, varA, varB, varU, varV)
     varS = pieces.invFs + var_s["A"] + var_s["B"] + var_s["U"] + var_s["V"]
     varT = pieces.invFt + var_t["A"] + var_t["B"] + var_t["U"] + var_t["V"]
     clock.append(time.perf_counter())

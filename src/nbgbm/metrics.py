@@ -18,7 +18,7 @@ DEFAULT_BANDWIDTH = 100
 
 @dataclass(frozen=True)
 class WeightedSeries:
-    """A series x with positive precisions w and an even window bandwidth k."""
+    """A finite series x with finite positive precisions w and an even bandwidth k."""
 
     x: np.ndarray
     w: np.ndarray
@@ -29,8 +29,10 @@ class WeightedSeries:
         w = np.asarray(self.w, dtype=np.float64)
         if x.ndim != 1 or w.shape != x.shape:
             raise DomainError("x and w must be 1-d of equal length")
-        if np.any(w <= 0):
-            raise DomainError("weights must be positive")
+        if not np.all(np.isfinite(x)):
+            raise DomainError("series values must be finite")
+        if not np.all((w > 0) & (w < np.inf)):
+            raise DomainError("weights must be finite and positive")
         if self.k < 0 or self.k % 2 != 0:
             raise DomainError("bandwidth k must be even and nonnegative")
         object.__setattr__(self, "x", x)

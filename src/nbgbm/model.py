@@ -213,7 +213,7 @@ class GbmParams:
 
 @dataclass(frozen=True)
 class PriorConfig:
-    """Normal prior precisions and log-dispersion prior means."""
+    """Normal prior precisions (finite, positive) and log-dispersion means (finite)."""
 
     lambda_a: float = 1.0
     lambda_b: float = 1.0
@@ -228,8 +228,10 @@ class PriorConfig:
 
     def __post_init__(self):
         for name in (f"lambda_{block.lower()}" for block in GbmParams.shapes()):
-            if getattr(self, name) <= 0:
-                raise DomainError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < np.inf:
+                raise DomainError(f"{name} must be finite and positive")
+        if not np.isfinite([self.m_s, self.m_t]).all():
+            raise DomainError("m_s and m_t must be finite")
 
 
 @dataclass(frozen=True)
@@ -246,8 +248,8 @@ class FitConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.tol <= 0:
-            raise DomainError("tol must be positive")
+        if not 0 < self.tol < np.inf:
+            raise DomainError("tol must be finite and positive")
         if self.max_iter < 1:
             raise DomainError("max_iter must be at least 1")
 

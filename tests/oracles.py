@@ -39,20 +39,21 @@ def constraint_jacobians(params: GbmParams, cov: CovariateSet):
     return _factor_jacobian(cov.X, params.U), _factor_jacobian(cov.Z, params.V)
 
 
-def coef_eta_jacobian(pieces: InferencePieces, cov: CovariateSet) -> np.ndarray:
+def coef_eta_jacobian(pieces: InferencePieces) -> np.ndarray:
     """J x K x I derivatives d a_j / d eta_ij of the one-step A-row estimators,
     invFa_j x_i (dEM_ij - dWM_ij x_i' invFa_j gradA_j).
 
     eta_ij moves with u_im by (V D)_jm and with v_jm by (U D)_im.  For B pass
-    the pieces and covariates of the problem for Y'.  Analytic reference only:
-    the standard errors contract it without forming it.
+    the pieces of the problem for Y'.  Analytic reference only: the standard
+    errors contract it without forming it.
     """
+    cov = pieces.cov
     base = np.einsum("jkl,jl->jk", pieces.invFa, pieces.gradA)
     weight = _coef_eta_weight(*_eta_derivatives(pieces), cov.X, base)
     return np.einsum("jkl,il,ij->jki", pieces.invFa, cov.X, weight, optimize=True)
 
 
-def interaction_jacobian_from_a(pieces: InferencePieces, cov: CovariateSet) -> np.ndarray:
+def interaction_jacobian_from_a(pieces: InferencePieces) -> np.ndarray:
     """J x KL x K derivatives of the one-step vec(C) estimator in the rows of A.
 
     Block j is invFc (z_j kron (H_j - G_j)): H_j = X' diag(dEM_j) X from the
@@ -60,6 +61,7 @@ def interaction_jacobian_from_a(pieces: InferencePieces, cov: CovariateSet) -> n
     C1 = invFc vec(gradC).  For B pass the problem for Y' (vec(C') order).
     Analytic reference only: the standard errors build the blocks by chunks.
     """
+    cov = pieces.cov
     C1 = (pieces.invFc @ pieces.gradC.ravel(order="F")).reshape(cov.K, cov.L, order="F")
     weight = _coef_eta_weight(*_eta_derivatives(pieces), cov.X, cov.Z @ C1.T)
     HG = _row_fisher_blocks(weight, cov.X)
@@ -85,12 +87,12 @@ def dispersion_jacobian_other_axis(Q, P, scaled_same, invF, gradv):
     return _dispersion_response(Q, P, invF, gradv)[:, :, None] * scaled_same[:, None, :]
 
 
-def joint_uv_dense_oracle(pieces: InferencePieces, params: GbmParams, cov: CovariateSet):
+def joint_uv_dense_oracle(pieces: InferencePieces):
     """Diagonal of the inverse bordered (U, V) system by direct dense inversion."""
-    M = params.M
-    I, J = cov.I, cov.J
+    params, cov = pieces.params, pieces.cov
+    I, J, M = cov.I, cov.J, params.M
     Ju, Jv = constraint_jacobians(params, cov)
-    Fuv = latent_cross_information(pieces, params)
+    Fuv = latent_cross_information(pieces)
     Fu_full = np.zeros((I * M, I * M))
     for i in range(I):
         Fu_full[i * M:(i + 1) * M, i * M:(i + 1) * M] = pieces.Fu[i]

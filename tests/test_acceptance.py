@@ -263,8 +263,8 @@ def test_criterion_04_joint_uv_oracle():
         result = est.fit(Y, truth.cov, M)
         prior = PriorConfig()
         pieces = inf.preprocess(Y, result.params, truth.cov, prior)
-        varU, varV = inf.joint_uv_uncertainty(pieces, result.params, truth.cov)
-        oU, oV = oracles.joint_uv_dense_oracle(pieces, result.params, truth.cov)
+        varU, varV = inf.joint_uv_uncertainty(pieces)
+        oU, oV = oracles.joint_uv_dense_oracle(pieces)
         worst = max(worst,
                     np.abs(varU / oU - 1.0).max(),
                     np.abs(varV / oV - 1.0).max())
@@ -345,13 +345,12 @@ def test_criterion_05_delta_propagation_jacobians():
     dT_A = oracles.dispersion_jacobian_same_axis(Qt, Pt, cov.X, pieces.invFt, pieces.gradT)
     dT_B = oracles.dispersion_jacobian_other_axis(Qt, Pt, cov.Z, pieces.invFt, pieces.gradT)
     # B edges are A edges of the problem for Y'; its C is C'
-    cov_t = transposed_cov(cov)
-    flipped = inf.preprocess(DataMatrix(Y.values.T), transposed_params(params), cov_t,
-                             swapped_prior(prior))
-    dA_eta = oracles.coef_eta_jacobian(pieces, cov)
-    dB_eta = oracles.coef_eta_jacobian(flipped, cov_t)
-    dC_A = oracles.interaction_jacobian_from_a(pieces, cov)
-    dC_B = oracles.interaction_jacobian_from_a(flipped, cov_t)
+    flipped = inf.preprocess(DataMatrix(Y.values.T), transposed_params(params),
+                             transposed_cov(cov), swapped_prior(prior))
+    dA_eta = oracles.coef_eta_jacobian(pieces)
+    dB_eta = oracles.coef_eta_jacobian(flipped)
+    dC_A = oracles.interaction_jacobian_from_a(pieces)
+    dC_B = oracles.interaction_jacobian_from_a(flipped)
 
     for _ in range(20):
         i, j = int(rng.integers(I)), int(rng.integers(J))

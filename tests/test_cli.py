@@ -219,6 +219,17 @@ class TestFit:
         assert code == 3
         assert "badX.csv" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value", [("--tol", "nan"), ("--tol", "inf"),
+                                             ("--lambda-a", "nan"), ("--lambda-s", "inf"),
+                                             ("--m-s", "inf"), ("--m-t", "nan")])
+    def test_non_finite_setting_is_domain_error_before_any_file(self, sim_dir, tmp_path, capsys,
+                                                                  flag, value):
+        code = run(["fit", "--counts", sim_dir / "Y.csv", "--latent", 1,
+                    flag, value, "--out", tmp_path / "o"])
+        assert code == 3
+        assert flag[2:].replace("-", "_") in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_negative_latent_dimension_is_input_error(self, sim_dir, tmp_path, capsys):
         code = run(["fit", "--counts", sim_dir / "Y.csv", "--latent", -1, "--out", tmp_path / "o"])
         assert code == 3
@@ -343,6 +354,19 @@ class TestInfer:
                     "--out", tmp_path / "o"])
         assert code == 3
         assert "lambda_b" in capsys.readouterr().err
+
+    def test_manifest_with_a_non_finite_prior_is_input_error(self, sim_dir, fit_dir, tmp_path,
+                                                             capsys):
+        copy = tmp_path / "fit_copy"
+        shutil.copytree(fit_dir, copy)
+        manifest = nbio.read_json(copy / "manifest.json")
+        manifest["config"]["m_s"] = float("nan")
+        nbio.write_json(copy / "manifest.json", manifest)
+        code = run(["infer", "--counts", sim_dir / "Y.csv", "--fit-dir", copy,
+                    "--out", tmp_path / "o"])
+        assert code == 3
+        assert "m_s" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_manifests_record_the_package_version(self, sim_dir, fit_dir, infer_dir):
         declared = re.search(r'^version = "(.+)"$', PYPROJECT.read_text(), re.MULTILINE).group(1)
@@ -604,6 +628,18 @@ class TestScore:
         code = run(["score", "--series", tmp_path / "x.csv",
                     "--weights", tmp_path / "w.csv", "--out", tmp_path / "s.json"])
         assert code == 3
+
+    @pytest.mark.parametrize("bad", ["weights", "series"])
+    def test_non_finite_entry_rejected_before_the_report(self, tmp_path, capsys, bad):
+        values = {"series": np.ones((10, 1)), "weights": np.ones((10, 1))}
+        values[bad][3, 0] = np.nan
+        for name, matrix in values.items():
+            nbio.write_matrix(tmp_path / f"{name}.csv", matrix)
+        code = run(["score", "--series", tmp_path / "series.csv",
+                    "--weights", tmp_path / "weights.csv", "--out", tmp_path / "s.json"])
+        assert code == 3
+        assert "must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "s.json").exists()
 
 
 class TestUsage:

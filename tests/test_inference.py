@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import tracemalloc
 
 import numpy as np
@@ -114,8 +115,8 @@ class TestJointUv:
         result = est.fit(Y, truth.cov, M)
         prior = PriorConfig()
         pieces = inf.preprocess(Y, result.params, truth.cov, prior)
-        varU, varV = inf.joint_uv_uncertainty(pieces, result.params, truth.cov)
-        oU, oV = oracles.joint_uv_dense_oracle(pieces, result.params, truth.cov)
+        varU, varV = inf.joint_uv_uncertainty(pieces)
+        oU, oV = oracles.joint_uv_dense_oracle(pieces)
         np.testing.assert_allclose(varU, oU, rtol=1e-8)
         np.testing.assert_allclose(varV, oV, rtol=1e-8)
         assert np.all(varU > 0) and np.all(varV > 0)
@@ -128,8 +129,8 @@ class TestJointUv:
         result = est.fit(Y, truth.cov, M)
         prior = PriorConfig()
         pieces = inf.preprocess(Y, result.params, truth.cov, prior)
-        varU, varV = inf.joint_uv_uncertainty(pieces, result.params, truth.cov)
-        oU, oV = oracles.joint_uv_dense_oracle(pieces, result.params, truth.cov)
+        varU, varV = inf.joint_uv_uncertainty(pieces)
+        oU, oV = oracles.joint_uv_dense_oracle(pieces)
         np.testing.assert_allclose(varU, oU, rtol=1e-8)
         np.testing.assert_allclose(varV, oV, rtol=1e-8)
 
@@ -142,8 +143,8 @@ class TestJointUv:
         Y, truth = simulate_dataset(SimScheme(dims=dims, seed=50 + dims[4]))
         params, cov = truth.params0, truth.cov
         pieces = inf.preprocess(Y, params, cov, PriorConfig())
-        varU, varV = inf.joint_uv_uncertainty(pieces, params, cov)
-        oU, oV = oracles.joint_uv_dense_oracle(pieces, params, cov)
+        varU, varV = inf.joint_uv_uncertainty(pieces)
+        oU, oV = oracles.joint_uv_dense_oracle(pieces)
         np.testing.assert_allclose(varU, oU, rtol=1e-8)
         np.testing.assert_allclose(varV, oV, rtol=1e-8)
 
@@ -151,9 +152,9 @@ class TestJointUv:
         Y, truth = simulate_dataset(SimScheme(dims=(13, 7, 2, 2, 3), seed=53))
         params, cov = truth.params0, truth.cov
         pieces = inf.preprocess(Y, params, cov, PriorConfig())
-        whole = inf.joint_uv_uncertainty(pieces, params, cov)
+        whole = inf.joint_uv_uncertainty(pieces)
         monkeypatch.setattr(inf, "ROW_BLOCK_BYTES", 1)
-        for got, want in zip(inf.joint_uv_uncertainty(pieces, params, cov), whole):
+        for got, want in zip(inf.joint_uv_uncertainty(pieces), whole):
             np.testing.assert_allclose(got, want, rtol=1e-12)
 
     @pytest.mark.parametrize("n_blocks", [1, 2])
@@ -168,7 +169,7 @@ class TestJointUv:
         outs = np.empty((n_blocks, 4 * M, (J + 1) * M // n_blocks))
         inf._factor_rows(blocks, inf._workspace(pieces, rows).W, VDt, (params.U * params.D)[rows],
                          outs)
-        Fuv = inf.latent_cross_information(pieces, params, rows).reshape(4, M, J * M)
+        Fuv = inf.latent_cross_information(pieces, rows).reshape(4, M, J * M)
         want = np.matmul(blocks, Fuv).reshape(4 * M, J * M)
         got = np.hstack(list(outs))
         np.testing.assert_allclose(got[:, :J * M], want, rtol=1e-12, atol=1e-12 * abs(want).max())
@@ -206,7 +207,7 @@ class TestJointUv:
         JM = cov.J * params.M
         tracemalloc.start()
         try:
-            inf.joint_uv_uncertainty(pieces, params, cov)
+            inf.joint_uv_uncertainty(pieces)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -221,7 +222,7 @@ class TestJointUv:
         JM = cov.J * params.M
         tracemalloc.start()
         try:
-            inf.joint_uv_uncertainty(pieces, params, cov)
+            inf.joint_uv_uncertainty(pieces)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -241,7 +242,7 @@ class TestJointUv:
         prior = PriorConfig()
         pieces = inf.preprocess(Y, params, cov, prior)
         with pytest.raises(RankError):
-            inf.joint_uv_uncertainty(pieces, params, cov)
+            inf.joint_uv_uncertainty(pieces)
 
     def test_proposition_leading_submatrix_equality(self):
         # bordering with F versus F + J'J leaves the leading block unchanged
@@ -271,7 +272,7 @@ class TestJointUv:
         result = est.fit(Y, truth.cov, 0)
         prior = PriorConfig()
         pieces = inf.preprocess(Y, result.params, truth.cov, prior)
-        varU, varV = inf.joint_uv_uncertainty(pieces, result.params, truth.cov)
+        varU, varV = inf.joint_uv_uncertainty(pieces)
         assert varU.size == 0 and varV.size == 0
 
 
@@ -279,19 +280,17 @@ class TestPropagation:
     def test_zero_source_variance_gives_zero(self, fitted):
         Y, truth, result, prior, pieces = fitted
         M, cov = result.params.M, truth.cov
-        out = inf.propagate_uv_to_ab(pieces, result.params, cov,
-                                     np.zeros(cov.I * M), np.zeros(cov.J * M))
+        out = inf.propagate_uv_to_ab(pieces, np.zeros(cov.I * M), np.zeros(cov.J * M))
         for vec in out:
             np.testing.assert_array_equal(vec, 0.0)
 
     def test_outputs_nonnegative(self, fitted):
         Y, truth, result, prior, pieces = fitted
         cov = truth.cov
-        varU, varV = inf.joint_uv_uncertainty(pieces, result.params, cov)
-        out = inf.propagate_uv_to_ab(pieces, result.params, cov, varU, varV)
+        varU, varV = inf.joint_uv_uncertainty(pieces)
+        out = inf.propagate_uv_to_ab(pieces, varU, varV)
         assert all(np.all(v >= 0) for v in out)
-        varCa, varCb = inf.propagate_ab_to_c(pieces, cov,
-                                             np.einsum("jkk->jk", pieces.invFa).ravel(),
+        varCa, varCb = inf.propagate_ab_to_c(pieces, np.einsum("jkk->jk", pieces.invFa).ravel(),
                                              np.einsum("ill->il", pieces.invFb).ravel())
         assert np.all(varCa >= 0) and np.all(varCb >= 0)
 
@@ -308,8 +307,7 @@ class TestPropagation:
         varB = np.ones(truth.cov.I * 2)
         varU = np.ones(truth.cov.I)
         varV = np.ones(truth.cov.J)
-        var_s, var_t = inf.propagate_to_dispersions(
-            pieces, params, truth.cov, varA, varB, varU, varV)
+        var_s, var_t = inf.propagate_to_dispersions(pieces, varA, varB, varU, varV)
         for v in var_s.values():
             np.testing.assert_array_equal(v, 0.0)
 
@@ -338,11 +336,10 @@ class TestPropagation:
         Y = np.triu(upper) + np.triu(upper, 1).T  # symmetric counts
         prior = PriorConfig()
         pieces = inf.preprocess(DataMatrix(Y), params, cov, prior)
-        varU, varV = inf.joint_uv_uncertainty(pieces, params, cov)
+        varU, varV = inf.joint_uv_uncertainty(pieces)
         varA = np.einsum("jkk->jk", pieces.invFa).ravel()
         varB = np.einsum("ill->il", pieces.invFb).ravel()
-        var_s, var_t = inf.propagate_to_dispersions(pieces, params, cov,
-                                                    varA, varB, varU, varV)
+        var_s, var_t = inf.propagate_to_dispersions(pieces, varA, varB, varU, varV)
         np.testing.assert_allclose(var_s["U"], var_t["V"], rtol=1e-10)
         np.testing.assert_allclose(var_s["V"], var_t["U"], rtol=1e-10)
         np.testing.assert_allclose(var_s["A"], var_t["B"], rtol=1e-10)
@@ -371,15 +368,15 @@ class TestStreamedContractions:
         pieces, params, cov, var, flipped = case
         UD, VD = params.U * params.D, params.V * params.D
         varU, varV = var["U"].reshape(cov.I, -1), var["V"].reshape(cov.J, -1)
-        QA = oracles.coef_eta_jacobian(pieces, cov)                          # J x K x I
-        QB = oracles.coef_eta_jacobian(flipped, transposed_cov(cov))          # I x L x J
+        QA = oracles.coef_eta_jacobian(pieces)                               # J x K x I
+        QB = oracles.coef_eta_jacobian(flipped)                              # I x L x J
         want = [
             np.einsum("jki,ji->jk", QA ** 2, VD ** 2 @ varU.T).ravel(),
             np.einsum("jkm,jm->jk", (QA @ UD) ** 2, varV).ravel(),
             np.einsum("ilm,im->il", (QB @ VD) ** 2, varU).ravel(),
             np.einsum("ilj,ij->il", QB ** 2, UD ** 2 @ varV.T).ravel(),
         ]
-        got = inf.propagate_uv_to_ab(pieces, params, cov, var["U"], var["V"])
+        got = inf.propagate_uv_to_ab(pieces, var["U"], var["V"])
         for name, g, w in zip(("AfromU", "AfromV", "BfromU", "BfromV"), got, want):
             np.testing.assert_allclose(g, w, rtol=1e-12, err_msg=name)
 
@@ -387,14 +384,13 @@ class TestStreamedContractions:
         pieces, params, cov, var, flipped = case
         K, L = cov.K, cov.L
         want = []
-        for side, design, n, v in ((pieces, cov, cov.J, var["A"]),
-                                   (flipped, transposed_cov(cov), cov.I, var["B"])):
-            jac = oracles.interaction_jacobian_from_a(side, design)
+        for side, n, v in ((pieces, cov.J, var["A"]), (flipped, cov.I, var["B"])):
+            jac = oracles.interaction_jacobian_from_a(side)
             extra = np.maximum(v.reshape(n, -1) - np.einsum("jkk->jk", side.invFa), 0.0)
             want.append(np.einsum("jck,jkl,jcl->c", jac, side.invFa, jac)
                         + np.einsum("jck,jk->c", jac ** 2, extra))
         want[1] = want[1].reshape(K, L).ravel(order="F")
-        got = inf.propagate_ab_to_c(pieces, cov, var["A"], var["B"])
+        got = inf.propagate_ab_to_c(pieces, var["A"], var["B"])
         for name, g, w in zip(("CfromA", "CfromB"), got, want):
             np.testing.assert_allclose(g, w, rtol=1e-12, err_msg=name)
 
@@ -417,8 +413,7 @@ class TestStreamedContractions:
                           {"B": (cov.Z, vB), "U": (VD, vU)}, {"A": (cov.X, vA), "V": (UD, vV)})
         want_t = contract(Q.T, P.T, pieces.invFt, pieces.gradT,
                           {"A": (cov.X, vA), "V": (UD, vV)}, {"B": (cov.Z, vB), "U": (VD, vU)})
-        var_s, var_t = inf.propagate_to_dispersions(pieces, params, cov, var["A"], var["B"],
-                                                    var["U"], var["V"])
+        var_s, var_t = inf.propagate_to_dispersions(pieces, var["A"], var["B"], var["U"], var["V"])
         for name in "ABUV":
             np.testing.assert_allclose(var_s[name], want_s[name], rtol=1e-12, err_msg=f"S{name}")
             np.testing.assert_allclose(var_t[name], want_t[name], rtol=1e-12, err_msg=f"T{name}")
@@ -439,10 +434,10 @@ class TestTransposition:
         Y, truth = simulate_dataset(SimScheme(dims=(12, 30, 2, 2, 2), seed=7))
         params, cov, prior = truth.params0, truth.cov, ASYMMETRIC_PRIOR
         pieces = inf.preprocess(Y, params, cov, prior)
-        flipped = (DataMatrix(Y.values.T), transposed_params(params), transposed_cov(cov))
-        varU, varV = inf.joint_uv_uncertainty(pieces, params, cov)
-        varV_t, varU_t = inf.joint_uv_uncertainty(
-            inf.preprocess(*flipped, swapped_prior(prior)), *flipped[1:])
+        flipped = inf.preprocess(DataMatrix(Y.values.T), transposed_params(params),
+                                 transposed_cov(cov), swapped_prior(prior))
+        varU, varV = inf.joint_uv_uncertainty(pieces)
+        varV_t, varU_t = inf.joint_uv_uncertainty(flipped)
         np.testing.assert_allclose(varU, varU_t, rtol=1e-10)
         np.testing.assert_allclose(varV, varV_t, rtol=1e-10)
         work = est.make_state(Y, cov, params.copy()).work
@@ -581,6 +576,15 @@ class TestStandardErrors:
         with pytest.raises(DomainError, match=error):
             inf.standard_errors(values, truth.params0, truth.cov)
 
+    @pytest.mark.parametrize("stage", ["joint_uv_uncertainty", "latent_cross_information",
+                                       "propagate_uv_to_ab", "propagate_ab_to_c",
+                                       "propagate_to_dispersions"])
+    def test_stages_take_the_fitted_model_only_from_the_pieces(self, stage):
+        # parameters or covariates passed beside the pieces could differ from
+        # theirs, and the stage would mix two models without an error
+        names = list(inspect.signature(getattr(inf, stage)).parameters)
+        assert names[0] == "pieces" and not {"params", "cov"} & set(names), names
+
     def test_no_se_for_singular_values_or_global_dispersion(self, small_fit):
         Y, truth, result = small_fit
         ser = inf.standard_errors(Y, result.params, truth.cov)
@@ -646,8 +650,8 @@ class TestFullFisherOracle:
         result = est.fit(Y, truth.cov, 1)
         prior = PriorConfig()
         pieces = inf.preprocess(Y, result.params, truth.cov, prior)
-        varU, varV = inf.joint_uv_uncertainty(pieces, result.params, truth.cov)
-        oU, oV = oracles.joint_uv_dense_oracle(pieces, result.params, truth.cov)
+        varU, varV = inf.joint_uv_uncertainty(pieces)
+        oU, oV = oracles.joint_uv_dense_oracle(pieces)
         np.testing.assert_allclose(varU, oU, rtol=1e-6)
         np.testing.assert_allclose(varV, oV, rtol=1e-6)
 

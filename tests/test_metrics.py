@@ -47,6 +47,15 @@ class TestWeightedMovingAverage:
         out = weighted_moving_average(series)
         assert out[1] == pytest.approx((0 + 3 + 12) / 4.0)
 
+    @pytest.mark.parametrize("x, w", [([0.0, np.nan, 1.0], [1.0, 1.0, 1.0]),
+                                      ([0.0, np.inf, 1.0], [1.0, 1.0, 1.0]),
+                                      ([0.0, 1.0, 2.0], [1.0, np.nan, 1.0]),
+                                      ([0.0, 1.0, 2.0], [1.0, np.inf, 1.0]),
+                                      ([0.0, 1.0, 2.0], [1.0, 0.0, 1.0])])
+    def test_non_finite_values_and_weights_rejected(self, x, w):
+        with pytest.raises(DomainError):
+            WeightedSeries(np.array(x), np.array(w), k=2)
+
     def test_odd_bandwidth_rejected(self):
         with pytest.raises(DomainError):
             WeightedSeries(np.zeros(3), np.ones(3), k=3)

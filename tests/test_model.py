@@ -11,7 +11,9 @@ from nbgbm.model import (
     CONSTRAINT_TOL,
     CovariateSet,
     DataMatrix,
+    FitConfig,
     GbmParams,
+    PriorConfig,
     check_constraints,
     linear_predictor,
     partial_residuals,
@@ -151,6 +153,24 @@ class TestGbmParams:
         params.D = np.ones((1, 1))
         with pytest.raises(ShapeError, match="component D"):
             linear_predictor(params, cov)
+
+
+class TestConfigs:
+    # NaN fails every comparison, so a test of `<= 0` alone lets it through
+    @pytest.mark.parametrize("name, bad", [
+        ("lambda_a", np.nan), ("lambda_s", np.inf), ("lambda_t", 0.0), ("lambda_u", -1.0),
+        ("m_s", np.inf), ("m_t", np.nan), ("m_s", -np.inf)])
+    def test_prior_needs_finite_positive_precisions_and_finite_means(self, name, bad):
+        with pytest.raises(DomainError, match=name):
+            PriorConfig(**{name: bad})
+
+    def test_prior_means_may_take_either_sign(self):
+        assert PriorConfig(m_s=-2.5, m_t=4.0).m_s == -2.5
+
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1e-6])
+    def test_fit_needs_a_finite_positive_tolerance(self, tol):
+        with pytest.raises(DomainError, match="tol"):
+            FitConfig(tol=tol)
 
 
 class TestLinearPredictor:
