@@ -22,19 +22,20 @@ kernel handed its axis's arrays: _rows_step serves A/B and G/H, and
 _offsets_step S/T.  Every array stays in the orientation of the counts.
 
 Workspace invariant: after make_state and after every block update,
-state.work is the NB workspace (mu, r, W, E) of state.params, laid out like
-the counts.  Each update reads it as it stands and brings it up to date
-with what it changed: the mean blocks A, B, C, D, G and H recompute the
-linear predictor, mu, W and E and keep r; the S and T steps recompute r, W
-and E and keep mu.  The bare projections (project_a, project_g, project_s
-and their twins) leave the likelihood unchanged and do not touch it.
+state.mu and state.r are the NB means and inverse dispersions of
+state.params, laid out like the counts.  Each update reads them as they
+stand and brings them up to date: the mean blocks A, B, C, D, G and H
+recompute the linear predictor and mu, the S and T steps r.  The bare
+projections (project_a, project_g, project_s and their twins) leave the
+likelihood unchanged and do not touch them.
 
-The four workspace arrays are the only I x J arrays a fit holds besides
-the counts, which it reads in place.  They are allocated once by make_state
-and overwritten in place, one row chunk of at most nb.CHUNK_ELEMENTS
-entries at a time (FitState.refresh); the S/T steps (nb.dispersion_sums)
-and log_posterior run over the same chunks, so every other I x J
-temporary is chunk-sized.
+They are the only I x J arrays a fit holds besides the counts (read in
+place), overwritten one row chunk of at most nb.CHUNK_ELEMENTS entries at a
+time (FitState.refresh).  Each mean step builds the weights W and scores E
+one row chunk at a time (FitState.weights), in the loop that sums its
+Fisher blocks and score over the chunk's rows (_summed_terms) or writes
+them row by row (_row_terms); the S/T steps and log_posterior run over the
+same chunks, so every other I x J temporary is chunk-sized.
 """
 
 from __future__ import annotations
@@ -70,8 +71,8 @@ OFFSET_FLOOR = -4.0  # softplus floor of the S and T offsets in bias_correct_dis
 def prepare_covariates(X, Z, standardize=True) -> CovariateSet:
     """Standardize (optionally) and wrap the designs with pseudoinverses."""
     if standardize:
-        X = standardize_covariates(X)
-        Z = standardize_covariates(Z)
+        X = standardize_covariates(X, "X")
+        Z = standardize_covariates(Z, "Z")
     return CovariateSet(X, Z)
 
 
@@ -127,33 +128,36 @@ class FitState:
     prior: PriorConfig
     rho_s: np.ndarray
     rho_t: np.ndarray
-    work: nb.NbWorkspace = None
+    mu: np.ndarray = field(repr=False)
+    r: np.ndarray = field(repr=False)
     clamp_events: int = 0
 
     def refresh(self, mean=True, dispersion=True):
-        """Bring the workspace up to date with the parameters, in place and
-        one row chunk (nb.row_chunks) at a time.
+        """Bring mu (`mean`) and r (`dispersion`) up to date with the
+        parameters, in place and one row chunk (nb.row_chunks) at a time.
 
-        `mean` recomputes the linear predictor and mu, `dispersion` r; W and
-        E are recomputed either way.  The default recomputes everything.
-        Clipped exponents of the recomputed mu or r add to clamp_events.
+        The default recomputes both.  Clipped exponents of the recomputed mu
+        or r add to clamp_events.
         """
-        p, w = self.params, self.work
-        for rows in nb.row_chunks(*w.mu.shape):
-            mu, r = w.mu[rows], w.r[rows]
+        p = self.params
+        for rows in nb.row_chunks(*self.mu.shape):
+            mu, r = self.mu[rows], self.r[rows]
             if mean:
                 self.clamp_events += nb.means(linear_predictor(p, self.cov, rows), out=mu)[1]
             if dispersion:
                 self.clamp_events += nb.inverse_dispersions(p.S[rows], p.T, p.omega, out=r)[1]
-            nb.weights_and_scores(self.y[rows], mu, r, out=(w.W[rows], w.E[rows]))
+
+    def weights(self, rows=slice(None)):
+        """The Fisher weights W and scores E of the rows `rows`."""
+        return nb.weights_and_scores(self.y[rows], self.mu[rows], self.r[rows])
 
     def log_posterior(self) -> float:
         """Log-likelihood plus log-prior (normalizing constants included),
-        the likelihood read from the workspace."""
-        p, w = self.params, self.work
-        loglik = sum(float(np.sum(nb.nb_log_pmf(self.y[rows], w.mu[rows], w.r[rows],
+        the likelihood read from mu and r."""
+        p = self.params
+        loglik = sum(float(np.sum(nb.nb_log_pmf(self.y[rows], self.mu[rows], self.r[rows],
                                                 log_y_factorial=0.0)))
-                     for rows in nb.row_chunks(*w.mu.shape)) - self.log_y_factorial
+                     for rows in nb.row_chunks(*self.mu.shape)) - self.log_y_factorial
         pr = self.prior
 
         def normal_term(q, lam, mean=0.0):
@@ -173,7 +177,7 @@ def make_state(Y, cov, params, prior=None) -> FitState:
                           for rows in nb.row_chunks(*y.shape))
     state = FitState(y=y, log_y_factorial=log_y_factorial, cov=cov, params=params, prior=prior,
                      rho_s=np.full(cov.I, RHO), rho_t=np.full(cov.J, RHO),
-                     work=nb.NbWorkspace.empty(y.shape))
+                     mu=np.empty(y.shape), r=np.empty(y.shape))
     state.refresh()
     return state
 
@@ -275,70 +279,86 @@ def _batched_capped_solve(F, rhs, lam, rho):
     return _capped(xi, rho)
 
 
-def _rows_step(W, E, design, rows, lam):
-    """Capped Fisher steps of the rows of a coefficient block whose row n
-    enters the linear predictor as design @ rows[n] in column n of W and E:
-    A (W, E, X), B (W', E', Z), G (W', E', V) and H (W, E, U)."""
-    rhs = E.T @ design - lam * rows
-    return _batched_capped_solve(_row_fisher_blocks(W, design), rhs, lam, RHO)
+def _summed_terms(state: FitState, design, score=None):
+    """Fisher blocks of the rows of A (design X) or H (U) and their scores E'
+    design, or score(rows, E) if given, summed over the row chunks."""
+    score = score or (lambda rows, E: E.T @ design[rows])
+    blocks = total = 0.0
+    for rows in nb.row_chunks(*state.mu.shape):
+        W, E = state.weights(rows)
+        blocks = blocks + _row_fisher_blocks(W, design[rows])
+        total = total + score(rows, E)
+    return blocks, total
+
+
+def _row_terms(state: FitState, design):
+    """The Fisher blocks and scores E design of the rows of B (design Z) or
+    G (V), written one row chunk of W and E at a time."""
+    I, K = state.mu.shape[0], design.shape[1]
+    blocks, score = np.empty((I, K, K)), np.empty((I, K))
+    for rows in nb.row_chunks(*state.mu.shape):
+        W, E = state.weights(rows)
+        blocks[rows] = _row_fisher_blocks(W.T, design)
+        score[rows] = E @ design
+    return blocks, score
+
+
+def _rows_step(blocks, score, rows, lam):
+    """Capped Fisher steps of the rows of a coefficient block, given their
+    Fisher blocks and scores (_summed_terms or _row_terms)."""
+    return _batched_capped_solve(blocks, score - lam * rows, lam, RHO)
 
 
 def update_a(state: FitState):
     """Fisher-scoring step on each row of A, then the A projection."""
-    p, w = state.params, state.work
-    p.A += _rows_step(w.W, w.E, state.cov.X, p.A, state.prior.lambda_a)
+    p = state.params
+    p.A += _rows_step(*_summed_terms(state, state.cov.X), p.A, state.prior.lambda_a)
     project_a(state)
     state.refresh(dispersion=False)
 
 
 def update_b(state: FitState):
     """Fisher-scoring step on each row of B, then the B projection."""
-    p, w = state.params, state.work
-    p.B += _rows_step(w.W.T, w.E.T, state.cov.Z, p.B, state.prior.lambda_b)
+    p = state.params
+    p.B += _rows_step(*_row_terms(state, state.cov.Z), p.B, state.prior.lambda_b)
     project_b(state)
     state.refresh(dispersion=False)
 
 
-def _fisher_c_from_blocks(blocks, Z) -> np.ndarray:
-    """KL x KL Fisher information for vec(C) from the J x K x K Fisher blocks
-    of the rows of A: sum_j (z_j z_j') kron blocks_j."""
+def fisher_c(blocks, Z) -> np.ndarray:
+    """KL x KL Fisher information for vec(C) (no regularization) from the
+    J x K x K Fisher blocks of the rows of A: sum_j (z_j z_j') kron blocks_j."""
     J, K, _ = blocks.shape
     L = Z.shape[1]
     F4 = _row_fisher_blocks(blocks.reshape(J, K * K), Z).reshape(K, K, L, L)
     return F4.transpose(2, 0, 3, 1).reshape(K * L, K * L)
 
 
-def fisher_c(W, cov) -> np.ndarray:
-    """KL x KL Fisher information for vec(C) (no regularization)."""
-    return _fisher_c_from_blocks(_row_fisher_blocks(W, cov.X), cov.Z)
-
-
 def update_c(state: FitState):
     """Joint Fisher-scoring step on vec(C).  C is unconstrained."""
-    p, cov, w = state.params, state.cov, state.work
-    F = fisher_c(w.W, cov)
-    grad = (cov.X.T @ w.E @ cov.Z).ravel(order="F")
-    vecC = p.C.ravel(order="F")
-    vecC = bounded_fisher_step(vecC, grad, F, state.prior.lambda_c, RHO)
+    p, cov = state.params, state.cov
+    blocks, grad = _summed_terms(state, cov.X, lambda rows, E: cov.X[rows].T @ E @ cov.Z)
+    vecC = bounded_fisher_step(p.C.ravel(order="F"), grad.ravel(order="F"),
+                               fisher_c(blocks, cov.Z), state.prior.lambda_c, RHO)
     p.C = vecC.reshape(cov.K, cov.L, order="F")
     state.refresh(dispersion=False)
 
 
-def fisher_d(W, U, V) -> np.ndarray:
-    """M x M Fisher information for the diagonal of D."""
-    M = U.shape[1]
-    return np.einsum("jp,jp->p", _row_fisher_blocks(W, U).reshape(-1, M * M),
+def fisher_d(blocks, V) -> np.ndarray:
+    """M x M Fisher information for the diagonal of D from H's Fisher blocks."""
+    M = V.shape[1]
+    return np.einsum("jp,jp->p", blocks.reshape(-1, M * M),
                      (V[:, :, None] * V[:, None, :]).reshape(-1, M * M)).reshape(M, M)
 
 
 def update_d(state: FitState):
     """Fisher-scoring step on the singular values (no projection needed)."""
-    p, w = state.params, state.work
+    p = state.params
     if p.M == 0:
         return
-    F = fisher_d(w.W, p.U, p.V)
-    grad = np.einsum("im,im->m", p.U, w.E @ p.V)
-    p.D = bounded_fisher_step(p.D, grad, F, state.prior.lambda_d, RHO)
+    blocks, grad = _summed_terms(state, p.U,
+                                 lambda rows, E: np.einsum("im,im->m", p.U[rows], E @ p.V))
+    p.D = bounded_fisher_step(p.D, grad, fisher_d(blocks, p.V), state.prior.lambda_d, RHO)
     state.refresh(dispersion=False)
 
 
@@ -351,22 +371,22 @@ def update_g(state: FitState):
     values are those of G outside span(X), and the current G = U D lies
     there already).  The step therefore regularizes G with lambda_d.
     """
-    p, w = state.params, state.work
+    p = state.params
     if p.M == 0:
         return
     G = p.U * p.D
-    G = G + _rows_step(w.W.T, w.E.T, p.V, G, state.prior.lambda_d)
+    G = G + _rows_step(*_row_terms(state, p.V), G, state.prior.lambda_d)
     project_g(state, G)
     state.refresh(dispersion=False)
 
 
 def update_h(state: FitState):
     """Optimization-projection step on H = V * D, update_g's twin."""
-    p, w = state.params, state.work
+    p = state.params
     if p.M == 0:
         return
     H = p.V * p.D
-    H = H + _rows_step(w.W, w.E, p.U, H, state.prior.lambda_d)
+    H = H + _rows_step(*_summed_terms(state, p.U), H, state.prior.lambda_d)
     project_h(state, H)
     state.refresh(dispersion=False)
 
@@ -405,7 +425,7 @@ def _offsets_step(state: FitState, offsets, axis, lam, mean, rho):
     Returns the stepped offsets and their next caps: a coordinate whose
     Newton step exceeded its cap `rho` gets half that cap, the rest RHO.
     """
-    derivs = nb.dispersion_sums(state.y, state.work.mu, state.work.r)[axis]
+    derivs = nb.dispersion_sums(state.y, state.mu, state.r)[axis]
     grad = _recentred_prior_gradient(offsets, lam, mean) + derivs.delta
     hess = -lam + derivs.delta_prime
     stepped, exceeded = _newton_dispersion_step(offsets, grad, hess, rho)
@@ -494,8 +514,8 @@ class FitResult:
 
     `constraints` is the identifiability check of the final parameters; a
     fit whose `constraints.passed` is false is returned with a warning.
-    `clamp_events` counts exponents clipped at +-700 each time the workspace
-    is recomputed (initialization included): entries of the linear
+    `clamp_events` counts exponents clipped at +-700 each time mu or r is
+    recomputed (initialization included): entries of the linear
     predictor when mu is recomputed (after A, B, C, D, G and H steps) and
     of -(s_i + t_j + omega) when r is (after S and T steps); a full refresh
     counts both.

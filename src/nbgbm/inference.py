@@ -57,7 +57,7 @@ from scipy.linalg import blas, lapack
 from scipy.special import ndtr, ndtri
 
 from . import nb
-from .estimation import _fisher_c_from_blocks, _row_fisher_blocks
+from .estimation import _row_fisher_blocks, fisher_c
 from .exceptions import DomainError, RankError
 from .model import CovariateSet, DataMatrix, GbmParams, PriorConfig, linear_predictor
 
@@ -149,7 +149,7 @@ def preprocess(Y, params: GbmParams, cov: CovariateSet, prior: PriorConfig) -> I
     gradT = -prior.lambda_t * (params.T - prior.m_t) + col_sums.delta
     invFa = np.linalg.inv(Fa + prior.lambda_a * np.eye(cov.K))
     invFb = np.linalg.inv(Fb + prior.lambda_b * np.eye(cov.L))
-    invFc = np.linalg.inv(_fisher_c_from_blocks(Fa, Z) + prior.lambda_c * np.eye(cov.K * cov.L))
+    invFc = np.linalg.inv(fisher_c(Fa, Z) + prior.lambda_c * np.eye(cov.K * cov.L))
     Fu += prior.lambda_u * np.eye(M)
     Fv += prior.lambda_v * np.eye(M)
 

@@ -89,14 +89,22 @@ class DataMatrix:
         return self.values.shape[1]
 
 
-def standardize_covariates(Xraw: np.ndarray) -> np.ndarray:
+def _covariate_copy(name, Q) -> np.ndarray:
+    """A float64 copy of covariate matrix `name`, checked finite first, then 2-d."""
+    Q = np.array(Q, dtype=np.float64, order="C")
+    if not np.all(np.isfinite(Q)):
+        raise DomainError(f"{name} holds NaN or infinite entries")
+    if Q.ndim != 2:
+        raise ShapeError(f"{name} must be 2-d")
+    return Q
+
+
+def standardize_covariates(Xraw: np.ndarray, name="covariate matrix") -> np.ndarray:
     """Center non-intercept columns and scale them to unit mean square.
 
     Column 1 (the intercept) is left untouched and must already be all ones.
     """
-    X = np.array(Xraw, dtype=np.float64)
-    if X.ndim != 2:
-        raise ShapeError("covariate matrix must be 2-d")
+    X = _covariate_copy(name, Xraw)
     if not np.allclose(X[:, 0], 1.0):
         raise DomainError("first covariate column must be all ones")
     for k in range(1, X.shape[1]):
@@ -126,11 +134,8 @@ class CovariateSet:
     """
 
     def __init__(self, X, Z):
-        X = np.ascontiguousarray(X, dtype=np.float64)
-        Z = np.ascontiguousarray(Z, dtype=np.float64)
+        X, Z = _covariate_copy("X", X), _covariate_copy("Z", Z)
         for name, Q in (("X", X), ("Z", Z)):
-            if Q.ndim != 2:
-                raise ShapeError(f"{name} must be 2-d")
             n = Q.shape[0]
             if not np.allclose(Q[:, 0], 1.0):
                 raise DomainError(f"first column of {name} must be all ones")

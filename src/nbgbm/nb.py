@@ -182,11 +182,6 @@ class NbWorkspace:
     W: np.ndarray
     E: np.ndarray
 
-    @classmethod
-    def empty(cls, shape) -> "NbWorkspace":
-        """A workspace of uninitialized arrays, to be overwritten in place."""
-        return cls(*(np.empty(shape) for _ in range(4)))
-
 
 def _clipped_exp(expo, out=None, low=None, high=None):
     """exp of the exponents clipped to +-700, and the number clipped.

@@ -304,7 +304,8 @@ def test_criterion_05_delta_propagation_jacobians():
 
     def h_c(pp):
         w = workspace_of(pp)
-        F = est.fisher_c(w.W, cov) + prior.lambda_c * np.eye(K * L)
+        F = est.fisher_c(est._row_fisher_blocks(w.W, cov.X), cov.Z)
+        F += prior.lambda_c * np.eye(K * L)
         g = (cov.X.T @ w.E @ cov.Z).ravel(order="F")
         return pp.C.ravel(order="F") + np.linalg.solve(F, g)
 

@@ -235,8 +235,35 @@ class TestFit:
         assert code == 3
         assert "M = -1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("flags", [[], ["--no-standardize"]], ids=["standardize", "raw"])
+    def test_non_finite_covariate_is_domain_error(self, sim_dir, tmp_path, capsys, value, flags):
+        # checked before the intercept, centering and rank checks, whose
+        # SVD fails on a NaN
+        X = nbio.read_matrix(sim_dir / "X.csv")
+        X[3, 1] = value
+        nbio.write_matrix(tmp_path / "X.csv", X)
+        code = run(["fit", "--counts", sim_dir / "Y.csv", "--row-covariates", tmp_path / "X.csv",
+                    "--latent", 1, *flags, "--out", tmp_path / "o"])
+        assert code == 3
+        assert "X holds NaN or infinite entries" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
 
 class TestInfer:
+    def test_non_finite_covariate_of_the_fit_is_domain_error(self, sim_dir, fit_dir, tmp_path,
+                                                             capsys):
+        bad = tmp_path / "fit"
+        shutil.copytree(fit_dir, bad)
+        X = nbio.read_matrix(bad / "X.csv")
+        X[0, 1] = np.nan
+        nbio.write_matrix(bad / "X.csv", X)
+        code = run(["infer", "--counts", sim_dir / "Y.csv", "--fit-dir", bad,
+                    "--out", tmp_path / "se"])
+        assert code == 3
+        assert "X holds NaN or infinite entries" in capsys.readouterr().err
+        assert not (tmp_path / "se").exists()
+
     def test_se_files_cover_exactly_the_reported_blocks(self, infer_dir):
         present = {name for name in ("A", "B", "C", "D", "U", "V", "S", "T", "omega")
                    if (infer_dir / f"se_{name}.csv").exists()}

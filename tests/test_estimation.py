@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize
@@ -47,6 +49,13 @@ class TestStandardize:
         X = np.column_stack([np.ones(6), v, 2 * v])
         with pytest.raises(RankError):
             est.standardize_covariates(X)
+
+    @pytest.mark.parametrize("standardize", [True, False])
+    def test_non_finite_entry_names_its_matrix(self, standardize):
+        X = np.column_stack([np.ones(4), np.arange(4.0) - 1.5])
+        Z = np.column_stack([np.ones(3), [np.inf, 0.0, -1.0]])
+        with pytest.raises(DomainError, match="Z holds NaN or infinite entries"):
+            est.prepare_covariates(X, Z, standardize=standardize)
 
 
 class TestInitialization:
@@ -175,14 +184,15 @@ class TestBlockUpdates:
         Y, truth = small_instance
         state = converged_state(Y, truth)
         state.refresh()
-        p, cov, w = state.params, truth.cov, state.work
+        p, cov = state.params, truth.cov
+        W, E = state.weights()
         J, K = cov.J, cov.K
         dense = np.zeros((J * K, J * K))
         rhs = np.zeros(J * K)
         for j in range(J):
-            block = cov.X.T @ (w.W[:, j:j + 1] * cov.X) + np.eye(K)
+            block = cov.X.T @ (W[:, j:j + 1] * cov.X) + np.eye(K)
             dense[j * K:(j + 1) * K, j * K:(j + 1) * K] = block
-            rhs[j * K:(j + 1) * K] = cov.X.T @ w.E[:, j] - p.A[j]
+            rhs[j * K:(j + 1) * K] = cov.X.T @ E[:, j] - p.A[j]
         xi_dense = np.linalg.solve(dense, rhs).reshape(J, K)
         A_before = p.A.copy()
         est.update_a(state)
@@ -198,8 +208,9 @@ class TestBlockUpdates:
         Y, truth = simulate_dataset(scheme)
         state = est.make_state(Y, truth.cov, est.initial_params(Y, truth.cov, 0))
         state.refresh()
-        F = est.fisher_c(state.work.W, truth.cov)
-        np.testing.assert_allclose(F[0, 0], state.work.W.sum(), rtol=1e-12)
+        blocks, _ = est._summed_terms(state, truth.cov.X, lambda rows, E: 0.0)
+        F = est.fisher_c(blocks, truth.cov.Z)
+        np.testing.assert_allclose(F[0, 0], state.weights()[0].sum(), rtol=1e-12)
 
     def test_c_fisher_matches_hessian_in_poisson_limit(self):
         # with tiny dispersion the observed and expected information coincide
@@ -222,7 +233,8 @@ class TestBlockUpdates:
 
         lp = linear_predictor(params, truth.cov)
         work = nb.nb_workspace(Y, lp, params.S, params.T, params.omega)
-        F = est.fisher_c(work.W, truth.cov) + prior.lambda_c * np.eye(KL)
+        F = (est.fisher_c(est._row_fisher_blocks(work.W, truth.cov.X), truth.cov.Z)
+             + prior.lambda_c * np.eye(KL))
         c0 = params.C.ravel(order="F")
         h = 1e-4
         H = np.zeros((KL, KL))
@@ -235,16 +247,19 @@ class TestBlockUpdates:
                            - neg_logpost_c(c0 - ea + eb) + neg_logpost_c(c0 - ea - eb)) / (4 * h * h)
         np.testing.assert_allclose(F, H, rtol=1e-3)
 
-    def test_d_fisher_matches_scalar_loop(self, small_fit):
+    def test_d_fisher_matches_scalar_loop(self, small_fit, monkeypatch):
+        # 70-entry chunks: the Fisher blocks are summed over several chunks
         Y, truth, result = small_fit
         state = est.make_state(Y, truth.cov, result.params.copy())
         state.refresh()
-        p, w = state.params, state.work
-        F = est.fisher_d(w.W, p.U, p.V)
+        p, W = state.params, state.weights()[0]
+        monkeypatch.setattr(nb, "CHUNK_ELEMENTS", 70)
+        blocks, _ = est._summed_terms(state, p.U, lambda rows, E: 0.0)
+        F = est.fisher_d(blocks, p.V)
         scalar = 0.0
         for i in range(truth.cov.I):
             for j in range(truth.cov.J):
-                scalar += w.W[i, j] * p.U[i, 0] ** 2 * p.V[j, 0] ** 2
+                scalar += W[i, j] * p.U[i, 0] ** 2 * p.V[j, 0] ** 2
         np.testing.assert_allclose(F[0, 0], scalar, rtol=1e-12)
 
     def test_d_no_change_at_prior_mode_with_zero_score(self, small_instance):
@@ -253,9 +268,10 @@ class TestBlockUpdates:
         params.D[:] = 0.0
         state = est.make_state(Y, truth.cov, params)
         state.refresh()
-        state.work.E[:] = 0.0  # zero score: gradient vanishes at the prior mode
-        grad = np.einsum("im,ij,jm->m", params.U, state.work.E, params.V)
-        F = est.fisher_d(state.work.W, params.U, params.V)
+        W, E = state.weights()
+        E[:] = 0.0  # zero score: gradient vanishes at the prior mode
+        grad = np.einsum("im,ij,jm->m", params.U, E, params.V)
+        F = est.fisher_d(est._row_fisher_blocks(W, params.U), params.V)
         out = est.bounded_fisher_step(params.D, grad, F, 1.0, 5.0)
         np.testing.assert_allclose(out, 0.0, atol=1e-14)
 
@@ -281,8 +297,10 @@ class TestBlockUpdates:
 
 
     def test_every_update_leaves_the_workspace_of_its_params(self, monkeypatch):
-        # each update reads state.work as the previous one left it, so a
-        # step that forgets part of the workspace feeds stale mu or r on
+        # each update reads state.mu and state.r as the previous one left
+        # them, so a step that forgets one of them feeds it on stale; the
+        # steps' W and E are built per chunk from them, bit for bit the
+        # chunk's nb.nb_workspace
         scheme = SimScheme(dims=(40, 20, 2, 2, 2), seed=31)
         Y, truth = simulate_dataset(scheme)
         state = est.make_state(Y, truth.cov, est.initial_params(Y, truth.cov, 2),
@@ -295,10 +313,17 @@ class TestBlockUpdates:
                 update(state)
                 p = state.params
                 fresh = nb.nb_workspace(Y, linear_predictor(p, truth.cov), p.S, p.T, p.omega)
-                for field in ("mu", "r", "W", "E"):
-                    np.testing.assert_allclose(getattr(state.work, field), getattr(fresh, field),
+                for field in ("mu", "r"):
+                    np.testing.assert_allclose(getattr(state, field), getattr(fresh, field),
                                                rtol=1e-12, atol=0,
                                                err_msg=f"cycle {cycle}, update {name}: {field}")
+                for rows in nb.row_chunks(*Y.values.shape):
+                    chunk = nb.nb_workspace(Y.values[rows], linear_predictor(p, truth.cov, rows),
+                                            p.S[rows], p.T, p.omega)
+                    for field, built in zip("WE", state.weights(rows)):
+                        np.testing.assert_array_equal(
+                            built, getattr(chunk, field),
+                            err_msg=f"cycle {cycle}, update {name}: {field}[{rows}]")
         chunked = state.log_posterior()
         monkeypatch.setattr(nb, "CHUNK_ELEMENTS", Y.values.size)
         np.testing.assert_allclose(state.log_posterior(), chunked, rtol=1e-12)
@@ -416,7 +441,7 @@ class TestDispersionUpdates:
         Y, truth, result = small_fit
         state = est.make_state(Y, truth.cov, result.params.copy())
         state.refresh()
-        derivs = nb.dispersion_derivatives(Y, state.work.mu, state.work.r)
+        derivs = nb.dispersion_derivatives(Y, state.mu, state.r)
         hess = -state.prior.lambda_s + derivs.delta_prime.sum(axis=1)
         assert np.all(hess < 0)
 
@@ -613,3 +638,21 @@ class TestFit:
             est.fit(Y, truth.cov, 1, config=config)
             times[I] = time.time() - t0
         assert times[600] / times[300] < 3.5
+
+
+class TestChunkedMemory:
+    """A fit stores mu and r and builds every other I x J quantity, the Fisher
+    weights W and scores E included, one row chunk at a time."""
+
+    @pytest.mark.parametrize("dims", [(300, 300, 2, 2, 3), (1200, 300, 2, 2, 1)])
+    def test_fit_holds_mu_and_r(self, monkeypatch, dims):
+        # a fit that also stored W and E held about 4.1 I x J arrays
+        monkeypatch.setattr(nb, "CHUNK_ELEMENTS", 1000)
+        Y, truth = simulate_dataset(SimScheme(dims=dims, seed=2))
+        tracemalloc.start()
+        try:
+            est.fit(Y, truth.cov, dims[4], config=FitConfig(max_iter=3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * Y.values.size * 8, peak / (Y.values.size * 8)

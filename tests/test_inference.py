@@ -440,28 +440,29 @@ class TestTransposition:
         varV_t, varU_t = inf.joint_uv_uncertainty(flipped)
         np.testing.assert_allclose(varU, varU_t, rtol=1e-10)
         np.testing.assert_allclose(varV, varV_t, rtol=1e-10)
-        work = est.make_state(Y, cov, params.copy()).work
+        state = est.make_state(Y, cov, params.copy())
         chunk = inf._workspace(pieces, cols=slice(3, 9))
-        np.testing.assert_array_equal(chunk.mu, work.mu[:, 3:9])
-        np.testing.assert_array_equal(chunk.W, work.W[:, 3:9])
-        np.testing.assert_array_equal(chunk.r, work.r[:, 3:9])
+        np.testing.assert_array_equal(chunk.mu, state.mu[:, 3:9])
+        np.testing.assert_array_equal(chunk.W, state.weights()[0][:, 3:9])
+        np.testing.assert_array_equal(chunk.r, state.r[:, 3:9])
 
     def test_rebuilt_weights_equal_the_workspace(self, small_fit, monkeypatch):
         # mu, r, W and E are built per chunk from y and the parameters: bit
-        # for bit the arrays of the whole-array workspace
+        # for bit the fit's mu and r and the W and E its steps build
         monkeypatch.setattr(nb, "CHUNK_ELEMENTS", 75)
         Y, truth, result = small_fit
         params, cov = result.params, truth.cov
-        work = est.make_state(Y, cov, params.copy()).work
+        state = est.make_state(Y, cov, params.copy())
+        W, E = state.weights()
         pieces = inf.preprocess(Y, params, cov, ASYMMETRIC_PRIOR)
-        np.testing.assert_array_equal(inf._workspace(pieces).mu, work.mu)
-        np.testing.assert_array_equal(inf._workspace(pieces).E, work.E)
-        np.testing.assert_array_equal(inf._workspace(pieces).W, work.W)
-        np.testing.assert_array_equal(inf._workspace(pieces).r, work.r)
+        np.testing.assert_array_equal(inf._workspace(pieces).mu, state.mu)
+        np.testing.assert_array_equal(inf._workspace(pieces).E, E)
+        np.testing.assert_array_equal(inf._workspace(pieces).W, W)
+        np.testing.assert_array_equal(inf._workspace(pieces).r, state.r)
         for rows in nb.row_chunks(*Y.values.shape):
             chunk = inf._workspace(pieces, rows)
-            np.testing.assert_array_equal(chunk.W, work.W[rows])
-            np.testing.assert_array_equal(chunk.r, work.r[rows])
+            np.testing.assert_array_equal(chunk.W, state.weights(rows)[0])
+            np.testing.assert_array_equal(chunk.r, state.r[rows])
 
     def test_derived_eta_derivatives(self, small_fit):
         Y, truth, result = small_fit
