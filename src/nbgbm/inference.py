@@ -23,9 +23,10 @@ Three ingredients:
    that the C edges contract with the per-row conditional inverse blocks).
    The U, V -> A, B and -> S, T Jacobians factor into data-sized (I x J)
    weights and small designs, so the contractions are taken in factored
-   form and those Jacobians are not formed; the tests' reference module
-   forms them, the bordered (U, V) inverse and the bordered Fisher system
-   over every block densely.
+   form and those Jacobians are not formed; the C edges contract small
+   blocks that the A, B pass sums from the same weights' chunks.  The tests'
+   reference module forms the Jacobians, the bordered (U, V) inverse and the
+   bordered Fisher system over every block densely.
 
 Every stage after preprocess takes only the InferencePieces and the earlier
 stages' variances, and reads the counts, parameters and covariates from the
@@ -36,7 +37,7 @@ dEM, the derivatives of W and E in the linear predictor; the propagation
 weights) is formed one row chunk of at most nb.CHUNK_ELEMENTS entries at a
 time and contracted at once: each stage feeds both twins from one workspace
 per chunk, summing over the chunk's rows for A, C from A and T, and over its
-columns for B, C from B and S.
+columns for B, C from B and S; A, B and C share one pass over the chunks.
 
 Each kernel is handed its axis's arrays: the propagations read the B-side
 blocks as they are and build B's vec(C) Jacobian in vec(C) order, and the
@@ -458,14 +459,16 @@ def _coef_variances(invF, spread, sums, var_other):
 
 def propagate_uv_to_ab(pieces: InferencePieces, varU: np.ndarray, varV: np.ndarray):
     """Extra variances of A and B due to uncertainty in the latent factors,
-    as flat vectors in vec(A') / vec(B') order.
+    flat in vec(A') / vec(B') order, and propagate_ab_to_c's HG_a, HG_b.
 
     Diagonal contractions of the Jacobian Q_jki = d a_j / d eta_ij
     (_coef_eta_weight), which is never formed: sum_i Q_jki^2 t_ji is the
     diagonal of invFa_j X' diag(weight_.j^2 t_j.) X invFa_j with
     t = varU (V D)^2', and Q_j (U D) is invFa_j X' diag(weight_.j) U D;
     B is the same with rows and columns swapped (Z, invFb, gradB, V D, U D).
-    The sums over i (A) and over j (B) are taken one row chunk at a time.
+    A third weight, base_j = C1 z_j with C1 = invFc vec(gradC), gives the
+    X blocks HG_j of A (summed over i) and Z blocks HG_i of B (over j).  The
+    sums are taken one row chunk at a time, from one _eta_derivatives each.
     """
     p, cov = pieces.params, pieces.cov
     X, Z, UD, VD = cov.X, cov.Z, p.U * p.D, p.V * p.D
@@ -474,10 +477,12 @@ def propagate_uv_to_ab(pieces: InferencePieces, varU: np.ndarray, varV: np.ndarr
     varU, varV = varU.reshape(I, M), varV.reshape(J, M)
     base_a = np.einsum("jkl,jl->jk", pieces.invFa, pieces.gradA)
     base_b = np.einsum("ilm,im->il", pieces.invFb, pieces.gradB)
+    C1 = (pieces.invFc @ pieces.gradC.ravel(order="F")).reshape(K, L, order="F")
+    base_c = Z @ C1.T
     XUD = (X[:, :, None] * UD[:, None, :]).reshape(I, K * M)
     ZVD = (Z[:, :, None] * VD[:, None, :]).reshape(J, L * M)
-    spread_a, sums_a = np.zeros((J, K, K)), np.zeros((J, K * M))
-    spread_b, sums_b = np.empty((I, L, L)), np.empty((I, L * M))
+    spread_a, sums_a, HG_a = np.zeros((J, K, K)), np.zeros((J, K * M)), np.zeros((J, K, K))
+    spread_b, sums_b, HG_b = np.empty((I, L, L)), np.empty((I, L * M)), np.empty((I, L, L))
     for rows in nb.row_chunks(I, J):
         dWM, dEM = _eta_derivatives(pieces, rows)
         weight_a = _coef_eta_weight(dWM, dEM, X[rows], base_a)
@@ -486,9 +491,12 @@ def propagate_uv_to_ab(pieces: InferencePieces, varU: np.ndarray, varV: np.ndarr
         sums_a += weight_a.T @ XUD[rows]
         spread_b[rows] = _row_fisher_blocks(weight_b ** 2 * (varV @ UD2[rows].T), Z)
         sums_b[rows] = weight_b.T @ ZVD
+        weight_c = _coef_eta_weight(dWM, dEM, X[rows], base_c)
+        HG_a += _row_fisher_blocks(weight_c, X[rows])
+        HG_b[rows] = _row_fisher_blocks(weight_c.T, Z)
     varAfromU, varAfromV = _coef_variances(pieces.invFa, spread_a, sums_a, varV)
     varBfromV, varBfromU = _coef_variances(pieces.invFb, spread_b, sums_b, varU)
-    return varAfromU, varAfromV, varBfromU, varBfromV
+    return varAfromU, varAfromV, varBfromU, varBfromV, HG_a, HG_b
 
 
 # ---------------------------------------------------------------------------
@@ -502,33 +510,24 @@ def _interaction_variance(jac, invF, var):
     return np.einsum("jck,jck->c", jac @ invF, jac) + np.einsum("jck,jk->c", jac ** 2, extra)
 
 
-def propagate_ab_to_c(pieces: InferencePieces, varA, varB):
+def propagate_ab_to_c(pieces: InferencePieces, HG_a, HG_b, varA, varB):
     """Extra variance of vec(C) due to uncertainty in A and in B.
 
-    varA/varB are the full per-entry variances (conditional plus latent-
-    propagated) in vec(A')/vec(B') order.  The conditional part contracts
-    with the per-row inverse Fisher blocks; the propagated remainder, which
-    carries the latent-to-coefficient chain, contracts diagonally.  One
-    chunked I x J weight (_coef_eta_weight, base_j = C1 z_j with C1 = invFc
-    vec(gradC)) gives the X blocks HG_j of A (summed over i) and the Z blocks
-    HG_i of B (summed over j); the vec(C) Jacobian blocks, in vec(C) order,
-    are invFc (z_j kron HG_j) and invFc (HG_i kron x_i).
+    HG_a, HG_b are the X blocks of A and Z blocks of B from
+    propagate_uv_to_ab; the vec(C) Jacobian blocks, in vec(C) order, are
+    invFc (z_j kron HG_j) and invFc (HG_i kron x_i).  varA/varB are the full
+    per-entry variances (conditional plus latent-propagated) in
+    vec(A')/vec(B') order.  The conditional part contracts with the per-row
+    inverse Fisher blocks; the propagated remainder, which carries the
+    latent-to-coefficient chain, contracts diagonally.
     """
     cov = pieces.cov
-    I, J, K, L = cov.I, cov.J, cov.K, cov.L
-    C1 = (pieces.invFc @ pieces.gradC.ravel(order="F")).reshape(K, L, order="F")
-    base = cov.Z @ C1.T
-    HG_a, HG_b = np.zeros((J, K, K)), np.empty((I, L, L))
-    for rows in nb.row_chunks(I, J):
-        weight = _coef_eta_weight(*_eta_derivatives(pieces, rows), cov.X[rows], base)
-        HG_a += _row_fisher_blocks(weight, cov.X[rows])
-        HG_b[rows] = _row_fisher_blocks(weight.T, cov.Z)
     # one Jacobian at a time: varCfromA is taken before the B blocks are built
     varCfromA = _interaction_variance(
-        pieces.invFc @ np.einsum("jl,jak->jlak", cov.Z, HG_a).reshape(J, K * L, K),
+        pieces.invFc @ np.einsum("jl,jak->jlak", cov.Z, HG_a).reshape(cov.J, -1, cov.K),
         pieces.invFa, varA)
     return varCfromA, _interaction_variance(
-        pieces.invFc @ np.einsum("ilm,ik->ilkm", HG_b, cov.X).reshape(I, K * L, L),
+        pieces.invFc @ np.einsum("ilm,ik->ilkm", HG_b, cov.X).reshape(cov.I, -1, cov.L),
         pieces.invFb, varB)
 
 
@@ -629,11 +628,11 @@ def standard_errors(Y, params: GbmParams, cov: CovariateSet,
     clock.append(time.perf_counter())
     varU, varV = joint_uv_uncertainty(pieces)
     clock.append(time.perf_counter())
-    varAfromU, varAfromV, varBfromU, varBfromV = propagate_uv_to_ab(pieces, varU, varV)
+    varAfromU, varAfromV, varBfromU, varBfromV, HG_a, HG_b = propagate_uv_to_ab(pieces, varU, varV)
     varA = np.einsum("jkk->jk", pieces.invFa).ravel() + varAfromU + varAfromV
     varB = np.einsum("ill->il", pieces.invFb).ravel() + varBfromU + varBfromV
     clock.append(time.perf_counter())
-    varCfromA, varCfromB = propagate_ab_to_c(pieces, varA, varB)
+    varCfromA, varCfromB = propagate_ab_to_c(pieces, HG_a, HG_b, varA, varB)
     varC = np.diag(pieces.invFc) + varCfromA + varCfromB
     clock.append(time.perf_counter())
     var_s, var_t = propagate_to_dispersions(pieces, varA, varB, varU, varV)

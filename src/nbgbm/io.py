@@ -43,38 +43,38 @@ def read_matrix(path, allow_empty=False, digests=None) -> np.ndarray:
         raise InputError(f"{path}: empty matrix file")
     delim = "\t" if "\t" in lines[0][1] else ","
     start = 0
-    try:
+    try:   # float() takes more than loadtxt, so a first line such as 1_000 is refused data
         [float(tok) for tok in lines[0][1].split(delim)]
     except ValueError:
         start = 1
-    if len(lines) > start:
-        try:
-            return np.loadtxt([ln for _, ln in lines[start:]], delimiter=delim, ndmin=2,
-                              comments=None)
-        except ValueError:
-            pass   # the line-by-line parse below names the offending line and column
-    rows = []
-    width = None
-    for lineno, ln in lines[start:]:
-        toks = ln.split(delim)
-        if width is None:
-            width = len(toks)
-        elif len(toks) != width:
-            raise InputError(f"{path}: line {lineno} has {len(toks)} fields, expected {width}")
-        try:
-            rows.append([float(tok) for tok in toks])
-        except ValueError as err:
-            col = next(i for i, tok in enumerate(toks, start=1) if not _is_number(tok))
-            raise InputError(f"{path}: line {lineno}, column {col}: {err}") from err
-    return np.asarray(rows, dtype=np.float64)
-
-
-def _is_number(tok):
+    body = lines[start:]
+    if not body:
+        return np.zeros(0)
     try:
-        float(tok)
-        return True
-    except ValueError:
+        return np.loadtxt([ln for _, ln in body], delimiter=delim, ndmin=2, comments=None)
+    except ValueError as err:
+        refused = err
+    # name the first line and column that loadtxt refuses
+    width = len(body[0][1].split(delim))
+    for lineno, ln in body:
+        toks = ln.split(delim)
+        if len(toks) != width:
+            raise InputError(f"{path}: line {lineno} has {len(toks)} fields, expected {width}")
+        if _refuses(ln, delim):
+            col = next((c for c in range(width) if _refuses(ln, delim, c)), None)
+            if col is not None:
+                raise InputError(f"{path}: line {lineno}, column {col + 1}: "
+                                 f"{toks[col]!r} is not a number") from refused
+    raise InputError(f"{path}: {refused}") from refused
+
+
+def _refuses(line, delim, usecols=None):
+    """Whether np.loadtxt refuses `line`, or its columns `usecols` when given."""
+    try:
+        np.loadtxt([line], delimiter=delim, comments=None, usecols=usecols)
         return False
+    except ValueError:
+        return True
 
 
 def write_matrix(path, mat, header=None):

@@ -269,8 +269,8 @@ def coverage_curve(estimates, ses, truths, n_grid: int = 101):
     estimates = np.asarray(estimates, dtype=np.float64).ravel()
     ses = np.asarray(ses, dtype=np.float64).ravel()
     truths = np.asarray(truths, dtype=np.float64).ravel()
-    if np.any(ses <= 0):
-        raise DomainError("standard errors must be positive")
+    if not np.all(np.isfinite(ses) & (ses > 0)):
+        raise DomainError("standard errors must be finite and positive")
     stat = 1.0 - 2.0 * ndtr(-np.abs(estimates - truths) / ses)
     stat.sort()
     targets = np.linspace(0.0, 1.0, n_grid)

@@ -615,6 +615,20 @@ class TestEvaluate:
         assert code == 3
         assert "se_A.csv" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_standard_error_is_domain_error(self, sim_dir, fit_dir, infer_dir,
+                                                        tmp_path, capsys, bad):
+        se_dir, report_path = tmp_path / "se", tmp_path / "r.json"
+        shutil.copytree(infer_dir, se_dir)
+        se_A = nbio.read_matrix(se_dir / "se_A.csv")
+        se_A[0, 0] = bad
+        nbio.write_matrix(se_dir / "se_A.csv", se_A)
+        code = run(["evaluate", "--fit-dir", fit_dir, "--truth-dir", sim_dir / "truth",
+                    "--se-dir", se_dir, "--out", report_path])
+        assert code == 3
+        assert "finite and positive" in capsys.readouterr().err
+        assert not report_path.exists()
+
 
 class TestScore:
     def test_reference_agreement_and_defaults(self, tmp_path):
@@ -736,12 +750,14 @@ class TestMatrixIo:
             nbio.read_matrix(path)
 
     def test_bad_token_names_its_file_line(self, tmp_path):
+        # Python's float() reads 1_000 and the full-width digit; loadtxt does not
         path = tmp_path / "m.csv"
-        path.write_text("a,b\n\n1,2\n\n3,x\n")
         from nbgbm.exceptions import InputError
 
-        with pytest.raises(InputError, match="line 5, column 2"):
-            nbio.read_matrix(path)
+        for token in ("x", "1_000", "\uff11"):
+            path.write_text(f"a,b\n\n1,2\n\n3,{token}\n", encoding="utf-8")
+            with pytest.raises(InputError, match="line 5, column 2"):
+                nbio.read_matrix(path)
 
     def test_full_precision_round_trip(self, tmp_path):
         rng = np.random.default_rng(1)

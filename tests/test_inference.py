@@ -280,7 +280,7 @@ class TestPropagation:
     def test_zero_source_variance_gives_zero(self, fitted):
         Y, truth, result, prior, pieces = fitted
         M, cov = result.params.M, truth.cov
-        out = inf.propagate_uv_to_ab(pieces, np.zeros(cov.I * M), np.zeros(cov.J * M))
+        *out, _, _ = inf.propagate_uv_to_ab(pieces, np.zeros(cov.I * M), np.zeros(cov.J * M))
         for vec in out:
             np.testing.assert_array_equal(vec, 0.0)
 
@@ -288,9 +288,10 @@ class TestPropagation:
         Y, truth, result, prior, pieces = fitted
         cov = truth.cov
         varU, varV = inf.joint_uv_uncertainty(pieces)
-        out = inf.propagate_uv_to_ab(pieces, varU, varV)
+        *out, HG_a, HG_b = inf.propagate_uv_to_ab(pieces, varU, varV)
         assert all(np.all(v >= 0) for v in out)
-        varCa, varCb = inf.propagate_ab_to_c(pieces, np.einsum("jkk->jk", pieces.invFa).ravel(),
+        varCa, varCb = inf.propagate_ab_to_c(pieces, HG_a, HG_b,
+                                             np.einsum("jkk->jk", pieces.invFa).ravel(),
                                              np.einsum("ill->il", pieces.invFb).ravel())
         assert np.all(varCa >= 0) and np.all(varCb >= 0)
 
@@ -390,7 +391,9 @@ class TestStreamedContractions:
             want.append(np.einsum("jck,jkl,jcl->c", jac, side.invFa, jac)
                         + np.einsum("jck,jk->c", jac ** 2, extra))
         want[1] = want[1].reshape(K, L).ravel(order="F")
-        got = inf.propagate_ab_to_c(pieces, var["A"], var["B"])
+        # the C-edge blocks come from the A/B pass, under the same chunking
+        *_, HG_a, HG_b = inf.propagate_uv_to_ab(pieces, var["U"], var["V"])
+        got = inf.propagate_ab_to_c(pieces, HG_a, HG_b, var["A"], var["B"])
         for name, g, w in zip(("CfromA", "CfromB"), got, want):
             np.testing.assert_allclose(g, w, rtol=1e-12, err_msg=name)
 
@@ -424,6 +427,22 @@ class TestStreamedContractions:
     def test_stage_in_ragged_chunks(self, case, monkeypatch, stage):
         monkeypatch.setattr(nb, "CHUNK_ELEMENTS", 75)
         getattr(self, f"test_{stage}")(case)
+
+    def test_coefficient_propagation_builds_each_chunk_workspace_once(self, case, monkeypatch):
+        # the A, B and C edges share one workspace per row chunk: 14 chunks here
+        pieces, params, cov, var, _ = case
+        monkeypatch.setattr(nb, "CHUNK_ELEMENTS", 75)
+        builds = []
+        build = nb.nb_workspace
+
+        def counted(*args):
+            builds.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(nb, "nb_workspace", counted)
+        *_, HG_a, HG_b = inf.propagate_uv_to_ab(pieces, var["U"], var["V"])
+        inf.propagate_ab_to_c(pieces, HG_a, HG_b, var["A"], var["B"])
+        assert len(builds) == len(nb.row_chunks(cov.I, cov.J)) == 14
 
 
 class TestTransposition:

@@ -263,6 +263,13 @@ class TestCoverageCurve:
         targets, actual = coverage_curve(np.zeros(10), np.full(10, 1e-14), np.ones(10))
         assert np.all(actual[:-1] == 0.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_standard_error_is_domain_error(self, bad):
+        ses = np.ones(10)
+        ses[3] = bad
+        with pytest.raises(DomainError, match="finite and positive"):
+            coverage_curve(np.zeros(10), ses, np.ones(10))
+
     def test_empirical_coverage_matches_curve_at_level(self):
         rng = np.random.default_rng(12)
         n = 20_000
