@@ -350,6 +350,8 @@ def cmd_evaluate(args) -> int:
             if se.size != block_est.size:
                 raise InputError(f"{path} holds {se.size} values, block {name} has "
                                  f"{block_est.size}")
+            if not np.all(np.isfinite(se) & (se >= 0)):
+                raise DomainError(f"{path}: standard errors must be finite and positive, or 0")
             ses[name] = se.reshape(est_blocks[name].shape)
             free = (se != 0) & (np.arange(se.size) >= (name == "C"))  # c_11 is C's first entry
             if free.any():

@@ -44,7 +44,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln
 
 from . import nb
 from .exceptions import NumericError, ShapeError
@@ -173,7 +172,7 @@ class FitState:
 def make_state(Y, cov, params, prior=None) -> FitState:
     prior = prior or PriorConfig()
     y = Y.values
-    log_y_factorial = sum(float(np.sum(gammaln(y[rows] + 1.0)))
+    log_y_factorial = sum(float(np.sum(nb.log_gamma_ratio(y[rows], 1.0)))
                           for rows in nb.row_chunks(*y.shape))
     state = FitState(y=y, log_y_factorial=log_y_factorial, cov=cov, params=params, prior=prior,
                      rho_s=np.full(cov.I, RHO), rho_t=np.full(cov.J, RHO),

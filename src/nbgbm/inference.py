@@ -54,8 +54,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import blas, lapack
-from scipy.special import ndtr, ndtri
 
 from . import nb
 from .estimation import _row_fisher_blocks, fisher_c
@@ -227,6 +225,7 @@ def _check_pivots(diagonal, info, label):
 def _inverse_cholesky(mat, label):
     """L^-1 (lower triangular, other triangle zero) for mat = L L' symmetric
     positive definite; RankError as in _check_pivots."""
+    from scipy.linalg import lapack
     factor, info = lapack.dpotrf(mat, lower=1, clean=1)
     _check_pivots(np.diag(factor), info, label)
     inverse, _ = lapack.dtrtri(factor, lower=1, overwrite_c=1)
@@ -258,6 +257,7 @@ def _packed_inverse_cholesky(rfp, label):
     With L = [[L11, 0], [L21, L22]], L^-1 = [[L11^-1, 0], [X21, L22^-1]] and
     X21 = -L22^-1 L21 L11^-1: two triangular inverses and two triangular
     products on the blocks."""
+    from scipy.linalg import blas, lapack
     k = rfp.shape[0]
     _, info = lapack.dpftrf(2 * k, rfp.ravel(order="F"), transr="T", uplo="L", overwrite_a=1)
     low, up, off = _rfp_blocks(rfp)
@@ -272,6 +272,7 @@ def _apply_inverse_factor(rfp, top, bottom, transpose=False):
     """Overwrite y = [top; bottom], two Fortran-ordered k x p halves, with
     L^-1 y (L^-T y when `transpose`), L^-1 in RFP storage from
     _packed_inverse_cholesky."""
+    from scipy.linalg import blas
     low, up, off = _rfp_blocks(rfp)
     if transpose:       # [L11^-T y1 + X21' y2; L22^-T y2]
         blas.dtrmm(1.0, up, top, lower=0, overwrite_b=1)
@@ -370,6 +371,7 @@ def _joint_uv(weights, Fu, invFu, Fv, X, U, Z, V, D):
     and varU adds, for every row x of Cu Fuv (rebuilt in a second pass over
     the row blocks), x Cv x' = |L^-1 x'|^2 - |x Zv|^2.
     """
+    from scipy.linalg import blas, lapack
     (I, M), J = U.shape, V.shape[0]
     half = (J + 1) // 2                                        # j blocks per RFP half
     k = half * M
@@ -655,6 +657,7 @@ def standard_errors(Y, params: GbmParams, cov: CovariateSet,
 
 def wald_tests(estimates, ses, level=0.95):
     """Two-sided p-values and Wald confidence intervals."""
+    from scipy.special import ndtr, ndtri
     estimates = np.asarray(estimates, dtype=np.float64)
     ses = np.asarray(ses, dtype=np.float64)
     if np.any(ses <= 0):

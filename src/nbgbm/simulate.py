@@ -13,7 +13,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaincinv, ndtr, ndtri
 
 from . import nb
 from .exceptions import DomainError, InputError, ShapeError
@@ -76,6 +75,7 @@ class SimTruth:
 
 
 def _marginal_icdf(u, scheme):
+    from scipy.special import gammaincinv, ndtri
     if scheme == "Normal":
         return ndtri(u)
     if scheme == "Gamma":
@@ -101,6 +101,7 @@ def generate_covariates(n: int, p: int, scheme: str, rng) -> np.ndarray:
 
 def generate_covariates_counted(n, p, scheme, rng):
     """Same as generate_covariates, also returning the clamp-event count."""
+    from scipy.special import ndtr
     if p < 1:
         raise DomainError("p must be at least 1")
     if p == 1:
@@ -266,6 +267,7 @@ def coverage_curve(estimates, ses, truths, n_grid: int = 101):
     the CDF, at 1 - alpha, of 1 - 2(1 - Phi(|est - truth| / se)); the curve
     is that empirical CDF on an even grid of targets.
     """
+    from scipy.special import ndtr
     estimates = np.asarray(estimates, dtype=np.float64).ravel()
     ses = np.asarray(ses, dtype=np.float64).ravel()
     truths = np.asarray(truths, dtype=np.float64).ravel()
@@ -280,6 +282,7 @@ def coverage_curve(estimates, ses, truths, n_grid: int = 101):
 
 def empirical_coverage(estimates, ses, truths, level: float = 0.95) -> float:
     """Fraction of Wald intervals at the given level containing the truth."""
+    from scipy.special import ndtri
     estimates = np.asarray(estimates, dtype=np.float64).ravel()
     ses = np.asarray(ses, dtype=np.float64).ravel()
     truths = np.asarray(truths, dtype=np.float64).ravel()

@@ -629,6 +629,21 @@ class TestEvaluate:
         assert "finite and positive" in capsys.readouterr().err
         assert not report_path.exists()
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+    def test_bad_standard_error_of_c11_is_domain_error(self, sim_dir, fit_dir, infer_dir,
+                                                       tmp_path, capsys, bad):
+        # c_11 is left out of coverage, so its standard error is checked before that
+        se_dir, report_path = tmp_path / "se", tmp_path / "r.json"
+        shutil.copytree(infer_dir, se_dir)
+        se_C = nbio.read_matrix(se_dir / "se_C.csv")
+        se_C[0, 0] = bad
+        nbio.write_matrix(se_dir / "se_C.csv", se_C)
+        code = run(["evaluate", "--fit-dir", fit_dir, "--truth-dir", sim_dir / "truth",
+                    "--se-dir", se_dir, "--out", report_path])
+        assert code == 3
+        assert "se_C.csv" in capsys.readouterr().err
+        assert not report_path.exists()
+
 
 class TestScore:
     def test_reference_agreement_and_defaults(self, tmp_path):

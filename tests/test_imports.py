@@ -45,6 +45,15 @@ class TestImportGraph:
             "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))")
         assert out.split() == ["[]"]
 
+    def test_no_module_loads_scipy(self):
+        # scipy is imported inside the functions that call it
+        out = run_fresh(
+            "import importlib, sys, nbgbm\n"
+            f"for name in {SUBMODULES!r}: importlib.import_module('nbgbm.' + name)\n"
+            "for name in nbgbm.__all__: getattr(nbgbm, name)\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+        assert out.split() == ["[]"]
+
     def test_fit_loads_neither_inference_nor_simulate(self, tmp_path):
         counts = tmp_path / "Y.csv"
         counts.write_text("".join(f"{i % 5},{i % 3},{i % 7},{i % 2}\n" for i in range(12)))
@@ -53,8 +62,19 @@ class TestImportGraph:
             "from nbgbm.cli import main\n"
             f"assert main(['fit', '--counts', {str(counts)!r}, '--out', "
             f"{str(tmp_path / 'fit')!r}]) == 0\n"
-            "print(sorted(m for m in ('nbgbm.inference', 'nbgbm.simulate') if m in sys.modules))")
-        assert out.split() == ["[]"]
+            "print(sorted(m for m in ('nbgbm.inference', 'nbgbm.simulate') if m in sys.modules))\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+        assert out.split() == ["[]", "[]"]
+
+    def test_standard_errors_load_scipy_linalg_on_first_call(self):
+        out = run_fresh(
+            "import sys\n"
+            "from nbgbm import SimScheme, simulate_dataset, standard_errors\n"
+            "Y, truth = simulate_dataset(SimScheme(dims=(20, 10, 2, 2, 1), seed=1))\n"
+            "before = 'scipy.linalg' in sys.modules\n"
+            "standard_errors(Y, truth.params0, truth.cov)\n"
+            "print(before, 'scipy.linalg' in sys.modules)")
+        assert out.split() == ["False", "True"]
 
     @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux /proc")
     @pytest.mark.parametrize("flags, env", [(["--threads", "1"], {}),
