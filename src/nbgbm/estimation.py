@@ -98,17 +98,8 @@ def bounded_fisher_step(beta, grad, fisher, lam, rho):
     a vector of per-coordinate precisions.
     """
     beta = np.asarray(beta, dtype=np.float64)
-    rhs = np.asarray(grad, dtype=np.float64) - np.asarray(lam, dtype=np.float64) * beta
-    fisher = np.asarray(fisher, dtype=np.float64)
-    return beta + _batched_capped_solve(fisher[None], rhs[None], lam, rho)[0]
-
-
-def _capped(xi_rows: np.ndarray, rho: float) -> np.ndarray:
-    """Cap each row of xi_rows at root mean square rho."""
-    dim = xi_rows.shape[1]
-    norms = np.linalg.norm(xi_rows, axis=1)
-    factor = np.minimum(1.0, np.where(norms > 0, rho * np.sqrt(dim) / np.maximum(norms, 1e-300), 1.0))
-    return xi_rows * factor[:, None]
+    fisher, grad = np.asarray(fisher, dtype=np.float64), np.asarray(grad, dtype=np.float64)
+    return beta + _rows_step(fisher[None], grad[None], beta[None], lam, rho)[0]
 
 
 @dataclass
@@ -268,16 +259,6 @@ def _row_fisher_blocks(W, design):
     return (W.T @ outer).reshape(W.shape[1], K, K)
 
 
-def _batched_capped_solve(F, rhs, lam, rho):
-    """Solve (F_n + diag(lam)) xi_n = rhs_n for all n and cap row RMS at rho."""
-    n, d = rhs.shape
-    A = F + np.diag(np.broadcast_to(np.asarray(lam, dtype=float), (d,)))[None, :, :]
-    if not (np.all(np.isfinite(A)) and np.all(np.isfinite(rhs))):
-        raise NumericError("non-finite gradient or Fisher information in block solve")
-    xi = np.linalg.solve(A, rhs[..., None])[..., 0]
-    return _capped(xi, rho)
-
-
 def _summed_terms(state: FitState, design, score=None):
     """Fisher blocks of the rows of A (design X) or H (U) and their scores E'
     design, or score(rows, E) if given, summed over the row chunks."""
@@ -302,10 +283,20 @@ def _row_terms(state: FitState, design):
     return blocks, score
 
 
-def _rows_step(blocks, score, rows, lam):
+def _rows_step(blocks, score, rows, lam, rho=RHO):
     """Capped Fisher steps of the rows of a coefficient block, given their
-    Fisher blocks and scores (_summed_terms or _row_terms)."""
-    return _batched_capped_solve(blocks, score - lam * rows, lam, RHO)
+    Fisher blocks and scores (_summed_terms or _row_terms): row n solves
+    (blocks_n + diag(lam)) xi_n = score_n - lam rows_n, and a step of root
+    mean square above rho is scaled down to rho."""
+    lam = np.asarray(lam, dtype=np.float64)
+    rhs = score - lam * rows
+    d = rhs.shape[1]
+    A = blocks + np.diag(np.broadcast_to(lam, (d,)))
+    if not (np.all(np.isfinite(A)) and np.all(np.isfinite(rhs))):
+        raise NumericError("non-finite gradient or Fisher information in block solve")
+    xi = np.linalg.solve(A, rhs[..., None])[..., 0]
+    norms = np.linalg.norm(xi, axis=1)
+    return xi * np.minimum(1.0, rho * np.sqrt(d) / np.maximum(norms, 1e-300))[:, None]
 
 
 def update_a(state: FitState):

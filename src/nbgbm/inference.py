@@ -325,10 +325,10 @@ def joint_uv_uncertainty(pieces: InferencePieces):
     (_joint_uv), eliminating the factor with more rows first: U when I >= J;
     V when I < J, from the column-side arrays and W read by column blocks.
 
-    A variance non-positive by at most 1e-12 times the largest diagonal entry
-    of its factor's conditional inverse (invFu, invFv) is zero up to rounding,
-    as where the constraints leave the factor no free direction (V at
-    J = L + 1, M = 1), and is set to 0 with a warning naming the factor."""
+    A variance of either sign within 1e-12 times the largest diagonal entry of
+    its factor's conditional inverse (invFu, invFv) is zero up to rounding, as
+    where the constraints leave the factor no free direction (V at J = L + 1,
+    M = 1), and is set to 0 with a warning naming the factor."""
     p, cov = pieces.params, pieces.cov
     if p.M == 0:
         return np.zeros(0), np.zeros(0)
@@ -339,7 +339,7 @@ def joint_uv_uncertainty(pieces: InferencePieces):
         varV, varU = _joint_uv(lambda cols: _workspace(pieces, cols=cols).W.T, pieces.Fv,
                                pieces.invFv, pieces.Fu, cov.Z, p.V, cov.X, p.U, p.D)
     for name, var, invF in (("U", varU, pieces.invFu), ("V", varV, pieces.invFv)):
-        zero = (var <= 0) & (var >= -1e-12 * np.einsum("imm->im", invF).max())
+        zero = np.abs(var) <= 1e-12 * np.einsum("imm->im", invF).max()
         if zero.any():
             var[zero] = 0.0
             warnings.warn(f"joint variance of {name} is zero up to rounding at "
@@ -660,8 +660,8 @@ def wald_tests(estimates, ses, level=0.95):
     from scipy.special import ndtr, ndtri
     estimates = np.asarray(estimates, dtype=np.float64)
     ses = np.asarray(ses, dtype=np.float64)
-    if np.any(ses <= 0):
-        raise DomainError("standard errors must be positive")
+    if not np.all(np.isfinite(ses) & (ses > 0)):
+        raise DomainError("standard errors must be finite and positive")
     if not 0.0 < level < 1.0:
         raise DomainError("level must be in (0, 1)")
     zstat = estimates / ses

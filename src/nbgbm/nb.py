@@ -4,19 +4,20 @@ Log-pmf, the mean/weight/score matrices used by Fisher scoring, and
 numerically stable first and second derivatives of the log-likelihood with
 respect to the inverse dispersion.  All functions are elementwise and pure.
 
-Digamma and trigamma come from one plain-numpy kernel that evaluates both
-at once (`_psi_trigamma`): arguments below `TRIGAMMA_SHIFT` are gathered
-and moved up by that many recurrence steps, then the asymptotic series of
-psi and psi' (Abramowitz & Stegun 6.3.18 and 6.4.12, Bernoulli numbers
-B_2 ... B_14) are evaluated at every argument with 1/z and 1/z^2 shared.
-Against 40-digit mpmath values for x in [1e-12, 1e12] psi is within
-1e-15 of max(|psi(x)|, 1) and psi' within 1e-15 relative.
-`dispersion_derivatives` calls the kernel once at y + r and once at r.
-Its lnGamma twin `log_gamma_ratio` gives G = lnGamma(y + r) - lnGamma(r) (in
-nb_log_pmf, and log y! = G(y, 1)) by the same shift and the difference of
-two Stirling series, within 1e-14 of max(|G|, 1) against 60-digit mpmath
-for integer y in [0, 1e9] and r in [1e-12, 1e12]; two scipy `gammaln`
-values lose up to 8e-5 there.  No scipy function is used.
+The digamma and trigamma differences psi(y + r) - psi(r) and
+psi'(y + r) - psi'(r) of `dispersion_derivatives` come from one plain-numpy
+kernel (`_psi_differences`), with no branch on the size of r: y + r and r
+below `TRIGAMMA_SHIFT` are gathered and moved up by that many recurrence
+steps, then the asymptotic series of psi and psi' (Abramowitz & Stegun
+6.3.18 and 6.4.12, Bernoulli numbers B_2 ... B_14) are differenced term by
+term, so nothing cancels as r grows.  Against 60-digit mpmath values for
+integer y in [0, 1e15] and r in [1e-12, 1e12] both are within 1e-14
+relative.  Its lnGamma twin `log_gamma_ratio` gives
+G = lnGamma(y + r) - lnGamma(r) (in nb_log_pmf, and log y! = G(y, 1)) by
+the same shift and the difference of two Stirling series, within 1e-14 of
+max(|G|, 1) against 60-digit mpmath for integer y in [0, 1e9] and r in
+[1e-12, 1e12]; two scipy `gammaln` values lose up to 8e-5 there.  No scipy
+function is used.
 
 The fit and the inference preprocessing never hold the I x J derivatives
 whole: `dispersion_sums` returns their row and column sums, computing them
@@ -40,10 +41,6 @@ EXP_CLIP = 700.0
 # (256 KiB per temporary) keeps a chunk's temporaries in cache
 CHUNK_ELEMENTS = 1 << 15
 
-# above this inverse dispersion, digamma/trigamma differences switch to
-# their asymptotic forms to avoid catastrophic cancellation
-LARGE_R = 1e8
-
 # arguments below this take as many recurrence steps
 #   psi(x) = psi(x + n) - sum_{k<n} 1/(x + k),
 #   psi'(x) = psi'(x + n) + sum_{k<n} 1/(x + k)^2
@@ -51,64 +48,48 @@ LARGE_R = 1e8
 # |B_16| / (16 z^16) and |B_16| / z^17 are below 1e-16 of psi and psi'
 TRIGAMMA_SHIFT = 10
 # Bernoulli numbers B_2 ... B_14 of the series
-#   psi(z) ~ log z - 1/(2 z) - sum_k B_2k / (2k z^(2k))
-#   psi'(z) ~ 1/z + 1/(2 z^2) + sum_k B_2k / z^(2k+1)
+#   psi(z) ~ log z - 1/(2 z) - w P(w),  P(w) = sum_k B_2k w^(k-1) / 2k,
+#   psi'(z) ~ 1/z + 1/(2 z^2) + w Q(w) / z,  Q(w) = sum_k B_2k w^(k-1),
+#   lnGamma(z) ~ (z - 1/2) log z - z + log(2 pi)/2 + R(w) / z,
+#   R(w) = sum_k B_2k w^(k-1) / (2k (2k - 1)),  with w = 1/z^2
 BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6)
+PSI_SERIES = tuple(b / (2 * k) for k, b in enumerate(BERNOULLI, 1))
+LOG_GAMMA_SERIES = tuple(b / (2 * k * (2 * k - 1)) for k, b in enumerate(BERNOULLI, 1))
 
 
-def _psi_trigamma(x):
-    """psi(x) and psi'(x) for a float64 array x > 0, evaluated together."""
-    shape = x.shape
-    x = x.ravel()
-    low = np.flatnonzero(x < TRIGAMMA_SHIFT)
-    z = x
-    if low.size:
-        xs = x[low]
-        psi_sum = np.zeros_like(xs)
-        tri_sum = np.zeros_like(xs)
-        inv = np.empty_like(xs)
-        for _ in range(TRIGAMMA_SHIFT):
-            np.divide(1.0, xs, out=inv)
-            psi_sum += inv
-            inv *= inv
-            tri_sum += inv
-            xs += 1.0
-        z = x.copy()
-        z[low] = xs
-    inv = np.divide(1.0, z)
-    w = inv * inv
-    # polynomials in w: sum_k B_2k w^(k-1) / 2k for psi, sum_k B_2k w^(k-1) for psi'
-    n = len(BERNOULLI)
-    psi_poly = w * (BERNOULLI[-1] / (2 * n))
-    tri_poly = w * BERNOULLI[-1]
-    for k in range(n - 1, 1, -1):
-        psi_poly += BERNOULLI[k - 1] / (2 * k)
-        psi_poly *= w
-        tri_poly += BERNOULLI[k - 1]
-        tri_poly *= w
-    psi_poly += BERNOULLI[0] / 2
-    tri_poly += BERNOULLI[0]
-    # psi = log z - (inv/2 + w psi_poly)
-    psi_poly *= w
-    psi_poly += 0.5 * inv
-    psi = np.log(z)
-    psi -= psi_poly
-    # psi' = inv + w (1/2 + inv tri_poly)
-    tri_poly *= inv
-    tri_poly += 0.5
-    tri_poly *= w
-    tri_poly += inv
-    if low.size:
-        psi[low] -= psi_sum
-        tri_poly[low] += tri_sum
-    return psi.reshape(shape), tri_poly.reshape(shape)
+def _series(w, coefs, out):
+    """coefs[0] + coefs[1] w + ... + coefs[-1] w^(n-1) by Horner, into out."""
+    np.multiply(w, coefs[-1], out=out)
+    for c in coefs[-2:0:-1]:
+        out += c
+        out *= w
+    out += coefs[0]
+    return out
+
+
+def _shifted(a, r):
+    """Move the entries of the flat float64 arrays a and r below
+    TRIGAMMA_SHIFT up that many recurrence steps, in place, in one loop over
+    both gathers.  Returns their indices in a and in r, and the sums
+    sum_k 1/(z + k) and sum_k 1/(z + k)^2 over the steps, a's entries first."""
+    low_a, low_r = np.flatnonzero(a < TRIGAMMA_SHIFT), np.flatnonzero(r < TRIGAMMA_SHIFT)
+    shifted = np.concatenate([a[low_a], r[low_r]])
+    psi_sum, tri_sum, inv = np.zeros_like(shifted), np.zeros_like(shifted), np.empty_like(shifted)
+    for _ in range(TRIGAMMA_SHIFT):
+        np.divide(1.0, shifted, out=inv)
+        psi_sum += inv
+        inv *= inv
+        tri_sum += inv
+        shifted += 1.0
+    a[low_a], r[low_r] = shifted[:low_a.size], shifted[low_a.size:]
+    return low_a, low_r, psi_sum, tri_sum
 
 
 def log_gamma_ratio(y, r):
     """lnGamma(y + r) - lnGamma(r) for y >= 0, r > 0; y = 0 gives exactly 0.
     r < TRIGAMMA_SHIFT moves up that many steps, keeping prod_k (r + k) / prod_k (y + r + k),
-    then the Stirling difference (a - 1/2) log1p(y/r) + y (log r - 1) + tail(a) - tail(r)
-    at a = y + r, with tail(z) = sum_k B_2k / (2k (2k - 1) z^(2k-1))."""
+    then the Stirling difference (a - 1/2) log1p(y/r) + y (log r - 1) + R(w_a)/a - R(w_r)/r
+    at a = y + r."""
     y, r = np.broadcast_arrays(np.asarray(y), np.asarray(r, dtype=np.float64))
     shape, y, r = r.shape, y.ravel(), r.ravel()
     low = np.flatnonzero(r < TRIGAMMA_SHIFT)
@@ -125,15 +106,11 @@ def log_gamma_ratio(y, r):
     out *= tmp
     np.subtract(np.log(r, out=tmp), 1.0, out=tmp)
     out += np.multiply(tmp, y, out=tmp)
-    n, poly = len(BERNOULLI), np.empty_like(out)
+    poly = np.empty_like(out)
     for z, sign in ((a, 1.0), (r, -1.0)):
         inv = np.divide(sign, z, out=a)
-        w = np.multiply(inv, inv, out=tmp)
-        np.multiply(w, BERNOULLI[-1] / (2 * n * (2 * n - 1)), out=poly)
-        for k in range(n - 1, 0, -1):
-            poly += BERNOULLI[k - 1] / (2 * k * (2 * k - 1))
-            poly *= w if k > 1 else inv
-        out += poly
+        _series(np.multiply(inv, inv, out=tmp), LOG_GAMMA_SERIES, poly)
+        out += np.multiply(poly, inv, out=poly)
     if low.size:
         out[low] += np.log(num) - np.log(den)
     return _scalar_or_array(out.reshape(shape))
@@ -144,41 +121,60 @@ def _scalar_or_array(out):
 
 
 def _psi_differences(y, r):
-    """psi(y + r) - psi(r) and psi'(y + r) - psi'(r), elementwise.
+    """psi(y + r) - psi(r) and psi'(y + r) - psi'(r), elementwise, for y >= 0.
 
-    For r >= LARGE_R, where both differences cancel catastrophically, their
-    Poisson-limit forms log1p(y/r) and -(y/r)/(y + r) are used instead.
+    a = y + r and r each move up TRIGAMMA_SHIFT steps where below it
+    (_shifted), to a' and r' with a' - r' = d = y + 10 [a < 10] - 10 [r < 10],
+    exact for integer y.  The two series are then differenced term by term:
+      psi(a') - psi(r') = log1p(d/r') + d/(2 a' r') - w_a P(w_a) + w_r P(w_r),
+      psi'(a') - psi'(r') = -d/(a' r') (1 + (1/a' + 1/r')/2)
+                            + w_a Q(w_a)/a' - w_r Q(w_r)/r',
+    and a's shift sums are subtracted, r's added.  No term cancels as r
+    grows; y = 0 gives exactly 0, and for y >= 1 the psi difference is >= 0
+    and the psi' difference <= 0.
     """
     y, r = np.broadcast_arrays(np.asarray(y), np.asarray(r, dtype=np.float64))
     if np.any(r <= 0):
         raise DomainError("r must be positive")
-    small = r < LARGE_R
-    if not small.all():
-        dpsi, dtri = np.empty(r.shape), np.empty(r.shape)
-        dpsi[small], dtri[small] = _psi_differences(y[small], r[small])
-        yb, rb = y[~small], r[~small]
-        dpsi[~small] = np.log1p(yb / rb)
-        dtri[~small] = -(yb / rb) / (yb + rb)
-        return dpsi, dtri
-    psi_y, tri_y = _psi_trigamma(y + r)
-    psi_r, tri_r = _psi_trigamma(r)
-    psi_y -= psi_r
-    tri_y -= tri_r
-    return psi_y, tri_y
+    shape, a, r = r.shape, np.add(y, r, dtype=np.float64).ravel(), np.array(r, dtype=np.float64).ravel()
+    low_a, low_r, psi_sum, tri_sum = _shifted(a, r)
+    m = low_a.size
+    d = np.array(y, dtype=np.float64).ravel()
+    d[low_a] += TRIGAMMA_SHIFT
+    d[low_r] -= TRIGAMMA_SHIFT
+    dpsi = np.divide(d, r)
+    inv_a, inv_r = np.divide(1.0, a, out=a), np.divide(1.0, r, out=r)
+    # dtri = -d/(a' r') (1 + (1/a' + 1/r')/2), dpsi = log1p(d/r') + d/(2 a' r')
+    d *= inv_a
+    d *= inv_r
+    dtri = np.add(inv_a, inv_r)
+    dtri *= -0.5
+    dtri -= 1.0
+    dtri *= d
+    d *= 0.5
+    np.log1p(dpsi, out=dpsi)
+    dpsi += d
+    w, poly = d, np.empty_like(d)
+    for inv, psi_op, tri_op in ((inv_a, np.subtract, np.add), (inv_r, np.add, np.subtract)):
+        np.multiply(inv, inv, out=w)
+        psi_op(dpsi, np.multiply(_series(w, PSI_SERIES, poly), w, out=poly), out=dpsi)
+        _series(w, BERNOULLI, poly)
+        poly *= w
+        tri_op(dtri, np.multiply(poly, inv, out=poly), out=dtri)
+    dpsi[low_a] -= psi_sum[:m]
+    dtri[low_a] += tri_sum[:m]
+    dpsi[low_r] += psi_sum[m:]
+    dtri[low_r] -= tri_sum[m:]
+    return dpsi.reshape(shape), dtri.reshape(shape)
 
 
 def psi_delta(y, r):
-    """digamma(y + r) - digamma(r), using log1p(y/r) for r >= 1e8."""
+    """digamma(y + r) - digamma(r) (see _psi_differences)."""
     return _scalar_or_array(_psi_differences(y, r)[0])
 
 
 def psi_prime_delta(y, r):
-    """trigamma(y + r) - trigamma(r), using -(y/r)/(y+r) for r >= 1e8.
-
-    For integer y <= 50 and r in [1e-12, 1e7] the difference matches the
-    exact sum -sum_{k<y} 1/(r+k)^2 to about 2e-9 relative (the cancellation
-    limit, eps * r / y); y = 0 gives exactly 0.
-    """
+    """trigamma(y + r) - trigamma(r) (see _psi_differences); y = 0 gives exactly 0."""
     return _scalar_or_array(_psi_differences(y, r)[1])
 
 

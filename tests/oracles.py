@@ -2,10 +2,10 @@
 
 Each builds, densely, a quantity the library contracts without forming:
 the bordered (U, V) inverse, the constraint and delta-propagation
-Jacobians, the bordered Fisher system over every block, and trigamma on
-its own.  They are written from the library's own helpers, so a test that
-compares the library against one of them checks the contraction, not a
-second copy of the weights.
+Jacobians and the bordered Fisher system over every block.  They are
+written from the library's own helpers, so a test that compares the
+library against one of them checks the contraction, not a second copy of
+the weights.
 """
 
 import numpy as np
@@ -22,12 +22,6 @@ from nbgbm.inference import (
     latent_cross_information,
 )
 from nbgbm.model import CovariateSet, GbmParams, PriorConfig, linear_predictor
-from nbgbm.nb import _psi_trigamma, _scalar_or_array
-
-
-def trigamma(x):
-    """Trigamma function psi'(x) for x > 0, elementwise (see `nb._psi_trigamma`)."""
-    return _scalar_or_array(_psi_trigamma(np.asarray(x, dtype=np.float64))[1])
 
 
 def constraint_jacobians(params: GbmParams, cov: CovariateSet):

@@ -150,7 +150,7 @@ class TestBoundedFisherStep:
     def test_cap_arithmetic(self):
         rho = 5.0
         xi = np.array([10 * rho, 0.0, 0.0, 0.0])
-        capped = est._capped(xi[None, :], rho)[0]
+        capped = est.bounded_fisher_step(np.zeros(4), xi, np.zeros((4, 4)), 1.0, rho)
         rms = np.linalg.norm(capped) / 2.0
         np.testing.assert_allclose(rms, rho)
         assert capped[0] > 0 and np.all(capped[1:] == 0)

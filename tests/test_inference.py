@@ -605,6 +605,24 @@ class TestStandardErrors:
         names = list(inspect.signature(getattr(inf, stage)).parameters)
         assert names[0] == "pieces" and not {"params", "cov"} & set(names), names
 
+    def test_rounding_level_variances_of_either_sign_are_zeroed(self, small_fit, monkeypatch):
+        # a factor entry the constraints fix has joint variance 0 up to
+        # rounding, which may fall on either side of 0; a positive one was
+        # kept, and its SE read 2.2e-10 instead of 0
+        Y, truth, result = small_fit
+        joint_uv = inf._joint_uv
+
+        def rounded(*args):
+            varU, varV = joint_uv(*args)
+            varV[:3] = (5e-20, -5e-20, 0.0)
+            return varU, varV
+
+        monkeypatch.setattr(inf, "_joint_uv", rounded)
+        with pytest.warns(UserWarning, match="V is zero up to rounding at 3 entries"):
+            ser = inf.standard_errors(Y, result.params, truth.cov)
+        assert np.all(ser.se_V.ravel()[:3] == 0.0)
+        assert np.all(ser.se_V.ravel()[3:] > 0.0)
+
     def test_no_se_for_singular_values_or_global_dispersion(self, small_fit):
         Y, truth, result = small_fit
         ser = inf.standard_errors(Y, result.params, truth.cov)
@@ -652,6 +670,13 @@ class TestWaldTests:
             inf.wald_tests(np.array([1.0]), np.array([0.0]))
         with pytest.raises(DomainError):
             inf.wald_tests(np.array([1.0]), np.array([1.0]), level=1.5)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_standard_errors(self, bad):
+        # a NaN SE gave a NaN p-value and interval, an infinite one p = 1 and
+        # the interval (-inf, inf)
+        with pytest.raises(DomainError, match="finite and positive"):
+            inf.wald_tests(np.array([1.0, 2.0]), np.array([1.0, bad]))
 
 
 class TestFullFisherOracle:

@@ -10,8 +10,6 @@ from scipy.special import digamma, polygamma
 from nbgbm import nb
 from nbgbm.exceptions import DomainError
 
-import oracles
-
 
 class TestNbLogPmf:
     def test_zero_count_closed_form(self):
@@ -84,11 +82,11 @@ class TestSpecialFunctions:
     def test_psi_delta_unit_count_recurrence(self):
         for r in (0.1, 1.0, 100.0):
             np.testing.assert_allclose(nb.psi_delta(1, r), 1.0 / r, rtol=1e-10)
-        # cancellation in the digamma difference grows toward the branch point
-        np.testing.assert_allclose(nb.psi_delta(1, 1e7), 1e-7, rtol=1e-6)
+        # the series difference keeps its digits at large r
+        np.testing.assert_allclose(nb.psi_delta(1, 1e7), 1e-7, rtol=1e-13)
 
     def test_branch_point_continuity(self):
-        # the large-r asymptotic branch takes over at r = 1e8
+        # r = 1e8 was the branch point of a Poisson-limit form
         y = 40.0
         below = nb.psi_delta(y, 1e8 - 1.0)
         above = nb.psi_delta(y, 1e8)
@@ -105,20 +103,11 @@ class TestSpecialFunctions:
         r = 1e7
         np.testing.assert_allclose(nb.psi_delta(y, r), digamma(y + r) - digamma(r))
 
-    def test_trigamma_matches_scipy(self):
-        grid = np.logspace(-12, 12, 4001)
-        shifts = np.arange(1.0, nb.TRIGAMMA_SHIFT + 3)
-        near_shifts = np.concatenate([shifts, np.nextafter(shifts, 0.0),
-                                      np.nextafter(shifts, np.inf), shifts - 1e-9, shifts + 1e-9])
-        x = np.concatenate([grid, near_shifts])
-        np.testing.assert_allclose(oracles.trigamma(x), polygamma(1, x), rtol=1e-13, atol=0)
-        assert isinstance(oracles.trigamma(2.5), float)
-
     def test_psi_prime_delta_matches_exact_sum(self):
         r = np.logspace(-12, 7, 77)
         for y in range(1, 51):
             exact = [-math.fsum(1.0 / (ri + k) ** 2 for k in range(y)) for ri in r]
-            np.testing.assert_allclose(nb.psi_prime_delta(float(y), r), exact, rtol=1e-8, atol=0)
+            np.testing.assert_allclose(nb.psi_prime_delta(float(y), r), exact, rtol=1e-13, atol=0)
 
     def test_psi_prime_delta_zero_count_exact(self):
         r = np.logspace(-12, 12, 97)
@@ -138,16 +127,11 @@ SHIFT = float(nb.TRIGAMMA_SHIFT)
 
 def scipy_psi_differences(y, r):
     """psi(y + r) - psi(r), psi'(y + r) - psi'(r) from scipy, with the error
-    bounds a comparison against them can use: rounding of the scipy terms,
-    plus for r >= LARGE_R the remainder of the Poisson-limit forms there."""
+    bounds a comparison against them can use: rounding of the scipy terms."""
     psi_y, psi_r = digamma(y + r), digamma(r)
     tri_y, tri_r = polygamma(1, y + r), polygamma(1, r)
     tol_psi = 16 * EPS * (max(abs(psi_y), 1.0) + max(abs(psi_r), 1.0))
     tol_tri = 16 * EPS * (tri_y + tri_r)
-    if r >= nb.LARGE_R:
-        # psi(x) = log x - 1/(2x) + O(x^-2), psi'(x) = 1/x + 1/(2x^2) + O(x^-3)
-        tol_psi += y / (2 * r * (y + r)) + 1 / r ** 2
-        tol_tri += 1 / r ** 2
     return psi_y - psi_r, tri_y - tri_r, tol_psi, tol_tri
 
 
@@ -155,7 +139,7 @@ counts = st.one_of(st.floats(0.0, 1e15), st.floats(0.0, 2 * SHIFT), st.integers(
 inverse_dispersions = st.one_of(
     st.floats(1e-12, 1e12),
     st.floats(SHIFT * (1 - 1e-12), SHIFT * (1 + 1e-12)),   # either side of the series threshold
-    st.floats(nb.LARGE_R * (1 - 1e-12), nb.LARGE_R * (1 + 1e-12)))
+    st.floats(1e8 * (1 - 1e-12), 1e8 * (1 + 1e-12)))      # the old Poisson-limit branch point
 
 
 class TestKernelAgainstScipy:
@@ -181,15 +165,52 @@ class TestKernelAgainstScipy:
         assert abs(derivs.delta_prime[0, 0] - delta_prime) <= tol_prime
 
     def test_kernel_either_side_of_the_series_threshold(self):
-        below = [SHIFT]
-        above = [SHIFT]
-        for _ in range(4):
-            below.append(np.nextafter(below[-1], 0.0))
-            above.append(np.nextafter(above[-1], np.inf))
-        x = np.array(below[::-1] + above[1:] + [SHIFT - 1e-9, SHIFT + 1e-9])
-        psi, tri = nb._psi_trigamma(x)
-        np.testing.assert_allclose(psi, digamma(x), rtol=4 * EPS, atol=0)
-        np.testing.assert_allclose(tri, polygamma(1, x), rtol=4 * EPS, atol=0)
+        r = np.concatenate([ladder(SHIFT, 4), [SHIFT - 1e-9, SHIFT + 1e-9]])
+        for y in (1, 4):
+            dpsi, dtri = mpmath_psi_differences(np.full(r.size, y), r)
+            np.testing.assert_allclose(nb.psi_delta(y, r), dpsi, rtol=1e-14, atol=0)
+            np.testing.assert_allclose(nb.psi_prime_delta(y, r), dtri, rtol=1e-14, atol=0)
+
+
+def ladder(x, steps):
+    """x and the `steps` floats next to it on either side."""
+    below, above = [x], [x]
+    for _ in range(steps):
+        below.append(np.nextafter(below[-1], 0.0))
+        above.append(np.nextafter(above[-1], np.inf))
+    return np.array(below[::-1] + above[1:])
+
+
+def mpmath_psi_differences(y, r):
+    """psi(y + r) - psi(r) and psi'(y + r) - psi'(r) at 60 digits, for
+    integer y, rounded to float64."""
+    with mpmath.workdps(60):
+        pairs = [(mpmath.mpf(int(a)) + mpmath.mpf(float(b)), mpmath.mpf(float(b)))
+                 for a, b in zip(y, r)]
+        return (np.array([float(mpmath.psi(0, a) - mpmath.psi(0, b)) for a, b in pairs]),
+                np.array([float(mpmath.psi(1, a) - mpmath.psi(1, b)) for a, b in pairs]))
+
+
+class TestKernelAgainstMpmath:
+    def test_differences_match_mpmath(self):
+        # integer counts up to 1e15 at r log-uniform in [1e-12, 1e12], the
+        # floats either side of r = 10 and of y + r = 10 (the series
+        # thresholds of r and y + r), and the old branch point r = 1e8
+        rng = np.random.default_rng(29)
+        wide = np.concatenate([np.arange(12), np.floor(10.0 ** rng.uniform(0, 15, 437)), [1e15]])
+        cases = [(wide, 10.0 ** rng.uniform(-12, 12, wide.size))]
+        cases += [(np.full(13, y), ladder(SHIFT, 6)) for y in (0, 1, 2, 5, 9, 40, 10 ** 6)]
+        cases += [(np.full(13, y), ladder(SHIFT - y, 6)) for y in (1, 3, 7, 9)]
+        cases += [(np.full(5, y), np.array([1e8 - 1, np.nextafter(1e8, 0), 1e8,
+                                            np.nextafter(1e8, np.inf), 1e8 + 1]))
+                  for y in (0, 1, 40, 10 ** 6, 10 ** 15)]
+        y = np.concatenate([c[0] for c in cases]).astype(np.int64)
+        r = np.concatenate([c[1] for c in cases])
+        assert y.size >= 600
+        dpsi, dtri = mpmath_psi_differences(y, r)
+        got_psi, got_tri = nb._psi_differences(y, r)
+        assert np.all(np.abs(got_psi - dpsi) <= 1e-14 * np.abs(dpsi))
+        assert np.all(np.abs(got_tri - dtri) <= 1e-14 * np.abs(dtri))
 
 
 class TestWorkspace:
@@ -327,7 +348,7 @@ class TestIntegerCounts:
         y[0, :3] = (0, 10 ** 6, 2 ** 60)
         mu = np.exp(rng.normal(1.0, 1.0, size=y.shape))
         r = np.exp(rng.normal(0.0, 2.0, size=y.shape))
-        r[1, :2] = 1e9                                         # the Poisson-limit branch
+        r[1, :2] = 1e9                                         # large r, the smallest differences
         peaks = {}
         for counts in (y, y.astype(np.float64)):
             tracemalloc.start()
