@@ -483,9 +483,10 @@ def initial_params(Y: DataMatrix, cov: CovariateSet, M: int,
     and omega start at zero; the fit's own S and T steps estimate them.
     """
     config = config or FitConfig()
-    if not 0 <= M < min(cov.I, cov.J):
-        raise ShapeError(f"M = {M} must be at least 0 and smaller than min(I, J) = "
-                         f"{min(cov.I, cov.J)}")
+    if not 0 <= M <= min(cov.I - cov.K, cov.J - cov.L):
+        # an orthonormal U with X'U = 0 needs M <= I - K, and V likewise
+        raise ShapeError(f"M = {M} must be at least 0 and at most I - K = {cov.I - cov.K} "
+                         f"and J - L = {cov.J - cov.L}")
     logy = np.log(Y.values + EPSILON)
     C = cov.Xplus @ logy @ cov.Zplus.T
     A = (cov.Xplus @ logy - C @ cov.Z.T).T

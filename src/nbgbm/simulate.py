@@ -1,10 +1,12 @@
 """Synthetic data generation and evaluation metrics for calibration studies.
 
 Covariates come from a Gaussian copula with a random correlation structure
-and Normal, Gamma, or Binary marginals; true parameters from Normal or
-Gamma draws projected onto the constrained parameter set; outcomes from
-NB, log-normal Poisson, Poisson, or Geometric families, all parametrized
-so the conditional mean matches the model.
+and Normal, Gamma, or Binary marginals: Normal marginals are the copula
+draws themselves, Binary marginals their sign, and only Gamma marginals
+load scipy.special.  True parameters come from Normal or Gamma draws
+projected onto the constrained parameter set; outcomes from NB, log-normal
+Poisson, Poisson, or Geometric families, all parametrized so the
+conditional mean matches the model.
 """
 
 from __future__ import annotations
@@ -50,8 +52,9 @@ class SimScheme:
         I, J, K, L, M = self.dims
         if min(I, J, K, L) < 1 or M < 0:
             raise DomainError("dims must be positive (M may be zero)")
-        if M >= min(I, J):
-            raise DomainError(f"M = {M} must be smaller than min(I, J)")
+        if M > min(I - K, J - L):
+            # an orthonormal U with X'U = 0 needs M <= I - K, and V likewise
+            raise DomainError(f"M = {M} must be at most I - K = {I - K} and J - L = {J - L}")
 
     @staticmethod
     def parse(text: str, dims, seed=0) -> "SimScheme":
@@ -74,16 +77,17 @@ class SimTruth:
     clamp_events: int = 0
 
 
-def _marginal_icdf(u, scheme):
-    from scipy.special import gammaincinv, ndtri
+def _marginal(draws, scheme):
     if scheme == "Normal":
-        return ndtri(u)
+        return draws
     if scheme == "Gamma":
+        from scipy.special import gammaincinv, ndtr
         # shape 2, rate sqrt(2): unit variance; gammaincinv(2, u) is the
-        # unit-rate quantile, scaled as scipy.stats.gamma.ppf scales it
-        return gammaincinv(2.0, u) * (1.0 / np.sqrt(2.0))
+        # unit-rate quantile of u = Phi(draws), scaled as
+        # scipy.stats.gamma.ppf scales it
+        return gammaincinv(2.0, ndtr(draws)) * (1.0 / np.sqrt(2.0))
     if scheme == "Binary":
-        return (u > 0.5).astype(np.float64)
+        return (draws > 0).astype(np.float64)
     raise InputError(f"unknown covariate scheme {scheme!r}")
 
 
@@ -91,8 +95,10 @@ def generate_covariates(n: int, p: int, scheme: str, rng) -> np.ndarray:
     """Copula-correlated covariates, standardized with an intercept column.
 
     A random correlation matrix (normalized Q'Q with Gaussian Q) drives
-    joint normal draws that are pushed through the scheme's inverse CDF and
-    clamped at +-100; column one is then set to the intercept and the rest
+    joint normal draws; Normal marginals are the draws themselves, Binary
+    marginals their sign (1 above zero, else 0), and Gamma marginals the
+    draws pushed through Phi and the shape-2 quantile.  Values are clamped
+    at +-100; column one is then set to the intercept and the rest
     centered and scaled to unit mean square by standardize_covariates.
     """
     mat, _ = generate_covariates_counted(n, p, scheme, rng)
@@ -101,7 +107,6 @@ def generate_covariates(n: int, p: int, scheme: str, rng) -> np.ndarray:
 
 def generate_covariates_counted(n, p, scheme, rng):
     """Same as generate_covariates, also returning the clamp-event count."""
-    from scipy.special import ndtr
     if p < 1:
         raise DomainError("p must be at least 1")
     if p == 1:
@@ -111,7 +116,7 @@ def generate_covariates_counted(n, p, scheme, rng):
     scale = np.sqrt(np.diag(Sigma))
     corr = Sigma / np.outer(scale, scale)
     draws = rng.multivariate_normal(np.zeros(p), corr, size=n, method="cholesky")
-    raw = _marginal_icdf(ndtr(draws), scheme)
+    raw = _marginal(draws, scheme)
     clamps = int(np.count_nonzero(np.abs(raw) > H_CLAMP))
     vals = np.sign(raw) * np.minimum(H_CLAMP, np.abs(raw))
     vals[:, 0] = 1.0

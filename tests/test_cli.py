@@ -127,6 +127,13 @@ class TestSimulate:
         code = run(["simulate", "--dims", "10x5", "--out", tmp_path / "x"])
         assert code == 3
 
+    def test_m_beyond_the_covariate_nullspace_is_domain_error(self, tmp_path, capsys):
+        # 5 rows and 4 row covariates leave room for one latent factor, not two
+        code = run(["simulate", "--dims", "5x20x4x1x2", "--out", tmp_path / "x"])
+        assert code == 3
+        assert "I - K" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_geometric_scheme_supported(self, tmp_path):
         code = run(["simulate", "--scheme", "Geometric/Normal/Normal",
                     "--dims", "10x6x2x2x0", "--seed", "1", "--out", tmp_path / "g"])

@@ -18,7 +18,7 @@ from nbgbm.model import (
     check_constraints,
     linear_predictor,
 )
-from nbgbm.simulate import SimScheme, simulate_dataset
+from nbgbm.simulate import SimScheme, generate_covariates, simulate_dataset
 
 from conftest import (ASYMMETRIC_PRIOR, random_constrained_params, swapped_prior, transposed_cov,
                       transposed_params)
@@ -95,6 +95,16 @@ class TestInitialization:
         cov = CovariateSet(np.ones((4, 1)), np.ones((3, 1)))
         with pytest.raises(ShapeError):
             est.initial_params(Y, cov, 3)
+
+    @pytest.mark.parametrize("I, J, K, L, M", [(5, 20, 4, 1, 2), (3, 3, 3, 1, 1),
+                                                (20, 5, 1, 4, 2)])
+    def test_m_beyond_the_covariate_nullspace(self, I, J, K, L, M):
+        # an orthonormal U with X'U = 0 needs M <= I - K, and V M <= J - L
+        rng = np.random.default_rng(0)
+        cov = CovariateSet(generate_covariates(I, K, "Normal", rng),
+                           generate_covariates(J, L, "Normal", rng))
+        with pytest.raises(ShapeError, match="I - K"):
+            est.initial_params(DataMatrix(np.ones((I, J), dtype=int)), cov, M)
 
     def test_negative_m(self):
         Y = DataMatrix(np.ones((4, 3), dtype=int))

@@ -76,6 +76,28 @@ class TestImportGraph:
             "print(before, 'scipy.linalg' in sys.modules)")
         assert out.split() == ["False", "True"]
 
+    @pytest.mark.parametrize("scheme", ["NB/Normal/Normal", "NB/Binary/Normal"])
+    def test_simulate_loads_no_scipy(self, tmp_path, scheme):
+        # Normal covariates are the copula draws and Binary ones their sign
+        out = run_fresh(
+            "import sys\n"
+            "from nbgbm import SimScheme, simulate_dataset\n"
+            f"simulate_dataset(SimScheme.parse({scheme!r}, (20, 10, 2, 2, 1), seed=1))\n"
+            "from nbgbm.cli import main\n"
+            f"assert main(['simulate', '--scheme', {scheme!r}, '--dims', '20x10x2x2x1', "
+            f"'--out', {str(tmp_path / 'sim')!r}]) == 0\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+        assert out.split() == ["[]"]
+
+    def test_gamma_covariates_load_scipy_special_on_first_call(self):
+        out = run_fresh(
+            "import sys\n"
+            "from nbgbm import SimScheme, simulate_dataset\n"
+            "before = 'scipy.special' in sys.modules\n"
+            "simulate_dataset(SimScheme.parse('NB/Gamma/Normal', (20, 10, 2, 2, 1), seed=1))\n"
+            "print(before, 'scipy.special' in sys.modules)")
+        assert out.split() == ["False", "True"]
+
     @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux /proc")
     @pytest.mark.parametrize("flags, env", [(["--threads", "1"], {}),
                                             ([], {"NBGBM_THREADS": "1"})])

@@ -1,22 +1,24 @@
 import numpy as np
 import pytest
+from scipy.special import ndtr
 from scipy.stats import gamma as gamma_dist
 from scipy.stats import norm
 
 from nbgbm.exceptions import DomainError, InputError, ShapeError
 from nbgbm.estimation import fit
-from nbgbm.model import FitConfig, check_constraints
+from nbgbm.model import FitConfig, check_constraints, standardize_covariates
 from nbgbm.simulate import (
     SimScheme,
     align_latent_factors,
     coverage_curve,
     empirical_coverage,
     generate_covariates,
+    generate_covariates_counted,
     generate_outcomes,
     generate_parameters,
     relative_mse,
     simulate_dataset,
-    _marginal_icdf,
+    _marginal,
 )
 from nbgbm.rngstreams import stream_rng
 
@@ -36,6 +38,17 @@ class TestSchemes:
         with pytest.raises(DomainError):
             SimScheme(dims=(10, 5, 1, 1, 5))
 
+    @pytest.mark.parametrize("dims", [(5, 20, 4, 1, 2), (3, 3, 3, 1, 1), (20, 5, 1, 4, 2)])
+    def test_rejects_m_beyond_the_covariate_nullspace(self, dims):
+        # an orthonormal U with X'U = 0 needs M <= I - K, and V M <= J - L
+        with pytest.raises(DomainError, match="I - K"):
+            SimScheme(dims=dims)
+
+    @pytest.mark.parametrize("dims", [(6, 20, 4, 1, 2), (3, 2, 1, 1, 1)])
+    def test_m_at_the_nullspace_boundary_simulates(self, dims):
+        _, truth = simulate_dataset(SimScheme(dims=dims, seed=1))
+        assert check_constraints(truth.params0, truth.cov).passed
+
 
 class TestCovariates:
     @pytest.mark.parametrize("scheme", ["Normal", "Gamma", "Binary"])
@@ -48,20 +61,46 @@ class TestCovariates:
 
     def test_binary_marginal_is_two_valued(self):
         rng = np.random.default_rng(1)
-        raw = _marginal_icdf(rng.random(1000), "Binary")
+        raw = _marginal(rng.standard_normal(1000), "Binary")
         assert set(np.unique(raw)) <= {0.0, 1.0}
+        # the sign of the draw is the rule Phi(x) > 1/2
+        x = rng.standard_normal(10_000)
+        assert np.array_equal(_marginal(x, "Binary"), (ndtr(x) > 0.5).astype(np.float64))
         X = generate_covariates(100, 3, "Binary", rng)
         for k in (1, 2):
             assert np.unique(np.round(X[:, k], 12)).size == 2
 
+    def test_normal_marginal_is_the_draws(self):
+        x = np.concatenate([[-np.inf, -40.0, -8.5, 0.0, 8.5, 40.0, np.inf, np.nan],
+                            np.random.default_rng(3).standard_normal(10_000)])
+        assert np.array_equal(_marginal(x, "Normal"), x, equal_nan=True)
+
     @pytest.mark.parametrize("scheme, reference", [
-        ("Normal", norm.ppf),
         ("Gamma", lambda u: gamma_dist.ppf(u, a=2.0, scale=1.0 / np.sqrt(2.0))),
     ])
     def test_marginal_icdf_matches_scipy_stats(self, scheme, reference):
         u = np.concatenate([[0.0, 1e-300, 0.3, 0.5, 1 - 1e-16, 1.0, np.nan],
                             np.random.default_rng(3).random(10_000)])
-        assert np.array_equal(_marginal_icdf(u, scheme), reference(u), equal_nan=True)
+        x = norm.ppf(u)
+        assert np.array_equal(_marginal(x, scheme), reference(norm.cdf(x)), equal_nan=True)
+
+    def test_far_tail_draw_is_not_clamped(self):
+        # Phi(8.5) rounds to 1, so a CDF round trip would send this draw to
+        # inf and the clamp to 100; the Normal marginal keeps it as drawn
+        draws = np.array([[0.0, 8.5], [0.0, -1.0], [0.0, 0.5], [0.0, 0.2]])
+
+        class StubRng:
+            def standard_normal(self, shape):
+                return np.eye(shape[0])
+
+            def multivariate_normal(self, mean, cov, size, method):
+                return draws.copy()
+
+        X, clamps = generate_covariates_counted(4, 2, "Normal", StubRng())
+        assert clamps == 0
+        expected = draws.copy()
+        expected[:, 0] = 1.0
+        assert np.array_equal(X, standardize_covariates(expected))
 
     def test_intercept_only(self):
         rng = np.random.default_rng(2)
